@@ -20,7 +20,6 @@ from .interventions import (
     InterventionSpec,
     USE_OBSERVED_G,
     arm_pair,
-    censor_free,
     dynamic_z,
     fit_stochastic_gstar,
     gstar_prob,

@@ -19,8 +19,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .engine import EstimationError, contrast, fit_g, tmle_arm
 from .harness import POLICY_NAMES, emit_report, run_replications
 from .interventions import arm_pair, fit_stochastic_gstar, standard_policies

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, logit
 
-from .features import history_design, mechanism_design, gstar_design
-from .interventions import ArmPolicy, InterventionSpec
+from .features import history_design, mechanism_design
+from .interventions import USE_OBSERVED_G, ArmPolicy, gstar_prob, gstar_prob1, panel_history
 from .learners import (
     FittedModel,
     LearnerSpec,
@@ -76,7 +76,7 @@ class _Mech:
         return self.model.predict(design)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GFit:
     """Fitted observed-data mechanisms for every visit up to the horizon."""
 
@@ -86,66 +86,49 @@ class GFit:
     features: str
     g_floor: float
     randomized: bool
-    floored_counts: dict = field(default_factory=dict)
 
-    def upto(self) -> int:
-        return len(self.a_mechs)
-
-    def _observed_prob(self, panel, node, k, mech, used_mask) -> np.ndarray:
-        """Floored probability of the observed node value, full length."""
+    def floored_prob(self, panel, node, k, used_mask) -> tuple[np.ndarray, int]:
+        """Floored probability of the observed A_k / Z_k, or of C_k = 0, full
+        length, and how many ``used_mask`` rows hit the floor.  Only glm
+        predictions are floored."""
+        mech = self.c_mechs[k - 1] if node == "C" else \
+            (self.a_mechs if node == "A" else self.z_mechs)[k]
         p1 = mech.prob1(panel, node, k)
+        n_floored = 0
         if mech.kind == "glm":
-            lo, hi = self.g_floor, 1.0 - self.g_floor
-            clipped = np.clip(p1, lo, hi)
-            n_clip = int(np.sum((clipped != p1) & used_mask))
-            if n_clip:
-                key = f"{node}{k}"
-                self.floored_counts[key] = self.floored_counts.get(key, 0) + n_clip
+            clipped = np.clip(p1, self.g_floor, 1.0 - self.g_floor)
+            n_floored = int(np.sum((clipped != p1) & used_mask))
             p1 = clipped
         if node == "C":
-            obs = panel.c_at(k).astype(float)
-        elif node == "A":
-            obs = panel.a_at(k).astype(float)
-        else:
-            obs = panel.z_at(k).astype(float)
-        return np.where(obs == 1.0, p1, 1.0 - p1)
+            return 1.0 - p1, n_floored
+        obs = (panel.a_at(k) if node == "A" else panel.z_at(k)).astype(float)
+        return np.where(obs == 1.0, p1, 1.0 - p1), n_floored
 
-    def prob_observed_a(self, panel, k, used_mask):
-        return self._observed_prob(panel, "A", k, self.a_mechs[k], used_mask)
 
-    def prob_observed_z(self, panel, k, used_mask):
-        return self._observed_prob(panel, "Z", k, self.z_mechs[k], used_mask)
-
-    def prob_uncensored(self, panel, k, used_mask):
-        """Floored P(C_k = 0 | history)."""
-        mech = self.c_mechs[k - 1]
-        p1 = mech.prob1(panel, "C", k)
-        if mech.kind == "glm":
-            lo, hi = self.g_floor, 1.0 - self.g_floor
-            clipped = np.clip(p1, lo, hi)
-            n_clip = int(np.sum((clipped != p1) & used_mask))
-            if n_clip:
-                self.floored_counts[f"C{k}"] = self.floored_counts.get(f"C{k}", 0) + n_clip
-            p1 = clipped
-        return 1.0 - p1
+def _fit_learner(learner, design, y, seed, n_folds):
+    """The one learner dispatch: a constant fit for a degenerate response, the
+    single learner, or the discrete super learner over a library (run with the
+    first member's settings).  ``design(features)`` builds a member's design.
+    Returns (model, features)."""
+    if np.all(y == y[0]):
+        return fit_constant(y), None
+    specs = learner if isinstance(learner, (list, tuple)) else [learner]
+    settings = dict(max_iter=specs[0].max_iter, tol=specs[0].tol, ridge=specs[0].ridge)
+    if len(specs) == 1:
+        return fit_binary_glm(design(specs[0].features), y, **settings), specs[0].features
+    candidates = [(s.label, design(s.features)) for s in specs]
+    sel = fit_discrete_super_learner(candidates, y, n_folds=n_folds, seed=seed, **settings)
+    chosen = next(s for s in specs if s.label == sel.name)
+    return sel.model, chosen.features
 
 
 def _fit_mech(panel, node, k, mask, learner, seed, n_folds=10) -> _Mech:
     y = {"A": panel.a_at, "Z": panel.z_at, "C": panel.c_at}[node](k)[mask].astype(float)
-    if np.all(y == y[0]):
-        return _Mech(kind="const", prob_const=float(y[0]))
-    specs = learner if isinstance(learner, (list, tuple)) else [learner]
-    if len(specs) == 1:
-        design = mechanism_design(panel, specs[0].features, node, k)[mask]
-        model = fit_binary_glm(design, y, max_iter=specs[0].max_iter,
-                               tol=specs[0].tol, ridge=specs[0].ridge)
-        return _Mech(kind="glm", model=model, features=specs[0].features)
-    candidates = [(s.label, mechanism_design(panel, s.features, node, k)[mask])
-                  for s in specs]
-    sel = fit_discrete_super_learner(candidates, y, n_folds=n_folds, seed=seed,
-                                     max_iter=specs[0].max_iter)
-    chosen = next(s for s in specs if s.label == sel.name)
-    return _Mech(kind="glm", model=sel.model, features=chosen.features)
+    model, feats = _fit_learner(
+        learner, lambda f: mechanism_design(panel, f, node, k)[mask], y, seed, n_folds)
+    if model.constant is not None:
+        return _Mech(kind="const", prob_const=model.constant)
+    return _Mech(kind="glm", model=model, features=feats)
 
 
 def fit_g(panel: TrialPanel, learner: LearnerSpec | list[LearnerSpec] | None = None,
@@ -172,11 +155,7 @@ def fit_g(panel: TrialPanel, learner: LearnerSpec | list[LearnerSpec] | None = N
 
     a_mechs, z_mechs, c_mechs = [], [], []
     for k in range(K):
-        if k == 0:
-            mask = np.ones(panel.n, dtype=bool)
-        else:
-            mask = (at_risk_mask(panel, k) & (panel.y_at(k) == 0)
-                    & (panel.d_at(k) == 0) & (panel.c_at(k) == 0))
+        mask = at_risk_mask(panel, k + 1)   # at risk after the visit-k status block
         if not mask.any():
             raise EstimationError(f"no at-risk subjects carry treatment at visit {k}")
         if k == 0 and randomized:
@@ -203,79 +182,50 @@ def fit_g(panel: TrialPanel, learner: LearnerSpec | list[LearnerSpec] | None = N
 # Clever weights
 
 
-def _gstar_numerator_z(panel, spec: InterventionSpec, j: int) -> np.ndarray | None:
-    """g*(observed Z_j | history) for an intervened concomitant node, or None
-    when the node is observational (ratio cancels exactly)."""
-    if not spec.intervenes_at(j):
-        return None
-    obs = panel.z_at(j).astype(float)
-    if spec.form == "static":
-        return (obs == spec.value).astype(float)
-    if spec.form == "dynamic":
-        return (obs == panel.Z0).astype(float)
-    if not spec.fitted:
-        raise EstimationError("stochastic intervention queried before fitting")
-    p1 = clip_probs(spec.models[j].predict(gstar_design(panel, j)))
-    return np.where(obs == 1.0, p1, 1.0 - p1)
-
-
-def _per_visit_factors(panel, gfit: GFit, policy: ArmPolicy, horizon: int):
-    """Treatment ratio per node index 0..horizon-1 and censoring factor per
-    visit 1..horizon, as full-length vectors (garbage on absorbed rows is
-    cut off later by the at-risk indicator)."""
-    treat = []
-    for j in range(horizon):
-        used = at_risk_mask(panel, j + 1) if j >= 1 else np.ones(panel.n, dtype=bool)
-        ratio = np.ones(panel.n)
-        if policy.a_intervenes():
-            num = (panel.a_at(j) == policy.a_value).astype(float)
-            ratio = ratio * num / gfit.prob_observed_a(panel, j, used)
-        z_num = _gstar_numerator_z(panel, policy.z_spec, j)
-        if z_num is not None:
-            ratio = ratio * z_num / gfit.prob_observed_z(panel, j, used)
-        treat.append(ratio)
-    cens = []
-    for k in range(1, horizon + 1):
-        used = at_risk_mask(panel, k)
-        uncens = (panel.c_at(k) == 0).astype(float)
-        cens.append(uncens / gfit.prob_uncensored(panel, k, used))
-    return treat, cens
-
-
-def clever_weight_path(panel, gfit, policy, horizon, weight_cap=None):
-    """Clever weights H_l for every step l = 1..horizon, shape (horizon, n).
+def _weight_path(panel, gfit: GFit, policy: ArmPolicy, horizon: int, weight_cap=None):
+    """Clever weights for steps 1..horizon, shape (horizon, n), and the number
+    of used probabilities that hit the g floor, per node (e.g. ``"Z1"``).
 
     H_l = 1{no event/death before l} * prod_{j<=l} 1{C_j=0}/g_C_j(0|.)
         * prod_{j<l} g*_{A_j,Z_j}(obs)/g_{A_j,Z_j}(obs).
+    The visit-l at-risk rows are the ones the treatment node l-1 and the
+    censoring node l are used on; absorbed rows are cut off by the same mask.
     """
-    treat, cens = _per_visit_factors(panel, gfit, policy, horizon)
     n = panel.n
+    floored = {}
+
+    def g(node, k, used):
+        prob, n_floored = gfit.floored_prob(panel, node, k, used)
+        if n_floored:
+            floored[f"{node}{k}"] = n_floored
+        return prob
+
     H = np.zeros((horizon, n))
     cum_treat = np.ones(n)
     cum_cens = np.ones(n)
     for l in range(1, horizon + 1):
-        cum_treat = cum_treat * treat[l - 1]    # treatment nodes through l-1
-        cum_cens = cum_cens * cens[l - 1]       # censoring through l
-        H[l - 1] = at_risk_mask(panel, l) * cum_treat * cum_cens
+        j = l - 1
+        used = at_risk_mask(panel, l)
+        treat = np.ones(n)
+        if policy.a_intervenes():
+            treat = treat * (panel.a_at(j) == policy.a_value).astype(float) / g("A", j, used)
+        z_num = gstar_prob(policy.z_spec, panel.z_at(j), j, *panel_history(panel, j))
+        if z_num is not USE_OBSERVED_G:
+            treat = treat * z_num / g("Z", j, used)
+        uncens = (panel.c_at(l) == 0).astype(float)
+        cum_treat = cum_treat * treat                       # treatment nodes through l-1
+        cum_cens = cum_cens * (uncens / g("C", l, used))    # censoring through l
+        H[l - 1] = used * cum_treat * cum_cens
     if weight_cap is not None:
         H = np.minimum(H, weight_cap)
-    return H
+    return H, floored
 
 
-def clever_weights(panel, gfit, policy, k, weight_cap=None):
-    """Clever weights for the step-k targeting (nonnegative, zero off-policy)."""
-    return clever_weight_path(panel, gfit, policy, k, weight_cap)[k - 1]
-
-
-def support_diagnostics(panel, gfit, policy, horizon=None, threshold=50.0,
-                        weight_cap=None):
+def _weight_summary(H, threshold=50.0):
     """Per-visit weight-tail summary: max, 99th percentile, share above the
     near-violation threshold among positive weights."""
-    horizon = panel.K if horizon is None else horizon
-    H = clever_weight_path(panel, gfit, policy, horizon, weight_cap)
     rows = []
-    for l in range(1, horizon + 1):
-        h = H[l - 1]
+    for l, h in enumerate(H, start=1):
         pos = h[h > 0]
         rows.append({
             "visit": l,
@@ -285,6 +235,24 @@ def support_diagnostics(panel, gfit, policy, horizon=None, threshold=50.0,
             "n_positive": int(pos.size),
         })
     return rows
+
+
+def clever_weight_path(panel, gfit, policy, horizon, weight_cap=None):
+    """Clever weights H_l for every step l = 1..horizon, shape (horizon, n)."""
+    return _weight_path(panel, gfit, policy, horizon, weight_cap)[0]
+
+
+def clever_weights(panel, gfit, policy, k, weight_cap=None):
+    """Clever weights for the step-k targeting (nonnegative, zero off-policy)."""
+    return clever_weight_path(panel, gfit, policy, k, weight_cap)[k - 1]
+
+
+def support_diagnostics(panel, gfit, policy, horizon=None, threshold=50.0,
+                        weight_cap=None):
+    """Per-visit weight-tail summary of the clever-weight path."""
+    horizon = panel.K if horizon is None else horizon
+    return _weight_summary(clever_weight_path(panel, gfit, policy, horizon, weight_cap),
+                           threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -314,44 +282,17 @@ def _margin_options(panel, policy, j):
     Returns (a_options, z_options): lists of (substitution, weight) where the
     substitution is None (keep observed column), a scalar, or a per-subject
     vector, and the weight is a scalar or vector of interventional
-    probabilities.
+    probabilities.  A degenerate law (static, dynamic) substitutes its value.
     """
-    if policy.a_intervenes():
-        a_opts = [(float(policy.a_value), 1.0)]
-    else:
-        a_opts = [(None, 1.0)]
-    spec = policy.z_spec
-    if not spec.intervenes_at(j):
+    a_opts = [(float(policy.a_value) if policy.a_intervenes() else None, 1.0)]
+    p1 = gstar_prob1(policy.z_spec, j, *panel_history(panel, j))
+    if p1 is USE_OBSERVED_G:
         z_opts = [(None, 1.0)]
-    elif spec.form == "static":
-        z_opts = [(float(spec.value), 1.0)]
-    elif spec.form == "dynamic":
-        z_opts = [(panel.Z0.astype(float), 1.0)]
-    else:
-        if not spec.fitted:
-            raise EstimationError("stochastic intervention queried before fitting")
-        p1 = clip_probs(spec.models[j].predict(gstar_design(panel, j)))
+    elif policy.z_spec.form == "stochastic":
         z_opts = [(0.0, 1.0 - p1), (1.0, p1)]
+    else:
+        z_opts = [(p1, 1.0)]
     return a_opts, z_opts
-
-
-def _fit_step(panel, l, pseudo, mask, learner, seed, n_folds=10):
-    """Regress the step-l pseudo-outcome on history among observable rows."""
-    y = pseudo[mask]
-    if np.all(y == y[0]):
-        return fit_constant(y), None
-    specs = learner if isinstance(learner, (list, tuple)) else [learner]
-    if len(specs) == 1:
-        design = history_design(panel, specs[0].features, treat_upto=l - 1)[mask]
-        model = fit_binary_glm(design, y, max_iter=specs[0].max_iter,
-                               tol=specs[0].tol, ridge=specs[0].ridge)
-        return model, specs[0].features
-    candidates = [(s.label, history_design(panel, s.features, treat_upto=l - 1)[mask])
-                  for s in specs]
-    sel = fit_discrete_super_learner(candidates, y, n_folds=n_folds, seed=seed + l,
-                                     max_iter=specs[0].max_iter)
-    chosen = next(s for s in specs if s.label == sel.name)
-    return sel.model, chosen.features
 
 
 def _predict_step(panel, model, features, l, sub_a=None, sub_z=None):
@@ -379,7 +320,8 @@ def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
         raise ValueError(f"horizon must lie in 1..{panel.K}")
     n = panel.n
 
-    H = clever_weight_path(panel, gfit, policy, horizon, weight_cap) if targeted else None
+    H, floored = (_weight_path(panel, gfit, policy, horizon, weight_cap) if targeted
+                  else (None, {}))
 
     pseudo = panel.y_at(horizon).astype(float)
     eic = np.zeros(n) if targeted else None
@@ -392,29 +334,24 @@ def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
         if not obs_mask.any():
             raise EstimationError(f"empty at-risk set at step {l}")
 
-        model, feats = _fit_step(panel, l, pseudo, obs_mask, learner, seed, n_folds)
+        model, feats = _fit_learner(
+            learner, lambda f: history_design(panel, f, treat_upto=l - 1)[obs_mask],
+            pseudo[obs_mask], seed + l, n_folds)
         preds = _predict_step(panel, model, feats, l)
 
-        if targeted and model.constant is None:
+        # a degenerate response is fitted exactly: its weighted score already
+        # vanishes and the update is a no-op
+        fluctuate = targeted and model.constant is None
+        eps, ok, score = 0.0, True, 0.0
+        if fluctuate:
             offset = logit(clip_probs(preds))
-            h = H[l - 1]
             eps, ok = fit_intercept_fluctuation(pseudo[obs_mask], offset[obs_mask],
-                                                h[obs_mask])
-            preds_upd = expit(offset + eps)
-            score = float(np.sum(h[obs_mask]
-                                 * (pseudo[obs_mask] - preds_upd[obs_mask])) / n)
-            eic += np.where(obs_mask, h * (pseudo - preds_upd), 0.0)
-        elif targeted:
-            # degenerate response: the regression is exact, the weighted
-            # score already vanishes, and the update is a no-op
+                                                H[l - 1][obs_mask])
+            preds = expit(offset + eps)
+        if targeted:
             h = H[l - 1]
-            eps, ok = 0.0, True
-            preds_upd = preds
-            score = float(np.sum(h[obs_mask] * (pseudo[obs_mask] - preds_upd[obs_mask])) / n)
-            eic += np.where(obs_mask, h * (pseudo - preds_upd), 0.0)
-        else:
-            eps, ok, score = 0.0, True, 0.0
-            preds_upd = preds
+            score = float(np.sum(h[obs_mask] * (pseudo[obs_mask] - preds[obs_mask])) / n)
+            eic += np.where(obs_mask, h * (pseudo - preds), 0.0)
         epsilons.append(eps)
         fluct_ok.append(ok)
         step_scores.append(score)
@@ -426,7 +363,7 @@ def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
         for a_sub, a_w in a_opts:
             for z_sub, z_w in z_opts:
                 p = _predict_step(panel, model, feats, l, sub_a=a_sub, sub_z=z_sub)
-                if targeted and model.constant is None:
+                if fluctuate:
                     p = expit(logit(clip_probs(p)) + eps)
                 marg = marg + (a_w * z_w) * p
 
@@ -446,12 +383,11 @@ def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
         "fluct_converged": bool(all(fluct_ok)),
         "step_scores": step_scores[::-1],
         "at_risk_counts": at_risk_counts[::-1],
-        "floored_counts": dict(gfit.floored_counts),
+        "floored_counts": floored,
         "mean_eic": float(np.mean(eic)) if eic is not None else None,
     }
     if targeted:
-        diagnostics["weights"] = support_diagnostics(panel, gfit, policy, horizon,
-                                                     weight_cap=weight_cap)
+        diagnostics["weights"] = _weight_summary(H)
         if abs(diagnostics["mean_eic"]) > 1e-6:
             warnings.warn(f"influence-curve equation poorly solved: "
                           f"mean={diagnostics['mean_eic']:.3e}")

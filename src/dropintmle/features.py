@@ -166,11 +166,25 @@ def mechanism_design(panel: TrialPanel, features: str, node: str, k: int,
     raise ValueError(f"unknown mechanism node '{node}'")
 
 
-def gstar_design(panel: TrialPanel, k: int, z_prev=None) -> np.ndarray:
+def gstar_columns(l0, k: int, z_prev=None) -> np.ndarray:
     """Design for the balancing intervention's conditional law at visit k:
-    intercept, previous concomitant status (k >= 1) and baseline covariates."""
-    n = panel.n
+    intercept, previous concomitant status (k >= 1) and baseline covariates.
+
+    ``l0`` holds one row of baseline covariates per history, shape (n, d); a
+    single row is broadcast against a vector ``z_prev`` and vice versa.
+    """
+    l0 = np.atleast_2d(np.asarray(l0, dtype=float))
     if k == 0:
-        return np.column_stack([np.ones(n)] + [panel.L0[:, j] for j in range(panel.d_baseline)])
-    zp = panel.z_at(k - 1).astype(float) if z_prev is None else _as_vec(z_prev, n)
-    return np.column_stack([np.ones(n), zp] + [panel.L0[:, j] for j in range(panel.d_baseline)])
+        return np.column_stack([np.ones(l0.shape[0]), l0])
+    zp = np.asarray(z_prev, dtype=float).reshape(-1)
+    n = max(l0.shape[0], zp.shape[0])
+    return np.column_stack([np.ones(n), np.broadcast_to(zp, (n,)),
+                            np.broadcast_to(l0, (n, l0.shape[1]))])
+
+
+def gstar_design(panel: TrialPanel, k: int, z_prev=None) -> np.ndarray:
+    """The balancing-law design (see ``gstar_columns``) for every subject of a
+    panel; ``z_prev`` substitutes the observed visit-(k-1) status."""
+    if k >= 1 and z_prev is None:
+        z_prev = panel.z_at(k - 1)
+    return gstar_columns(panel.L0, k, z_prev)

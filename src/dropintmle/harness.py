@@ -100,6 +100,22 @@ class ReplicationTable:
         return [self.policies[p].row(self.scenario) for p in self.policies]
 
 
+@dataclass(frozen=True)
+class PolicyRun:
+    """One policy in one replication: the contrast and its interval, the
+    largest clever weight, the worse arm's |mean EIC| and the g-computation
+    contrast if requested; or only the ``failure`` reason."""
+
+    psi: float | None = None
+    se: float | None = None
+    ci_low: float | None = None
+    ci_high: float | None = None
+    max_weight: float | None = None
+    mean_eic: float | None = None
+    gcomp_psi: float | None = None
+    failure: str | None = None
+
+
 def _replication_worker(args):
     (cfg, policy_names, n, horizon, seed_r, g_floor, weight_cap,
      q_learner, g_learner, include_gcomp, static_baseline) = args
@@ -109,7 +125,8 @@ def _replication_worker(args):
         gstar = fit_stochastic_gstar(panel) if "stochastic" in policy_names else None
         specs = standard_policies(gstar, static_baseline=static_baseline)
     except Exception as exc:  # a dead panel fails every policy
-        return {name: ("fail", f"{type(exc).__name__}: {exc}") for name in policy_names}
+        return {name: PolicyRun(failure=f"{type(exc).__name__}: {exc}")
+                for name in policy_names}
     out = {}
     for name in policy_names:
         try:
@@ -129,10 +146,11 @@ def _replication_worker(args):
                 g1 = gcomp_arm(panel, gfit, p1, q_learner, horizon)
                 g0 = gcomp_arm(panel, gfit, p0, q_learner, horizon)
                 gpsi = g1.psi - g0.psi
-            out[name] = ("ok", rep.psi, rep.se, rep.ci_low, rep.ci_high,
-                         maxw, mean_eic, gpsi)
+            out[name] = PolicyRun(psi=rep.psi, se=rep.se, ci_low=rep.ci_low,
+                                  ci_high=rep.ci_high, max_weight=maxw,
+                                  mean_eic=mean_eic, gcomp_psi=gpsi)
         except Exception as exc:
-            out[name] = ("fail", f"{type(exc).__name__}: {exc}")
+            out[name] = PolicyRun(failure=f"{type(exc).__name__}: {exc}")
     return out
 
 
@@ -192,19 +210,18 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
         est, ses, covers, lens, maxw, eics, gests = [], [], [], [], [], [], []
         failures = 0
         for res in results:
-            rec = res[pol]
-            if rec[0] != "ok":
+            run = res[pol]
+            if run.failure is not None:
                 failures += 1
                 continue
-            _, psi, se, lo, hi, mw, eic, gpsi = rec
-            est.append(psi)
-            ses.append(se)
-            covers.append(lo <= truth <= hi)
-            lens.append(hi - lo)
-            maxw.append(mw)
-            eics.append(eic)
-            if gpsi is not None:
-                gests.append(gpsi)
+            est.append(run.psi)
+            ses.append(run.se)
+            covers.append(run.ci_low <= truth <= run.ci_high)
+            lens.append(run.ci_high - run.ci_low)
+            maxw.append(run.max_weight)
+            eics.append(run.mean_eic)
+            if run.gcomp_psi is not None:
+                gests.append(run.gcomp_psi)
         table.policies[pol] = PolicyReplication(
             policy=pol, truth=truth, truth_mc_se=truth_se,
             estimates=np.array(est), ses=np.array(ses),

@@ -21,9 +21,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
-from .features import gstar_design
+from .features import gstar_columns, gstar_design
 from .learners import FittedModel, clip_probs, fit_binary_glm, fit_constant
 from .panel import TrialPanel, at_risk_mask
 
@@ -86,23 +85,50 @@ def observational_z() -> InterventionSpec:
     return InterventionSpec(node="Z", form="observational", intervene_baseline=False)
 
 
-def censor_free() -> InterventionSpec:
-    return InterventionSpec(node="C", form="static", value=0)
-
-
 @dataclass(frozen=True)
 class ArmPolicy:
     """One hypothetical arm: static randomized-treatment assignment plus a
     concomitant-treatment form.  ``a_value`` None leaves the randomized
-    treatment observational (used for natural-course checks only)."""
+    treatment observational (used for natural-course checks only).
+    Censoring is always intervened to "remain under observation"."""
 
     a_value: int | None
     z_spec: InterventionSpec
     name: str = ""
-    censor_spec: InterventionSpec = field(default_factory=censor_free)
 
     def a_intervenes(self) -> bool:
         return self.a_value is not None
+
+
+def gstar_prob1(spec: InterventionSpec, k: int, l0=None, z_prev=None, z0=None):
+    """Interventional probability that the visit-k concomitant node is 1.
+
+    The single evaluator of every intervention form: the fixed value (a
+    float) for static, the baseline status ``z0`` for dynamic, and the fitted
+    law at baseline covariates ``l0`` (rows, see ``gstar_columns``) and
+    previous status ``z_prev``, clipped to [PROB_CLIP, 1 - PROB_CLIP], for
+    stochastic.  Returns USE_OBSERVED_G when the node is not intervened.
+    """
+    if not spec.intervenes_at(k):
+        return USE_OBSERVED_G
+    if spec.form == "static":
+        return float(spec.value)
+    if spec.form == "dynamic":
+        if z0 is None:
+            raise ValueError("dynamic form needs the baseline status z0")
+        return np.asarray(z0, dtype=float)
+    if not spec.fitted:
+        raise ValueError("stochastic intervention queried before fitting "
+                         "(no fitted conditional law)")
+    if k >= len(spec.models):
+        raise ValueError(f"stochastic intervention has no law for visit {k}")
+    return clip_probs(spec.models[k].predict(gstar_columns(l0, k, z_prev)))
+
+
+def panel_history(panel: TrialPanel, k: int) -> tuple:
+    """The history arguments (l0, z_prev, z0) of ``gstar_prob1`` and
+    ``gstar_prob`` for every subject of a panel at visit k."""
+    return panel.L0, (panel.z_at(k - 1) if k >= 1 else None), panel.Z0
 
 
 def gstar_prob(spec: InterventionSpec, value, k: int, l0=None, z_prev=None,
@@ -110,38 +136,15 @@ def gstar_prob(spec: InterventionSpec, value, k: int, l0=None, z_prev=None,
     """Interventional probability that the visit-k node takes ``value``.
 
     History arguments are vectors (or scalars) of the conditioning variables
-    the form needs: baseline covariates ``l0``, previous concomitant status
-    ``z_prev`` and baseline status ``z0``.  Only at-risk histories are
-    meaningful (the law conditions on survival).  For observational nodes the
-    sentinel USE_OBSERVED_G is returned.
+    the form needs: baseline covariates ``l0`` (one row per history),
+    previous concomitant status ``z_prev`` and baseline status ``z0``.  Only
+    at-risk histories are meaningful (the law conditions on survival).  For
+    observational nodes the sentinel USE_OBSERVED_G is returned.
     """
-    if not spec.intervenes_at(k):
+    p1 = gstar_prob1(spec, k, l0, z_prev, z0)
+    if p1 is USE_OBSERVED_G:
         return USE_OBSERVED_G
-    value = np.asarray(value, dtype=float)
-    if spec.form == "static":
-        return (value == spec.value).astype(float)
-    if spec.form == "dynamic":
-        if z0 is None:
-            raise ValueError("dynamic form needs the baseline status z0")
-        return (value == np.asarray(z0, dtype=float)).astype(float)
-    # stochastic
-    if not spec.fitted:
-        raise ValueError("stochastic intervention queried before fitting")
-    if k >= len(spec.models):
-        raise ValueError(f"stochastic intervention has no law for visit {k}")
-    l0_arr = np.atleast_2d(np.asarray(l0, dtype=float))
-    if l0_arr.shape[0] == 1 and value.ndim and value.size > 1:
-        l0_arr = np.broadcast_to(l0_arr, (value.size, l0_arr.shape[1]))
-    elif l0_arr.shape[0] != max(value.size, 1):
-        l0_arr = l0_arr.T
-    n = l0_arr.shape[0]
-    if k == 0:
-        design = np.column_stack([np.ones(n), l0_arr])
-    else:
-        zp = np.broadcast_to(np.asarray(z_prev, dtype=float), (n,))
-        design = np.column_stack([np.ones(n), zp, l0_arr])
-    p1 = clip_probs(spec.models[k].predict(design))
-    out = np.where(value == 1, p1, 1.0 - p1)
+    out = np.where(np.asarray(value, dtype=float) == 1, p1, 1.0 - p1)
     return out if out.size > 1 else float(out.reshape(-1)[0])
 
 
@@ -159,13 +162,9 @@ def fit_stochastic_gstar(panel: TrialPanel, max_iter: int = 50,
     K = panel.K if upto is None else upto
     models = []
     for k in range(K):
-        if k == 0:
-            mask = np.ones(panel.n, dtype=bool)
-        else:
-            # response Z_k is observed for subjects still at risk after the
-            # visit-k status block
-            mask = (at_risk_mask(panel, k)
-                    & (panel.y_at(k) == 0) & (panel.d_at(k) == 0) & (panel.c_at(k) == 0))
+        # response Z_k is observed for subjects still at risk after the
+        # visit-k status block
+        mask = at_risk_mask(panel, k + 1)
         if not mask.any():
             raise ValueError(f"no at-risk subjects at visit {k}")
         y = panel.z_at(k)[mask].astype(float)

@@ -81,10 +81,16 @@ def clip_probs(p: np.ndarray | float, lo: float = PROB_CLIP) -> np.ndarray:
     return np.clip(p, lo, 1.0 - lo)
 
 
+def _log_likelihood(y, p, w) -> float:
+    """Weighted quasi-binomial log-likelihood sum_i w_i [y_i log p_i +
+    (1-y_i) log(1-p_i)] at clipped p; valid for fractional y (constant terms
+    in y are dropped)."""
+    p = clip_probs(np.asarray(p, dtype=float))
+    return float(np.sum(w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+
+
 def _quasi_binomial_deviance(y, mu, w):
-    # valid for fractional y; constant terms in y are dropped
-    mu = clip_probs(mu)
-    return -2.0 * float(np.sum(w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu))))
+    return -2.0 * _log_likelihood(y, mu, w)
 
 
 def fit_binary_glm(
@@ -241,9 +247,7 @@ def cv_fold_ids(n: int, n_folds: int, seed: int) -> np.ndarray:
 
 def quasi_binomial_risk(y, p, w):
     """Normalized negative weighted quasi-binomial log-likelihood."""
-    p = clip_probs(np.asarray(p, dtype=float))
-    loss = -np.sum(w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-    return float(loss / np.sum(w))
+    return -_log_likelihood(y, p, w) / float(np.sum(w))
 
 
 @dataclass
@@ -305,8 +309,7 @@ def fit_discrete_super_learner(
             except (FitError, np.linalg.LinAlgError):
                 failed_folds += 1
                 continue
-            p = clip_probs(p)
-            total += -float(np.sum(w[val] * (y[val] * np.log(p) + (1 - y[val]) * np.log(1 - p))))
+            total += -_log_likelihood(y[val], p, w[val])
             wtotal += float(np.sum(w[val]))
         if wtotal == 0.0 or failed_folds == n_folds:
             excluded.append(name)

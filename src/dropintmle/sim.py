@@ -16,12 +16,12 @@ share all non-intervened randomness, so arm contrasts are paired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .interventions import ArmPolicy, InterventionSpec
+from .interventions import USE_OBSERVED_G, ArmPolicy, InterventionSpec, gstar_prob1
 from .panel import TrialPanel
 
 _NODE_L0, _NODE_Z0, _NODE_A0 = 0, 1, 2
@@ -131,24 +131,15 @@ class _RunningAverages:
 
 
 def _sample_z(policy_spec, k, u, l_curr, z_prev, l0, z0, config):
-    """Draw the visit-k concomitant status under an intervention form."""
-    if policy_spec is None or not policy_spec.intervenes_at(k):
+    """Draw the visit-k concomitant status under an intervention form.
+
+    Static and dynamic laws put mass 1 on one value, so ``u < p`` with
+    u in [0, 1) reproduces that value exactly."""
+    p = (USE_OBSERVED_G if policy_spec is None
+         else gstar_prob1(policy_spec, k, l0[:, None], z_prev, z0))
+    if p is USE_OBSERVED_G:
         p = expit(l_curr + config.b_zz * z_prev + config.c_z) if k >= 1 \
             else expit(l0 + config.c_z0)
-        return (u < p).astype(np.int8)
-    if policy_spec.form == "static":
-        return np.full(u.shape, policy_spec.value, dtype=np.int8)
-    if policy_spec.form == "dynamic":
-        return z0.astype(np.int8)
-    # stochastic: fitted law of Z_k given (Z_{k-1}, L0)
-    if not policy_spec.fitted:
-        raise ValueError("stochastic arm supplied without a fitted conditional law")
-    n = u.shape[0]
-    if k == 0:
-        design = np.column_stack([np.ones(n), l0])
-    else:
-        design = np.column_stack([np.ones(n), z_prev.astype(float), l0])
-    p = policy_spec.models[k].predict(design)
     return (u < p).astype(np.int8)
 
 

@@ -17,6 +17,7 @@ from dropintmle.interventions import (
     dynamic_z,
     fit_stochastic_gstar,
     observational_z,
+    standard_policies,
     static_z,
 )
 from dropintmle.learners import LearnerSpec
@@ -259,6 +260,64 @@ def test_static_z0_less_supported_in_scenario2():
     assert w2 > w1
 
 
+@pytest.fixture(scope="module")
+def floored_sc2():
+    # scenario 2 at a coarse floor: many concomitant probabilities hit it
+    panel = simulate_trial(scenario_presets()["scenario2"], 2000, 12)
+    gstar = fit_stochastic_gstar(panel)
+    return panel, fit_g(panel, g_floor=0.05), gstar
+
+
+def test_floored_counts_are_per_arm(floored_sc2):
+    # one shared gfit across policies and arms: every arm reports the floored
+    # probabilities its own weight path used, nothing carried over
+    panel, gfit, gstar = floored_sc2
+    lo, hi = 0.05, 0.95
+    direct = {}
+    for j in range(panel.K):
+        p1 = gfit.z_mechs[j].prob1(panel, "Z", j)
+        used = at_risk_mask(panel, j + 1)
+        direct[f"Z{j}"] = int(np.sum(((p1 < lo) | (p1 > hi)) & used))
+    assert sum(direct.values()) > 0
+    for name, spec in standard_policies(gstar).items():
+        p1, p0 = arm_pair(spec, name)
+        counts = [tmle_arm(panel, gfit, pol).diagnostics["floored_counts"]
+                  for pol in (p1, p0)]
+        z_counts = [{k: v for k, v in c.items() if k.startswith("Z")} for c in counts]
+        want = {f"Z{j}": direct[f"Z{j}"] for j in range(panel.K)
+                if spec.intervenes_at(j) and direct[f"Z{j}"]}
+        assert z_counts[0] == z_counts[1] == want, name
+        if name == "ignore":
+            assert want == {}
+
+
+@pytest.mark.parametrize("cap", [None, 8.0])
+def test_arm_weight_summary_matches_support_diagnostics(floored_sc2, cap):
+    panel, gfit, gstar = floored_sc2
+    for spec in (static_z(0), gstar):
+        pol = ArmPolicy(a_value=1, z_spec=spec)
+        est = tmle_arm(panel, gfit, pol, weight_cap=cap)
+        assert est.diagnostics["weights"] == support_diagnostics(panel, gfit, pol,
+                                                                 weight_cap=cap)
+
+
+def test_library_passes_ridge_to_super_learner():
+    # a heavy ridge on every library member must reach the selected fit
+    from dropintmle.features import mechanism_design
+    from dropintmle.learners import fit_binary_glm
+
+    panel = simulate_trial(scenario_presets()["scenario1"], 2000, 61)
+    library = [LearnerSpec(features="main"), LearnerSpec(features="running_avg")]
+    ridged = [LearnerSpec(features=s.features, ridge=1e3) for s in library]
+    plain = fit_g(panel, library).z_mechs[1]
+    heavy = fit_g(panel, ridged).z_mechs[1]
+    mask = at_risk_mask(panel, 2)         # treatment pair observed at visit 1
+    y = panel.z_at(1)[mask].astype(float)
+    design = mechanism_design(panel, heavy.features, "Z", 1)[mask]
+    assert np.array_equal(heavy.model.coef, fit_binary_glm(design, y, ridge=1e3).coef)
+    assert not np.allclose(heavy.model.coef, plain.model.coef)
+
+
 # ---------------------------------------------------------------------------
 # fit_g behavior
 
@@ -267,14 +326,14 @@ def test_fit_g_randomization_constant():
     panel = simulate_trial(scenario_presets()["scenario1"], 1000, 37)
     gfit = fit_g(panel, randomized=True)
     assert gfit.a_mechs[0].kind == "randomized"
-    assert np.all(gfit.prob_observed_a(panel, 0, np.ones(panel.n, bool)) == 0.5)
+    assert np.all(gfit.floored_prob(panel, "A", 0, np.ones(panel.n, bool))[0] == 0.5)
 
 
 def test_fit_g_degenerate_censoring_shortcut():
     panel = simulate_trial(scenario_presets()["scenario1"], 1000, 41)
     gfit = fit_g(panel)
     assert all(m.kind == "const" for m in gfit.c_mechs)
-    p_unc = gfit.prob_uncensored(panel, 1, np.ones(panel.n, bool))
+    p_unc = gfit.floored_prob(panel, "C", 1, np.ones(panel.n, bool))[0]
     assert np.all(p_unc == 1.0)
 
 
@@ -282,7 +341,7 @@ def test_fit_g_adherence_shortcut():
     panel = simulate_trial(scenario_presets()["scenario1"], 1000, 43)
     gfit = fit_g(panel)
     assert all(m.kind == "adherence" for m in gfit.a_mechs[1:])
-    assert np.all(gfit.prob_observed_a(panel, 2, np.ones(panel.n, bool)) == 1.0)
+    assert np.all(gfit.floored_prob(panel, "A", 2, np.ones(panel.n, bool))[0] == 1.0)
 
 
 def test_fit_g_recovers_persistence_coefficient():

@@ -12,6 +12,8 @@ from dropintmle.interventions import (
     observational_z,
     static_z,
 )
+from dropintmle.features import gstar_design
+from dropintmle.learners import clip_probs
 from dropintmle.panel import TrialPanel
 from dropintmle.sim import scenario_presets, simulate_trial
 
@@ -66,6 +68,26 @@ def fitted_gstar():
 @pytest.fixture(scope="module")
 def gstar_panel():
     return simulate_trial(scenario_presets()["scenario1"], 3000, 99)
+
+
+def test_gstar_prob_on_panel_histories(fitted_gstar, gstar_panel):
+    # n-row baseline covariates with vector z_prev / z0, as the engine calls it
+    p = gstar_panel
+    for k in range(p.K):
+        hist = dict(l0=p.L0, z_prev=p.z_at(k - 1) if k else None, z0=p.Z0)
+        z = p.z_at(k)
+        p1 = clip_probs(fitted_gstar.models[k].predict(gstar_design(p, k)))
+        assert np.array_equal(gstar_prob(fitted_gstar, 1, k, **hist), p1)
+        assert np.array_equal(gstar_prob(fitted_gstar, z, k, **hist),
+                              np.where(z == 1, p1, 1.0 - p1))
+        for v in (0, 1):
+            assert np.array_equal(gstar_prob(static_z(v), z, k, **hist),
+                                  (z == v).astype(float))
+        dyn = gstar_prob(dynamic_z(), z, k, **hist)
+        if k == 0:
+            assert dyn is USE_OBSERVED_G
+        else:
+            assert np.array_equal(dyn, (z == p.Z0).astype(float))
 
 
 def test_stochastic_ignores_postbaseline_covariates(gstar_panel):
