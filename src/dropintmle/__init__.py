@@ -7,10 +7,12 @@ from .engine import (
     EstimateReport,
     EstimationError,
     GFit,
+    TopStep,
     clever_weights,
     clever_weight_path,
     contrast,
     fit_g,
+    fit_top_step,
     gcomp_arm,
     support_diagnostics,
     tmle_arm,

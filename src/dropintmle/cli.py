@@ -19,9 +19,9 @@ import dataclasses
 import json
 import sys
 
-from .engine import EstimationError, contrast, fit_g, tmle_arm
+from .engine import EstimationError, contrast, fit_g, fit_top_step, tmle_arm
 from .harness import POLICY_NAMES, emit_report, run_replications
-from .interventions import arm_pair, fit_stochastic_gstar, standard_policies
+from .interventions import ArmPolicy, arm_pair, fit_stochastic_gstar, standard_policies
 from .learners import FitError, LearnerSpec
 from .panel import (
     DataError,
@@ -114,8 +114,6 @@ def cmd_oracle(args) -> int:
     gstar = (fit_reference_gstar(cfg, n_fit=args.nfit, seed=args.seed + 900_001)
              if zname == "stochastic" else None)
     spec = standard_policies(gstar)[zname]
-    from .interventions import ArmPolicy
-
     policy = ArmPolicy(a_value=arm, z_spec=spec, name=args.policy)
     res = simulate_counterfactual_mean(cfg, policy, args.horizon, args.nmc, args.seed)
     payload = {"arm": arm, "policy": zname, "horizon": res.horizon,
@@ -150,13 +148,12 @@ def cmd_estimate(args) -> int:
                  n_folds=args.folds)
     gstar = fit_stochastic_gstar(panel, upto=horizon) if "stochastic" in policies else None
     specs = standard_policies(gstar)
+    top = fit_top_step(panel, learner, horizon, seed=args.seed, n_folds=args.folds)
     out = {"panel": args.panel, "horizon": horizon, "n": panel.n, "policies": {}}
     for name in policies:
         p1, p0 = arm_pair(specs[name], name)
-        e1 = tmle_arm(panel, gfit, p1, learner, horizon,
-                      weight_cap=args.weight_cap, seed=args.seed, n_folds=args.folds)
-        e0 = tmle_arm(panel, gfit, p0, learner, horizon,
-                      weight_cap=args.weight_cap, seed=args.seed, n_folds=args.folds)
+        e1, e0 = (tmle_arm(panel, gfit, p, learner, horizon, weight_cap=args.weight_cap,
+                           seed=args.seed, n_folds=args.folds, top=top) for p in (p1, p0))
         rep = contrast(e1, e0, name)
         out["policies"][name] = rep.to_dict()
     if args.out:

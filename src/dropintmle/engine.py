@@ -14,6 +14,10 @@ subjects stay in the denominator (absolute-risk, not cause-specific,
 semantics).  The run ends with the plug-in mean over baseline covariates,
 per-subject influence-curve values, and the solved-score check.
 
+The top step is fitted once per panel (``fit_top_step``) and shared by every
+arm and policy: its pseudo-outcome is the observed Y_K, and its rows, design
+and fold seed do not depend on the arm either.
+
 Censoring is resolved first within a visit, so subjects censored at l carry
 zero weight at step l and drop out of that regression; the censoring ratio
 product therefore runs through the current visit.  In censoring-free panels
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import expit, logit
@@ -107,12 +112,15 @@ class GFit:
 
 def _fit_learner(learner, design, y, seed, n_folds):
     """The one learner dispatch: a constant fit for a degenerate response, the
-    single learner, or the discrete super learner over a library (run with the
-    first member's settings).  ``design(features)`` builds a member's design.
-    Returns (model, features)."""
+    single learner, or the discrete super learner over a library (whose members
+    must share ``max_iter``, ``tol`` and ``ridge``).  ``design(features)``
+    builds a member's design.  Returns (model, features)."""
+    specs = learner if isinstance(learner, (list, tuple)) else [learner]
+    if len({(s.max_iter, s.tol, s.ridge) for s in specs}) > 1:
+        raise ValueError("library members must share max_iter, tol and ridge: " + ", ".join(
+            f"{s.label} ({s.max_iter}, {s.tol}, {s.ridge})" for s in specs))
     if np.all(y == y[0]):
         return fit_constant(y), None
-    specs = learner if isinstance(learner, (list, tuple)) else [learner]
     settings = dict(max_iter=specs[0].max_iter, tol=specs[0].tol, ridge=specs[0].ridge)
     if len(specs) == 1:
         return fit_binary_glm(design(specs[0].features), y, **settings), specs[0].features
@@ -303,22 +311,77 @@ def _predict_step(panel, model, features, l, sub_a=None, sub_z=None):
     return model.predict(design)
 
 
-def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
-             learner: LearnerSpec | list[LearnerSpec] | None = None,
-             horizon: int | None = None, *, targeted: bool = True,
-             weight_cap: float | None = None, seed: int = 0,
-             n_folds: int = 10) -> ArmEstimate:
-    """Targeted (or plain sequential-regression) estimate for one arm.
+def _fit_step(panel, learner, pseudo, l, seed, n_folds):
+    """Step-l outcome regression on the observed, uncensored at-risk rows.
+    Returns (rows, model, features)."""
+    rows = at_risk_mask(panel, l) & (panel.c_at(l) == 0)
+    if not rows.any():
+        raise EstimationError(f"empty at-risk set at step {l}")
+    model, feats = _fit_learner(
+        learner, lambda f: history_design(panel, f, treat_upto=l - 1)[rows],
+        pseudo[rows], seed + l, n_folds)
+    return rows, model, feats
 
-    With ``targeted`` False the fluctuation steps are skipped, giving the
-    non-targeted g-computation estimator; no influence-curve values or
-    variance are attached in that case.
-    """
+
+@dataclass(frozen=True)
+class TopStep:
+    """The step-``horizon`` outcome regression fitted on ``panel``: its rows,
+    model and chosen features, the settings it was fitted with, and a memo of
+    pre-fluctuation predictions keyed by the substituted (a, z) values."""
+
+    panel: TrialPanel
+    rows: np.ndarray
+    model: FittedModel
+    features: str | None
+    horizon: int
+    learner: LearnerSpec | list[LearnerSpec]
+    seed: int
+    n_folds: int
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def predict(self, sub_a=None, sub_z=None) -> np.ndarray:
+        """Read-only prediction, computed once per substitution."""
+        key = tuple(None if s is None else np.asarray(s, dtype=float).tobytes()
+                    for s in (sub_a, sub_z))
+        if key not in self.memo:
+            p = _predict_step(self.panel, self.model, self.features, self.horizon,
+                              sub_a, sub_z)
+            p.flags.writeable = False
+            self.memo[key] = p
+        return self.memo[key]
+
+
+def fit_top_step(panel, learner=None, horizon=None, seed=0, n_folds=10) -> TopStep:
+    """Fit the horizon step once for every ``tmle_arm`` / ``gcomp_arm`` call on
+    ``panel`` with the same learner, horizon, seed and n_folds (pass ``top``)."""
     learner = LearnerSpec() if learner is None else learner
     horizon = panel.K if horizon is None else horizon
     if not 1 <= horizon <= panel.K:
         raise ValueError(f"horizon must lie in 1..{panel.K}")
-    n = panel.n
+    rows, model, feats = _fit_step(panel, learner, panel.y_at(horizon).astype(float),
+                                   horizon, seed, n_folds)
+    return TopStep(panel, rows, model, feats, horizon, learner, seed, n_folds)
+
+
+def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
+             learner: LearnerSpec | list[LearnerSpec] | None = None,
+             horizon: int | None = None, *, targeted: bool = True,
+             weight_cap: float | None = None, seed: int = 0,
+             n_folds: int = 10, top: TopStep | None = None) -> ArmEstimate:
+    """Targeted (or plain sequential-regression) estimate for one arm.
+
+    With ``targeted`` False the fluctuation steps are skipped, giving the
+    non-targeted g-computation estimator; no influence-curve values or
+    variance are attached in that case.  ``top`` is the panel's shared
+    horizon step (see ``fit_top_step``); it is fitted here when not given.
+    """
+    if top is None:
+        top = fit_top_step(panel, learner, horizon, seed, n_folds)
+    elif top.panel is not panel or (top.learner, top.horizon, top.seed, top.n_folds) != (
+            LearnerSpec() if learner is None else learner,
+            panel.K if horizon is None else horizon, seed, n_folds):
+        raise ValueError("top step fitted on another panel or with other settings")
+    learner, horizon, n = top.learner, top.horizon, panel.n
 
     H, floored = (_weight_path(panel, gfit, policy, horizon, weight_cap) if targeted
                   else (None, {}))
@@ -328,16 +391,13 @@ def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
     epsilons, fluct_ok, step_scores, at_risk_counts = [], [], [], []
 
     for l in range(horizon, 0, -1):
-        risk = at_risk_mask(panel, l)
-        obs_mask = risk & (panel.c_at(l) == 0)
+        if l == horizon:
+            obs_mask, model, predict = top.rows, top.model, top.predict
+        else:
+            obs_mask, model, feats = _fit_step(panel, learner, pseudo, l, seed, n_folds)
+            predict = partial(_predict_step, panel, model, feats, l)
         at_risk_counts.append(int(obs_mask.sum()))
-        if not obs_mask.any():
-            raise EstimationError(f"empty at-risk set at step {l}")
-
-        model, feats = _fit_learner(
-            learner, lambda f: history_design(panel, f, treat_upto=l - 1)[obs_mask],
-            pseudo[obs_mask], seed + l, n_folds)
-        preds = _predict_step(panel, model, feats, l)
+        preds = predict()
 
         # a degenerate response is fitted exactly: its weighted score already
         # vanishes and the update is a no-op
@@ -362,7 +422,7 @@ def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
         marg = np.zeros(n)
         for a_sub, a_w in a_opts:
             for z_sub, z_w in z_opts:
-                p = _predict_step(panel, model, feats, l, sub_a=a_sub, sub_z=z_sub)
+                p = predict(a_sub, z_sub)
                 if fluctuate:
                     p = expit(logit(clip_probs(p)) + eps)
                 marg = marg + (a_w * z_w) * p
@@ -395,9 +455,11 @@ def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
                        n=n, policy_name=policy.name, diagnostics=diagnostics)
 
 
-def gcomp_arm(panel, gfit, policy, learner=None, horizon=None, seed=0) -> ArmEstimate:
+def gcomp_arm(panel, gfit, policy, learner=None, horizon=None, seed=0, *,
+              top=None) -> ArmEstimate:
     """Non-targeted sequential g-computation (no fluctuation, no variance)."""
-    return tmle_arm(panel, gfit, policy, learner, horizon, targeted=False, seed=seed)
+    return tmle_arm(panel, gfit, policy, learner, horizon, targeted=False, seed=seed,
+                    top=top)
 
 
 # ---------------------------------------------------------------------------

@@ -29,51 +29,36 @@ def _as_vec(value, n: int) -> np.ndarray:
 
 
 def _history_columns(panel, treat_upto, cov_upto, sub_a, sub_z):
-    """Ordered history columns with the latest treatment pair substituted.
-
-    Returns (columns, names); column order follows the observed-variable
-    ordering: baseline block first, then per-visit covariates and treatments.
-    """
+    """Ordered history columns with the latest treatment pair substituted,
+    following the observed-variable ordering: baseline block first, then
+    per-visit covariates and treatments."""
     n = panel.n
     a_last = _as_vec(sub_a, n) if sub_a is not None else panel.a_at(treat_upto).astype(float)
     z_last = _as_vec(sub_z, n) if sub_z is not None else panel.z_at(treat_upto).astype(float)
 
-    cols, names = [], []
-    for j in range(panel.d_baseline):
-        cols.append(panel.L0[:, j])
-        names.append(f"L0_{j + 1}")
+    cols = [panel.L0[:, j] for j in range(panel.d_baseline)]
     cols.append(z_last if treat_upto == 0 else panel.Z0.astype(float))
-    names.append("Z0")
     cols.append(a_last if treat_upto == 0 else panel.A0.astype(float))
-    names.append("A0")
     for j in range(1, max(treat_upto, cov_upto) + 1):
         if j <= cov_upto:
             lj = panel.l_at(j)
-            for c in range(lj.shape[1]):
-                cols.append(lj[:, c])
-                names.append(f"L{j}_{c + 1}")
+            cols += [lj[:, c] for c in range(lj.shape[1])]
         if j <= treat_upto:
             cols.append(a_last if j == treat_upto else panel.a_at(j).astype(float))
-            names.append(f"A{j}")
             cols.append(z_last if j == treat_upto else panel.z_at(j).astype(float))
-            names.append(f"Z{j}")
-    return cols, names
+    return cols
 
 
 def _running_means(panel, treat_upto, a_last, z_last):
-    """Averages of A, Z over visits 0..treat_upto and of L over 0..treat_upto,
-    with the visit-``treat_upto`` treatments taken from the supplied vectors."""
+    """Averages of A, Z and L over visits 0..treat_upto (treat_upto >= 1), with
+    the visit-``treat_upto`` treatments taken from the supplied vectors."""
     a_sum = panel.A0.astype(float).copy()
     z_sum = panel.Z0.astype(float).copy()
     l_sum = panel.l_at(0).astype(float).copy()
     for j in range(1, treat_upto + 1):
-        a_sum += panel.a_at(j) if j < treat_upto else 0.0
-        z_sum += panel.z_at(j) if j < treat_upto else 0.0
+        a_sum += panel.a_at(j) if j < treat_upto else a_last
+        z_sum += panel.z_at(j) if j < treat_upto else z_last
         l_sum += panel.l_at(j)
-    a_sum += a_last if treat_upto >= 1 else 0.0
-    z_sum += z_last if treat_upto >= 1 else 0.0
-    if treat_upto == 0:
-        a_sum, z_sum = a_last.copy(), z_last.copy()
     denom = float(treat_upto + 1)
     return a_sum / denom, z_sum / denom, l_sum / denom
 
@@ -102,7 +87,7 @@ def history_design(
     if features == "intercept":
         return np.ones((n, 1))
 
-    cols, names = _history_columns(panel, treat_upto, cov_upto, sub_a, sub_z)
+    cols = _history_columns(panel, treat_upto, cov_upto, sub_a, sub_z)
 
     if features == "saturated":
         vals = np.column_stack(cols)

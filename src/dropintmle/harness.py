@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import EstimationError, contrast, fit_g, gcomp_arm, tmle_arm
+from .engine import (EstimateReport, EstimationError, contrast, fit_g, fit_top_step, gcomp_arm,
+                     tmle_arm)
 from .interventions import arm_pair, fit_stochastic_gstar, standard_policies
 from .learners import LearnerSpec
 from .sim import (
@@ -124,6 +125,7 @@ def _replication_worker(args):
         gfit = fit_g(panel, g_learner, g_floor=g_floor, validate=False)
         gstar = fit_stochastic_gstar(panel) if "stochastic" in policy_names else None
         specs = standard_policies(gstar, static_baseline=static_baseline)
+        top = fit_top_step(panel, q_learner, horizon)
     except Exception as exc:  # a dead panel fails every policy
         return {name: PolicyRun(failure=f"{type(exc).__name__}: {exc}")
                 for name in policy_names}
@@ -131,8 +133,8 @@ def _replication_worker(args):
     for name in policy_names:
         try:
             p1, p0 = arm_pair(specs[name], name)
-            e1 = tmle_arm(panel, gfit, p1, q_learner, horizon, weight_cap=weight_cap)
-            e0 = tmle_arm(panel, gfit, p0, q_learner, horizon, weight_cap=weight_cap)
+            e1, e0 = (tmle_arm(panel, gfit, p, q_learner, horizon, weight_cap=weight_cap,
+                               top=top) for p in (p1, p0))
             if not (e1.diagnostics["fluct_converged"] and e0.diagnostics["fluct_converged"]):
                 raise EstimationError("fluctuation did not converge")
             rep = contrast(e1, e0, name)
@@ -143,8 +145,8 @@ def _replication_worker(args):
             mean_eic = max(abs(e1.mean_eic), abs(e0.mean_eic))
             gpsi = None
             if include_gcomp:
-                g1 = gcomp_arm(panel, gfit, p1, q_learner, horizon)
-                g0 = gcomp_arm(panel, gfit, p0, q_learner, horizon)
+                g1, g0 = (gcomp_arm(panel, gfit, p, q_learner, horizon, top=top)
+                          for p in (p1, p0))
                 gpsi = g1.psi - g0.psi
             out[name] = PolicyRun(psi=rep.psi, se=rep.se, ci_low=rep.ci_low,
                                   ci_high=rep.ci_high, max_weight=maxw,
@@ -254,8 +256,6 @@ def emit_report(obj, path, fmt: str = "csv") -> None:
     EstimateReport / dicts -> canonical JSON (sorted keys, 6 significant
     digits); drop-in trajectories -> per-visit CSV.
     """
-    from .engine import EstimateReport
-
     if isinstance(obj, ReplicationTable):
         if fmt == "json":
             payload = {"scenario": obj.scenario, "n": obj.n, "reps": obj.reps,

@@ -148,9 +148,7 @@ def gstar_prob(spec: InterventionSpec, value, k: int, l0=None, z_prev=None,
     return out if out.size > 1 else float(out.reshape(-1)[0])
 
 
-def fit_stochastic_gstar(panel: TrialPanel, max_iter: int = 50,
-                         tol: float = 1e-10, upto: int | None = None,
-                         ) -> InterventionSpec:
+def fit_stochastic_gstar(panel: TrialPanel, upto: int | None = None) -> InterventionSpec:
     """Fit the balancing intervention from a panel.
 
     For each visit k the concomitant status is regressed on the previous
@@ -173,7 +171,7 @@ def fit_stochastic_gstar(panel: TrialPanel, max_iter: int = 50,
             models.append(fit_constant(y))
             continue
         design = gstar_design(panel, k)[mask]
-        models.append(fit_binary_glm(design, y, max_iter=max_iter, tol=tol))
+        models.append(fit_binary_glm(design, y))
     return InterventionSpec(node="Z", form="stochastic", models=tuple(models),
                             intervene_baseline=True)
 

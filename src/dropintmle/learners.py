@@ -89,10 +89,6 @@ def _log_likelihood(y, p, w) -> float:
     return float(np.sum(w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
-def _quasi_binomial_deviance(y, mu, w):
-    return -2.0 * _log_likelihood(y, mu, w)
-
-
 def fit_binary_glm(
     design: np.ndarray,
     response: np.ndarray,
@@ -129,18 +125,30 @@ def fit_binary_glm(
     if np.any(y < 0) or np.any(y > 1):
         raise FitError("response must lie in [0, 1]")
 
+    # Bit-identical to the textbook loop: X beta is kept from the last mu, mu is
+    # not re-clipped, and a design with no zero weight is used in place, in C
+    # order since BLAS sums in a layout-dependent order.
     active = w > 0
-    Xa, ya, wa, offa = X[active], y[active], w[active], off[active]
+    if np.all(active):
+        Xa, ya, wa, offa = np.ascontiguousarray(X), y, w, off
+    else:
+        Xa, ya, wa, offa = X[active], y[active], w[active], off[active]
     p = X.shape[1]
 
+    def mu_and_deviance(xb):
+        mu = clip_probs(expit(offa + xb))
+        ll = ya * np.log(mu) + (1.0 - ya) * np.log(1.0 - mu)
+        return mu, -2.0 * float(np.sum(wa * ll))
+
     beta = np.zeros(p)
-    mu = clip_probs(expit(offa + Xa @ beta))
-    dev = _quasi_binomial_deviance(ya, mu, wa)
+    xb = Xa @ beta
+    mu, dev = mu_and_deviance(xb)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
+        var = mu * (1.0 - mu)
         irls_w = wa * mu * (1.0 - mu)
         # working response on the linear-predictor scale, offset removed
-        z = (Xa @ beta) + (ya - mu) / np.maximum(mu * (1.0 - mu), 1e-12)
+        z = xb + (ya - mu) / np.maximum(var, 1e-12)
         XtW = Xa.T * irls_w
         lhs = XtW @ Xa + ridge * np.eye(p)
         rhs = XtW @ z
@@ -148,10 +156,10 @@ def fit_binary_glm(
             beta_new = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError:
             break
-        mu_new = clip_probs(expit(offa + Xa @ beta_new))
-        dev_new = _quasi_binomial_deviance(ya, mu_new, wa)
+        xb_new = Xa @ beta_new
+        mu_new, dev_new = mu_and_deviance(xb_new)
         step = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
-        beta, mu = beta_new, mu_new
+        beta, mu, xb = beta_new, mu_new, xb_new
         if abs(dev - dev_new) < tol * (abs(dev_new) + 1.0) and step <= 1e-9:
             dev = dev_new
             break
@@ -172,7 +180,7 @@ def fit_constant(response: np.ndarray, weights: np.ndarray | None = None) -> Fit
     return FittedModel(
         coef=np.array([logit(clip_probs(mean))]),
         converged=True,
-        deviance=_quasi_binomial_deviance(y, np.full_like(y, max(mean, 1e-12)), w),
+        deviance=-2.0 * _log_likelihood(y, np.full_like(y, max(mean, 1e-12)), w),
         constant=mean,
     )
 
@@ -245,11 +253,6 @@ def cv_fold_ids(n: int, n_folds: int, seed: int) -> np.ndarray:
     return ids
 
 
-def quasi_binomial_risk(y, p, w):
-    """Normalized negative weighted quasi-binomial log-likelihood."""
-    return -_log_likelihood(y, p, w) / float(np.sum(w))
-
-
 @dataclass
 class SelectorFit:
     """Result of the discrete super learner: the refit winner plus the CV report."""
@@ -263,8 +266,6 @@ class SelectorFit:
 def fit_discrete_super_learner(
     candidates: list[tuple[str, np.ndarray]],
     response: np.ndarray,
-    weights: np.ndarray | None = None,
-    offset: np.ndarray | None = None,
     n_folds: int = 10,
     seed: int = 0,
     max_iter: int = 50,
@@ -273,10 +274,10 @@ def fit_discrete_super_learner(
 ) -> SelectorFit:
     """Discrete super learner over candidate design matrices.
 
-    Each candidate is (name, design) sharing the same response/weights/offset.
-    The member minimizing V-fold cross-validated weighted quasi-binomial loss
-    is refit on all data; ties break toward the earliest member.  Members that
-    error on every fold are excluded; if all members fail, raises FitError.
+    Each candidate is (name, design) sharing the same response.  The member
+    minimizing V-fold cross-validated quasi-binomial loss is refit on all data;
+    ties break toward the earliest member.  Members that error on every fold
+    are excluded; if all members fail, raises FitError.
     """
     if not candidates:
         raise FitError("empty learner library")
@@ -286,35 +287,28 @@ def fit_discrete_super_learner(
         raise ValueError("n_folds must be >= 2")
     if n < n_folds:
         raise FitError(f"n={n} smaller than number of folds {n_folds}")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    off = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
 
     folds = cv_fold_ids(n, n_folds, seed)
     cv_risks: dict[str, float] = {}
     excluded: list[str] = []
     for name, design in candidates:
         X = np.atleast_2d(np.asarray(design, dtype=float))
-        total, wtotal, failed_folds = 0.0, 0.0, 0
+        total, n_scored, failed_folds = 0.0, 0.0, 0
         for v in range(n_folds):
-            val = folds == v
+            val = folds == v        # n >= n_folds >= 2: both sides are nonempty
             train = ~val
-            if not np.any(w[train] > 0) or not np.any(w[val] > 0):
-                continue
             try:
-                m = fit_binary_glm(
-                    X[train], y[train], w[train], off[train],
-                    max_iter=max_iter, tol=tol, ridge=ridge,
-                )
-                p = m.predict(X[val], off[val])
+                m = fit_binary_glm(X[train], y[train], max_iter=max_iter, tol=tol, ridge=ridge)
+                p = m.predict(X[val])
             except (FitError, np.linalg.LinAlgError):
                 failed_folds += 1
                 continue
-            total += -_log_likelihood(y[val], p, w[val])
-            wtotal += float(np.sum(w[val]))
-        if wtotal == 0.0 or failed_folds == n_folds:
+            total += -_log_likelihood(y[val], p, 1.0)
+            n_scored += float(np.sum(val))
+        if failed_folds == n_folds:
             excluded.append(name)
             continue
-        cv_risks[name] = total / wtotal
+        cv_risks[name] = total / n_scored
 
     if not cv_risks:
         raise FitError("every library member failed cross-validation")
@@ -324,5 +318,5 @@ def fit_discrete_super_learner(
         if name in cv_risks and cv_risks[name] < best_risk:
             best_name, best_risk = name, cv_risks[name]
     design = dict(candidates)[best_name]
-    model = fit_binary_glm(design, y, w, off, max_iter=max_iter, tol=tol, ridge=ridge)
+    model = fit_binary_glm(design, y, max_iter=max_iter, tol=tol, ridge=ridge)
     return SelectorFit(name=best_name, model=model, cv_risks=cv_risks, excluded=excluded)

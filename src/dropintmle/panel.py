@@ -150,9 +150,6 @@ class ValidationReport:
     def __iter__(self):
         return iter(self.violations)
 
-    def __len__(self):
-        return len(self.violations)
-
 
 def validate_panel(panel: TrialPanel, max_violations: int = 1000) -> ValidationReport:
     """Check panel invariants; violations are returned as data, not raised.

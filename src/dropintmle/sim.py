@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .interventions import USE_OBSERVED_G, ArmPolicy, InterventionSpec, gstar_prob1
-from .panel import TrialPanel
+from .interventions import (USE_OBSERVED_G, ArmPolicy, InterventionSpec, fit_stochastic_gstar,
+                            gstar_prob1)
+from .panel import TrialPanel, at_risk_mask
 
 _NODE_L0, _NODE_Z0, _NODE_A0 = 0, 1, 2
 _NODE_C, _NODE_D, _NODE_Y, _NODE_L, _NODE_Z = 3, 4, 5, 6, 7
@@ -114,17 +115,11 @@ class _RunningAverages:
         self._wsum = 1.0
 
     def push(self, a, z, l):
-        if self.decay is None:
-            self._a_sum += a
-            self._z_sum += z
-            self._l_sum += l
-            self._wsum += 1.0
-        else:
-            lam = self.decay
-            self._a_sum = lam * self._a_sum + a
-            self._z_sum = lam * self._z_sum + z
-            self._l_sum = lam * self._l_sum + l
-            self._wsum = lam * self._wsum + 1.0
+        lam = 1.0 if self.decay is None else self.decay   # 1.0 * x == x: plain sums
+        for total, x in ((self._a_sum, a), (self._z_sum, z), (self._l_sum, l)):
+            total *= lam
+            total += x
+        self._wsum = lam * self._wsum + 1.0
         self.a = self._a_sum / self._wsum
         self.z = self._z_sum / self._wsum
         self.l = self._l_sum / self._wsum
@@ -250,7 +245,6 @@ class OracleResult:
     mc_se: float
     n_mc: int
     horizon: int
-    arm: int | None
 
 
 def simulate_counterfactual_mean(config: ScenarioConfig, policy: ArmPolicy,
@@ -265,8 +259,7 @@ def simulate_counterfactual_mean(config: ScenarioConfig, policy: ArmPolicy,
                   keep_panel=False, horizon=horizon)
     risk = float(np.mean(y))
     se = float(np.sqrt(max(risk * (1.0 - risk), 0.0) / n_mc))
-    return OracleResult(risk=risk, mc_se=se, n_mc=n_mc, horizon=horizon,
-                        arm=policy.a_value)
+    return OracleResult(risk=risk, mc_se=se, n_mc=n_mc, horizon=horizon)
 
 
 @dataclass(frozen=True)
@@ -298,8 +291,6 @@ def fit_reference_gstar(config: ScenarioConfig, n_fit: int = 1_000_000,
                         seed: int = 20_240_001):
     """Canonical balancing law for oracle truths: the stochastic intervention
     fitted once on a large observational panel from the scenario."""
-    from .interventions import fit_stochastic_gstar
-
     panel = simulate_trial(config, n_fit, seed)
     return fit_stochastic_gstar(panel)
 
@@ -310,8 +301,6 @@ def drop_in_trajectory(panel: TrialPanel) -> dict:
     Covers visits 0..K-1 (the final visit carries no treatment decision).
     Visits with an empty at-risk set yield NaN.
     """
-    from .panel import at_risk_mask
-
     K, n = panel.K, panel.n
     out = {"visit": np.arange(K), "arm0": np.full(K, np.nan),
            "arm1": np.full(K, np.nan), "n_at_risk0": np.zeros(K, dtype=int),

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from dropintmle import engine
 from dropintmle.engine import (
     EstimationError,
     clever_weight_path,
     clever_weights,
     contrast,
     fit_g,
+    fit_top_step,
     gcomp_arm,
     support_diagnostics,
     tmle_arm,
 )
+from dropintmle.harness import POLICY_NAMES, run_replications
 from dropintmle.interventions import (
     ArmPolicy,
     arm_pair,
@@ -22,7 +25,7 @@ from dropintmle.interventions import (
 )
 from dropintmle.learners import LearnerSpec
 from dropintmle.panel import TrialPanel, at_risk_mask, make_panel
-from dropintmle.sim import scenario_presets, simulate_trial
+from dropintmle.sim import ScenarioConfig, scenario_presets, simulate_trial
 
 from conftest import build_toy_panel
 
@@ -316,6 +319,81 @@ def test_library_passes_ridge_to_super_learner():
     design = mechanism_design(panel, heavy.features, "Z", 1)[mask]
     assert np.array_equal(heavy.model.coef, fit_binary_glm(design, y, ridge=1e3).coef)
     assert not np.allclose(heavy.model.coef, plain.model.coef)
+
+
+def test_library_with_differing_settings_is_rejected():
+    panel = simulate_trial(scenario_presets()["scenario1"], 500, 61)
+    library = [LearnerSpec(features="main", ridge=1e3), LearnerSpec(features="running_avg")]
+    with pytest.raises(ValueError, match="main.*running_avg"):
+        fit_g(panel, library)
+
+
+# ---------------------------------------------------------------------------
+# The top step shared across arms
+
+
+def _k8_panel():
+    cfg = ScenarioConfig(c_z0=-1.5, c_z=-2.5, p_z=1.0, p_zy=1.0, n_visits=8,
+                         death_hazard=0.02, censor_hazard=0.03)
+    return simulate_trial(cfg, 1500, 13)
+
+
+@pytest.mark.parametrize("case", ["scenario1", "k8_library"])
+def test_shared_top_step_is_bit_identical(case, scenario1_panel):
+    if case == "scenario1":
+        panel, learner, seed, n_folds = scenario1_panel, LearnerSpec(), 0, 10
+    else:
+        panel, seed, n_folds = _k8_panel(), 5, 2
+        learner = [LearnerSpec(features="main"), LearnerSpec(features="running_avg")]
+    gfit = fit_g(panel, learner, seed=seed, n_folds=n_folds)
+    top = fit_top_step(panel, learner, None, seed, n_folds)
+    for name, spec in standard_policies(fit_stochastic_gstar(panel)).items():
+        for pol in arm_pair(spec, name):
+            for targeted in (True, False):
+                own, shared = (tmle_arm(panel, gfit, pol, learner, targeted=targeted,
+                                        seed=seed, n_folds=n_folds, top=t)
+                               for t in (None, top))
+                assert own.psi == shared.psi
+                assert own.diagnostics == shared.diagnostics
+                if targeted:
+                    assert np.array_equal(own.eic, shared.eic)
+    # observed histories, static/stochastic pairs (a, 0), (a, 1), dynamic
+    # (a, Z0) and observational (a, observed): the five policies share nine
+    assert len(top.memo) == 9
+
+
+def test_replication_makes_no_duplicate_fit(monkeypatch):
+    fits = []
+    real = engine.fit_binary_glm
+
+    def recording(design, response, *args, **kwargs):
+        fits.append((design.shape, design.tobytes(), response.tobytes()))
+        return real(design, response, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "fit_binary_glm", recording)
+    truths = {name: (0.0, 0.0, 0.0, 0.0) for name in POLICY_NAMES}
+    table = run_replications("scenario1", n=1500, reps=1, seed=3, truths=truths,
+                             include_gcomp=True, workers=1)
+    assert all(p.failures == 0 for p in table.policies.values())
+    duplicates = len(fits) - len(set(fits))
+    assert fits and duplicates == 0
+
+
+def test_mismatched_top_step_raises(scenario1_panel):
+    panel = scenario1_panel
+    gfit = fit_g(panel)
+    pol = ArmPolicy(a_value=1, z_spec=static_z(0))
+    top = fit_top_step(panel)
+    assert tmle_arm(panel, gfit, pol, top=top).psi == tmle_arm(panel, gfit, pol).psi
+    for kwargs in ({"horizon": panel.K - 1}, {"seed": 1}, {"n_folds": 5},
+                   {"learner": LearnerSpec(features="main")}):
+        with pytest.raises(ValueError, match="top step"):
+            tmle_arm(panel, gfit, pol, top=top, **kwargs)
+    # another panel, of another size or of the same size from another seed
+    for other in (simulate_trial(scenario_presets()["scenario1"], 500, 2),
+                  simulate_trial(scenario_presets()["scenario1"], panel.n, 2)):
+        with pytest.raises(ValueError, match="top step"):
+            gcomp_arm(other, fit_g(other), pol, top=top)
 
 
 # ---------------------------------------------------------------------------
