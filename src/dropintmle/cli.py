@@ -143,7 +143,9 @@ def cmd_estimate(args) -> int:
     panel = read_panel_csv(args.panel)
     policies = _parse_policies(args.policies)
     learner = _learner_from_args(args)
-    horizon = args.horizon or panel.K
+    horizon = panel.K if args.horizon is None else args.horizon
+    if not 1 <= horizon <= panel.K:
+        raise UsageError(f"--horizon {horizon} is outside 1..K; the panel has K = {panel.K}")
     gfit = fit_g(panel, learner, g_floor=args.g_floor, seed=args.seed,
                  n_folds=args.folds)
     gstar = fit_stochastic_gstar(panel, upto=horizon) if "stochastic" in policies else None

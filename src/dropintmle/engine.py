@@ -456,10 +456,10 @@ def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
 
 
 def gcomp_arm(panel, gfit, policy, learner=None, horizon=None, seed=0, *,
-              top=None) -> ArmEstimate:
+              n_folds=10, top=None) -> ArmEstimate:
     """Non-targeted sequential g-computation (no fluctuation, no variance)."""
     return tmle_arm(panel, gfit, policy, learner, horizon, targeted=False, seed=seed,
-                    top=top)
+                    n_folds=n_folds, top=top)
 
 
 # ---------------------------------------------------------------------------

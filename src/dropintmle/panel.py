@@ -13,6 +13,8 @@ coding for treatment windows, one-visit covariate lagging and LOCF.
 from __future__ import annotations
 
 import csv
+import itertools
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -247,27 +249,16 @@ def ingest_long_events(records: list[EventRecord], visit_times) -> TrialPanel:
     n = len(records)
 
     d = np.asarray(records[0].L0, dtype=float).size
-    d_time = None
-    for r in records:
-        for _, vec in r.covariate_measurements:
-            d_time = np.asarray(vec, dtype=float).size
-            break
-        if d_time is not None:
-            break
-    if d_time is None:
-        d_time = d
+    d_time = next((np.asarray(vec, dtype=float).size
+                   for r in records for _, vec in r.covariate_measurements), d)
 
-    L0 = np.zeros((n, d))
-    Z0 = np.zeros(n, dtype=np.int8)
-    A0 = np.zeros(n, dtype=np.int8)
-    Y = np.zeros((K, n), dtype=np.int8)
-    D = np.zeros((K, n), dtype=np.int8)
-    C = np.zeros((K, n), dtype=np.int8)
-    L = np.zeros((K - 1, n, d_time))
-    A = np.zeros((K - 1, n), dtype=np.int8)
+    L0, L = np.zeros((n, d)), np.zeros((K - 1, n, d_time))
+    Z0, A0 = (np.zeros(n, dtype=np.int8) for _ in range(2))
+    Y, D, C = (np.zeros((K, n), dtype=np.int8) for _ in range(3))
     Z = np.zeros((K - 1, n), dtype=np.int8)
 
     t_last = visit_times[-1]
+    windows = list(zip(visit_times[:-2].tolist(), visit_times[1:-1].tolist()))
     for i, rec in enumerate(records):
         base = np.asarray(rec.L0, dtype=float).reshape(-1)
         if base.size != d:
@@ -284,9 +275,8 @@ def ingest_long_events(records: list[EventRecord], visit_times) -> TrialPanel:
 
         t_ev = rec.t_tilde
         if t_ev <= visit_times[0]:
-            warnings.warn(
-                f"subject {rec.subject_id}: endpoint at or before t_0; assigned to visit 1"
-            )
+            warnings.warn(f"subject {rec.subject_id}: endpoint at or before t_0; "
+                          "assigned to visit 1")
             k_ev = 1
         elif t_ev > t_last:
             k_ev = None  # event-free over the panel window
@@ -296,30 +286,29 @@ def ingest_long_events(records: list[EventRecord], visit_times) -> TrialPanel:
             target = {1: Y, 2: D, 0: C}[rec.delta_tilde]
             target[k_ev - 1:, i] = 1
 
+        if any(t_m != t_m for t_m, _ in rec.covariate_measurements):
+            raise DataError(f"subject {rec.subject_id}: covariate measured at t=nan")
         meas = sorted(rec.covariate_measurements, key=lambda m: m[0])
         for t_m, _ in meas:
             if t_m > t_last:
-                warnings.warn(
-                    f"subject {rec.subject_id}: covariate measured after last visit; truncated"
-                )
+                warnings.warn(f"subject {rec.subject_id}: covariate measured after last "
+                              "visit; truncated")
+        vecs = [np.asarray(vec, dtype=float).reshape(-1) for _, vec in meas]
+        for (t_m, _), v in zip(meas, vecs):
+            if v.size != d_time:
+                raise DataError(f"subject {rec.subject_id}: covariate width differs at t={t_m}")
         intervals = rec.normalized_intervals()
-        current = base[:d_time].copy()
-        for k in range(1, K):
-            # lag rule: L_k reflects what was known at visit k-1
-            for t_m, vec in meas:
-                if t_m <= visit_times[k - 1]:
-                    v = np.asarray(vec, dtype=float).reshape(-1)
-                    if v.size != d_time:
-                        raise DataError(
-                            f"subject {rec.subject_id}: covariate width differs at t={t_m}"
-                        )
-                    finite = np.isfinite(v)
-                    current[finite] = v[finite]  # LOCF for missing components
-            L[k - 1, i] = current
-            lo, hi = visit_times[k - 1], visit_times[k]
-            exposed = any(a <= hi and b > lo for a, b in intervals)
-            Z[k - 1, i] = 1 if exposed else 0
-            A[k - 1, i] = A0[i]
+        # lag rule: L_k reflects what was known at visit k-1; the measurements
+        # are sorted, so each visit applies only the ones new since the last
+        current, rows, m = base[:d_time], [], 0
+        for t_lag, _ in windows:
+            while m < len(meas) and meas[m][0] <= t_lag:
+                current = np.where(np.isfinite(vecs[m]), vecs[m], current)  # LOCF
+                m += 1
+            rows.append(current)
+        L[:, i] = np.reshape(rows, (K - 1, d_time))  # no rows when K = 1
+        Z[:, i] = [any(a <= hi and b > lo for a, b in intervals) for lo, hi in windows]
+    A = np.repeat(A0[None], K - 1, axis=0)
 
     panel = TrialPanel(
         visit_times=visit_times, L0=L0, Z0=Z0, A0=A0,
@@ -345,75 +334,86 @@ def panel_columns(K: int, d: int, d_time: int) -> list[str]:
     return cols
 
 
+_ROW_BLOCK = 512  # rows formatted and written at a time
+
+
+def _wire_column(arrays: dict, name: str) -> np.ndarray:
+    """View of the panel arrays (field name -> array) that wire column
+    ``name`` holds; every column but ``id``."""
+    head, _, j = name.partition("_")
+    k = int(head[1:])
+    if j:
+        return (arrays["L0"] if k == 0 else arrays["L"][k - 1])[:, int(j) - 1]
+    return arrays[head] if k == 0 else arrays[head[0]][k - 1]
+
+
 def write_panel_csv(panel: TrialPanel, path) -> None:
+    """Write the wide panel CSV: covariates as ``{:.10g}``, indicators and
+    ids as integers, ``\\r\\n`` line ends, as ``csv.writer`` would."""
     cols = panel_columns(panel.K, panel.d_baseline, panel.d_time)
+    values = [np.arange(panel.n)] + [_wire_column(vars(panel), c) for c in cols[1:]]
+    row = ",".join("{:.10g}" if c[0] == "L" else "{:d}" for c in cols) + "\r\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(cols)
-        for i in range(panel.n):
-            row: list = [i]
-            row += [f"{v:.10g}" for v in panel.L0[i]]
-            row += [int(panel.Z0[i]), int(panel.A0[i])]
-            for k in range(1, panel.K + 1):
-                row += [int(panel.Y[k - 1, i]), int(panel.D[k - 1, i]), int(panel.C[k - 1, i])]
-                if k <= panel.K - 1:
-                    row += [f"{v:.10g}" for v in panel.L[k - 1, i]]
-                    row += [int(panel.A[k - 1, i]), int(panel.Z[k - 1, i])]
-            wr.writerow(row)
+        fh.write(",".join(cols) + "\r\n")
+        for s in range(0, panel.n, _ROW_BLOCK):
+            block = [v[s:s + _ROW_BLOCK].tolist() for v in values]
+            fh.write("".join(itertools.starmap(row.format, zip(*block))))
+
+
+def _load_error(path, header: list[str], exc: ValueError) -> DataError:
+    """A DataError for a cell or row ``numpy.loadtxt`` could not read, naming
+    the column where its message gives one."""
+    cell = re.search(r"could not convert string (.*) to float64 at row \d+, column (\d+)", str(exc))
+    if cell:
+        return DataError(f"{path}: column {header[int(cell[2]) - 1]}: "
+                         f"cannot read {cell[1]} as a number")
+    short = re.search(r"invalid column index (\d+) at row \d+", str(exc))
+    if short:
+        return DataError(f"{path}: a row ends before column {header[int(short[1])]}")
+    return DataError(f"{path}: {exc}")
 
 
 def read_panel_csv(path, visit_times=None) -> TrialPanel:
     """Load a wide panel CSV.  Visit count and covariate widths are inferred
-    from the header; ``visit_times`` defaults to 0, 1, ..., K."""
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
+    from the header; ``visit_times`` defaults to 0, 1, ..., K.  Columns may
+    come in any order; ``id`` and unknown columns are not parsed."""
+    with open(path) as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        if not header or header[0] != "id":
+            raise DataError(f"{path}: first column must be 'id'")
+        K = next(k for k in itertools.count() if f"Y{k + 1}" not in header)
+        if K == 0:
+            raise DataError(f"{path}: missing required column Y1")
+        d = len([c for c in header if c.startswith("L0_")])
+        d_time = len([c for c in header if c.startswith("L1_")])
+        cols = panel_columns(K, d, d_time)[1:]
+        missing = [c for c in cols if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing required column {missing[0]}")
         try:
-            header = next(rd)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = [r for r in rd if r]
-    if header[0] != "id":
-        raise DataError(f"{path}: first column must be 'id'")
-    K = 0
-    while f"Y{K + 1}" in header:
-        K += 1
-    if K == 0:
-        raise DataError(f"{path}: missing required column Y1")
-    d = len([c for c in header if c.startswith("L0_")])
-    d_time = len([c for c in header if c.startswith("L1_")])
-    expected = panel_columns(K, d, d_time)
-    missing = [c for c in expected if c not in header]
-    if missing:
-        raise DataError(f"{path}: missing required column {missing[0]}")
-    idx = {c: header.index(c) for c in expected}
-
-    n = len(rows)
-    get = lambda r, c: r[idx[c]]
-    L0 = np.array([[float(get(r, f"L0_{j + 1}")) for j in range(d)] for r in rows])
-    Z0 = np.array([int(float(get(r, "Z0"))) for r in rows], dtype=np.int8)
-    A0 = np.array([int(float(get(r, "A0"))) for r in rows], dtype=np.int8)
-    Y = np.zeros((K, n), dtype=np.int8)
-    D = np.zeros((K, n), dtype=np.int8)
-    C = np.zeros((K, n), dtype=np.int8)
-    L = np.zeros((K - 1, n, d_time))
-    A = np.zeros((K - 1, n), dtype=np.int8)
-    Z = np.zeros((K - 1, n), dtype=np.int8)
-    for i, r in enumerate(rows):
-        for k in range(1, K + 1):
-            Y[k - 1, i] = int(float(get(r, f"Y{k}")))
-            D[k - 1, i] = int(float(get(r, f"D{k}")))
-            C[k - 1, i] = int(float(get(r, f"C{k}")))
-            if k <= K - 1:
-                for j in range(d_time):
-                    L[k - 1, i, j] = float(get(r, f"L{k}_{j + 1}"))
-                A[k - 1, i] = int(float(get(r, f"A{k}")))
-                Z[k - 1, i] = int(float(get(r, f"Z{k}")))
-    if visit_times is None:
-        visit_times = np.arange(K + 1, dtype=float)
-    return TrialPanel(
-        visit_times=np.asarray(visit_times, dtype=float),
-        L0=L0, Z0=Z0, A0=A0, Y=Y, D=D, C=C, L=L, A=A, Z=Z,
-    )
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                                  usecols=[header.index(c) for c in cols])
+        except ValueError as exc:
+            raise _load_error(path, header, exc) from None
+    n = data.shape[0]
+    if n == 0:
+        raise DataError(f"{path}: no data rows")
+    shapes = dict(L0=(n, d), L=(K - 1, n, d_time), Z0=n, A0=n, Y=(K, n), D=(K, n), C=(K, n),
+                  A=(K - 1, n), Z=(K - 1, n))
+    arrays = {f: np.zeros(s, dtype=float if f[0] == "L" else np.int8) for f, s in shapes.items()}
+    for c, v in zip(cols, data.T):
+        if c[0] != "L":  # indicators are read as int(float(cell)) into int8
+            ok = (v > -129) & (v < 128)
+            if not ok.all():
+                raise DataError(f"{path}: column {c} holds {v[~ok][0]}, "
+                                "not an integer in -128..127")
+        _wire_column(arrays, c)[:] = v
+    vt = np.arange(K + 1, dtype=float) if visit_times is None else visit_times
+    return TrialPanel(visit_times=np.asarray(vt, dtype=float), **arrays)
 
 
 def read_event_csv(path) -> list[EventRecord]:
@@ -461,7 +461,7 @@ def read_event_csv(path) -> list[EventRecord]:
                 raise DataError(f"{path}: unknown kind '{kind}'")
     records = []
     for sid in order:
-        rec = by_id[sid]
+        rec = by_id.pop(sid)  # the records take over its lists and arrays
         if rec["base"] is None:
             raise DataError(f"{path}: subject {sid} has no baseline row")
         if rec["event"] is None:

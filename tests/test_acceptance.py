@@ -22,6 +22,8 @@ from dropintmle.sim import drop_in_trajectory, scenario_presets, simulate_trial
 from conftest import build_toy_panel
 from test_engine import SAT, enumerate_truth
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 20_240_817
 N_TRIAL = 9340
 REPS = 500

@@ -48,6 +48,23 @@ def test_estimate_missing_column_is_data_error(tmp_path, capsys):
     assert "C1" in err
 
 
+@pytest.mark.parametrize("horizon", ["0", "6", "9"])
+def test_estimate_horizon_outside_panel_is_usage_error(tmp_path, capsys, horizon):
+    panel_path = tmp_path / "panel.csv"
+    assert run(["simulate", "--scenario", "scenario1", "--n", "300",
+                "--seed", "3", "--out", str(panel_path)]) == 0
+    capsys.readouterr()
+    assert run(["estimate", "--panel", str(panel_path), "--horizon", horizon]) == 1
+    assert "K = 5" in capsys.readouterr().err
+
+
+def test_estimate_malformed_panel_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("id,L0_1,Z0,A0,Y1,D1,C1\n0,0.1,0,1,0,0,0\n1,0.2,0,1,0,nan,0\n")
+    assert run(["estimate", "--panel", str(bad)]) == 2
+    assert "column D1" in capsys.readouterr().err
+
+
 def test_estimate_missing_file_is_data_error(tmp_path, capsys):
     assert run(["estimate", "--panel", str(tmp_path / "nope.csv")]) == 2
     capsys.readouterr()

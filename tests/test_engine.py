@@ -362,6 +362,18 @@ def test_shared_top_step_is_bit_identical(case, scenario1_panel):
     assert len(top.memo) == 9
 
 
+def test_gcomp_arm_forwards_n_folds():
+    panel, seed = _k8_panel(), 5
+    learner = [LearnerSpec(features="main"), LearnerSpec(features="running_avg")]
+    gfit = fit_g(panel, learner, seed=seed, n_folds=2)
+    top = fit_top_step(panel, learner, None, seed, 2)
+    for pol in arm_pair(static_z(0), "static0"):
+        gc = gcomp_arm(panel, gfit, pol, learner, seed=seed, n_folds=2, top=top)
+        plain = tmle_arm(panel, gfit, pol, learner, targeted=False, seed=seed, n_folds=2,
+                         top=top)
+        assert gc.psi == plain.psi and gc.diagnostics == plain.diagnostics
+
+
 def test_replication_makes_no_duplicate_fit(monkeypatch):
     fits = []
     real = engine.fit_binary_glm
