@@ -32,7 +32,6 @@ from .interventions import (
 from .learners import (
     FitError,
     FittedModel,
-    LearnerSpec,
     SelectorFit,
     fit_binary_glm,
     fit_discrete_super_learner,

@@ -20,9 +20,10 @@ import json
 import sys
 
 from .engine import EstimationError, contrast, fit_g, fit_top_step, tmle_arm
-from .harness import POLICY_NAMES, emit_report, run_replications
+from .features import FEATURE_NAMES
+from .harness import POLICY_NAMES, _write_json, emit_report, run_replications
 from .interventions import ArmPolicy, arm_pair, fit_stochastic_gstar, standard_policies
-from .learners import FitError, LearnerSpec
+from .learners import FitError
 from .panel import (
     DataError,
     ingest_long_events,
@@ -93,11 +94,19 @@ def _parse_policies(text: str) -> list[str]:
     return names
 
 
-def _learner_from_args(args) -> LearnerSpec | list[LearnerSpec]:
+def _learner_from_args(args) -> str | list[str]:
+    """A feature-map name, or a list of them for the discrete super learner."""
     text = getattr(args, "learner", None) or "running_avg"
     names = [t.strip() for t in text.split(",") if t.strip()]
-    specs = [LearnerSpec(features=nm) for nm in names]
-    return specs if len(specs) > 1 else specs[0]
+    bad = [nm for nm in names if nm not in FEATURE_NAMES]
+    if bad or not names:
+        raise UsageError(f"unknown learners {bad}; choose from {list(FEATURE_NAMES)}")
+    return names if len(names) > 1 else names[0]
+
+
+def _check_horizon(horizon, K, source) -> None:
+    if not 1 <= horizon <= K:
+        raise UsageError(f"--horizon {horizon} is outside 1..K; the {source} has K = {K}")
 
 
 def cmd_simulate(args) -> int:
@@ -111,6 +120,7 @@ def cmd_simulate(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _load_scenario(args)
     arm, zname = _parse_arm_policy(args.policy)
+    _check_horizon(args.horizon, cfg.n_visits, "scenario")
     gstar = (fit_reference_gstar(cfg, n_fit=args.nfit, seed=args.seed + 900_001)
              if zname == "stochastic" else None)
     spec = standard_policies(gstar)[zname]
@@ -122,7 +132,7 @@ def cmd_oracle(args) -> int:
         emit_report(payload, args.out)
         print(f"wrote oracle result to {args.out}")
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(payload, sys.stdout)
     return 0
 
 
@@ -144,8 +154,7 @@ def cmd_estimate(args) -> int:
     policies = _parse_policies(args.policies)
     learner = _learner_from_args(args)
     horizon = panel.K if args.horizon is None else args.horizon
-    if not 1 <= horizon <= panel.K:
-        raise UsageError(f"--horizon {horizon} is outside 1..K; the panel has K = {panel.K}")
+    _check_horizon(horizon, panel.K, "panel")
     gfit = fit_g(panel, learner, g_floor=args.g_floor, seed=args.seed,
                  n_folds=args.folds)
     gstar = fit_stochastic_gstar(panel, upto=horizon) if "stochastic" in policies else None
@@ -162,13 +171,15 @@ def cmd_estimate(args) -> int:
         emit_report(out, args.out)
         print(f"wrote estimates to {args.out}")
     else:
-        print(json.dumps(out, indent=2, sort_keys=True, default=str))
+        _write_json(out, sys.stdout)
     return 0
 
 
 def cmd_replicate(args) -> int:
     cfg = _load_scenario(args)
     policies = _parse_policies(args.policies)
+    if args.horizon is not None:
+        _check_horizon(args.horizon, cfg.n_visits, "scenario")
     table = run_replications(
         args.scenario if args.scenario else cfg, policies=policies, n=args.n,
         reps=args.reps, horizon=args.horizon, seed=args.seed, n_mc=args.nmc,

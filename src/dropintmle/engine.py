@@ -27,7 +27,7 @@ this coincides with the lagged product.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -37,7 +37,6 @@ from .features import history_design, mechanism_design
 from .interventions import USE_OBSERVED_G, ArmPolicy, gstar_prob, gstar_prob1, panel_history
 from .learners import (
     FittedModel,
-    LearnerSpec,
     clip_probs,
     fit_binary_glm,
     fit_constant,
@@ -88,9 +87,7 @@ class GFit:
     a_mechs: list
     z_mechs: list
     c_mechs: list                  # index k-1 holds the visit-k censoring mechanism
-    features: str
     g_floor: float
-    randomized: bool
 
     def floored_prob(self, panel, node, k, used_mask) -> tuple[np.ndarray, int]:
         """Floored probability of the observed A_k / Z_k, or of C_k = 0, full
@@ -112,22 +109,16 @@ class GFit:
 
 def _fit_learner(learner, design, y, seed, n_folds):
     """The one learner dispatch: a constant fit for a degenerate response, the
-    single learner, or the discrete super learner over a library (whose members
-    must share ``max_iter``, ``tol`` and ``ridge``).  ``design(features)``
-    builds a member's design.  Returns (model, features)."""
-    specs = learner if isinstance(learner, (list, tuple)) else [learner]
-    if len({(s.max_iter, s.tol, s.ridge) for s in specs}) > 1:
-        raise ValueError("library members must share max_iter, tol and ridge: " + ", ".join(
-            f"{s.label} ({s.max_iter}, {s.tol}, {s.ridge})" for s in specs))
+    single learner (a feature-map name), or the discrete super learner over a
+    library (a list of names).  ``design(name)`` builds a member's design.
+    Returns (model, features)."""
     if np.all(y == y[0]):
         return fit_constant(y), None
-    settings = dict(max_iter=specs[0].max_iter, tol=specs[0].tol, ridge=specs[0].ridge)
-    if len(specs) == 1:
-        return fit_binary_glm(design(specs[0].features), y, **settings), specs[0].features
-    candidates = [(s.label, design(s.features)) for s in specs]
-    sel = fit_discrete_super_learner(candidates, y, n_folds=n_folds, seed=seed, **settings)
-    chosen = next(s for s in specs if s.label == sel.name)
-    return sel.model, chosen.features
+    if isinstance(learner, str):
+        return fit_binary_glm(design(learner), y), learner
+    sel = fit_discrete_super_learner([(nm, design(nm)) for nm in learner], y,
+                                     n_folds=n_folds, seed=seed)
+    return sel.model, sel.name
 
 
 def _fit_mech(panel, node, k, mask, learner, seed, n_folds=10) -> _Mech:
@@ -139,28 +130,26 @@ def _fit_mech(panel, node, k, mask, learner, seed, n_folds=10) -> _Mech:
     return _Mech(kind="glm", model=model, features=feats)
 
 
-def fit_g(panel: TrialPanel, learner: LearnerSpec | list[LearnerSpec] | None = None,
-          g_floor: float = 1e-3, randomized: bool = True,
-          upto: int | None = None, seed: int = 0, validate: bool = True,
-          n_folds: int = 10) -> GFit:
+def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
+          g_floor: float = 1e-3, randomized: bool = True, seed: int = 0,
+          validate: bool = True, n_folds: int = 10) -> GFit:
     """Fit the treatment and censoring mechanisms per visit.
 
     Shortcuts: the baseline randomized assignment is the known constant 1/2
     under ``randomized``; a post-baseline randomized-treatment column equal
     to the arm for every observed subject is treated as deterministic
     adherence; constant responses (e.g. no censoring anywhere) fit to the
-    empirical constant.  Everything else is a logistic fit on at-risk rows.
+    empirical constant.  Everything else is a logistic fit on at-risk rows
+    with ``learner``: a feature-map name, or a list of them for the discrete
+    super learner.
     """
-    learner = LearnerSpec() if learner is None else learner
     if validate:
         report = validate_panel(panel)
         if not report.ok:
             v = report.violations[0]
             raise EstimationError(
                 f"panel fails validation: {v.message} (subject {v.subject})")
-    K = panel.K if upto is None else upto
-    base_spec = learner[0] if isinstance(learner, (list, tuple)) else learner
-
+    K = panel.K
     a_mechs, z_mechs, c_mechs = [], [], []
     for k in range(K):
         mask = at_risk_mask(panel, k + 1)   # at risk after the visit-k status block
@@ -182,8 +171,7 @@ def fit_g(panel: TrialPanel, learner: LearnerSpec | list[LearnerSpec] | None = N
             raise EstimationError(f"empty at-risk set at visit {k}")
         c_mechs.append(_fit_mech(panel, "C", k, mask, learner, seed, n_folds))
 
-    return GFit(a_mechs=a_mechs, z_mechs=z_mechs, c_mechs=c_mechs,
-                features=base_spec.features, g_floor=g_floor, randomized=randomized)
+    return GFit(a_mechs=a_mechs, z_mechs=z_mechs, c_mechs=c_mechs, g_floor=g_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +322,7 @@ class TopStep:
     model: FittedModel
     features: str | None
     horizon: int
-    learner: LearnerSpec | list[LearnerSpec]
+    learner: str | list[str]
     seed: int
     n_folds: int
     memo: dict = field(default_factory=dict, repr=False, compare=False)
@@ -351,10 +339,10 @@ class TopStep:
         return self.memo[key]
 
 
-def fit_top_step(panel, learner=None, horizon=None, seed=0, n_folds=10) -> TopStep:
+def fit_top_step(panel, learner="running_avg", horizon=None, seed=0,
+                 n_folds=10) -> TopStep:
     """Fit the horizon step once for every ``tmle_arm`` / ``gcomp_arm`` call on
     ``panel`` with the same learner, horizon, seed and n_folds (pass ``top``)."""
-    learner = LearnerSpec() if learner is None else learner
     horizon = panel.K if horizon is None else horizon
     if not 1 <= horizon <= panel.K:
         raise ValueError(f"horizon must lie in 1..{panel.K}")
@@ -364,7 +352,7 @@ def fit_top_step(panel, learner=None, horizon=None, seed=0, n_folds=10) -> TopSt
 
 
 def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
-             learner: LearnerSpec | list[LearnerSpec] | None = None,
+             learner: str | list[str] = "running_avg",
              horizon: int | None = None, *, targeted: bool = True,
              weight_cap: float | None = None, seed: int = 0,
              n_folds: int = 10, top: TopStep | None = None) -> ArmEstimate:
@@ -378,8 +366,7 @@ def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
     if top is None:
         top = fit_top_step(panel, learner, horizon, seed, n_folds)
     elif top.panel is not panel or (top.learner, top.horizon, top.seed, top.n_folds) != (
-            LearnerSpec() if learner is None else learner,
-            panel.K if horizon is None else horizon, seed, n_folds):
+            learner, panel.K if horizon is None else horizon, seed, n_folds):
         raise ValueError("top step fitted on another panel or with other settings")
     learner, horizon, n = top.learner, top.horizon, panel.n
 
@@ -455,7 +442,7 @@ def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
                        n=n, policy_name=policy.name, diagnostics=diagnostics)
 
 
-def gcomp_arm(panel, gfit, policy, learner=None, horizon=None, seed=0, *,
+def gcomp_arm(panel, gfit, policy, learner="running_avg", horizon=None, seed=0, *,
               n_folds=10, top=None) -> ArmEstimate:
     """Non-targeted sequential g-computation (no fluctuation, no variance)."""
     return tmle_arm(panel, gfit, policy, learner, horizon, targeted=False, seed=seed,
@@ -483,21 +470,8 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def r6(x):
-            return None if x is None else float(f"{x:.6g}")
-        return {
-            "policy": self.policy,
-            "horizon": self.horizon,
-            "n": self.n,
-            "risk1": r6(self.risk1),
-            "risk0": r6(self.risk0),
-            "psi": r6(self.psi),
-            "se": r6(self.se),
-            "ci_low": r6(self.ci_low),
-            "ci_high": r6(self.ci_high),
-            "targeted": self.targeted,
-            "diagnostics": self.diagnostics,
-        }
+        """Full-precision fields; the JSON writer rounds them."""
+        return asdict(self)
 
 
 def contrast(active: ArmEstimate, control: ArmEstimate, policy: str = "") -> EstimateReport:

@@ -13,6 +13,9 @@ Feature families:
   interactions  main effects plus all pairwise products
   running_avg   main block plus running averages of treatments/covariates
   saturated     one indicator per discrete history cell (binary panels only)
+
+A learner of the estimation core is one of these names; a super-learner
+library is a list of them.
 """
 
 from __future__ import annotations
@@ -28,14 +31,10 @@ def _as_vec(value, n: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), (n,)).copy()
 
 
-def _history_columns(panel, treat_upto, cov_upto, sub_a, sub_z):
-    """Ordered history columns with the latest treatment pair substituted,
-    following the observed-variable ordering: baseline block first, then
-    per-visit covariates and treatments."""
-    n = panel.n
-    a_last = _as_vec(sub_a, n) if sub_a is not None else panel.a_at(treat_upto).astype(float)
-    z_last = _as_vec(sub_z, n) if sub_z is not None else panel.z_at(treat_upto).astype(float)
-
+def _history_columns(panel, treat_upto, cov_upto, a_last, z_last):
+    """Ordered history columns with the latest treatment pair ``a_last`` /
+    ``z_last``, following the observed-variable ordering: baseline block
+    first, then per-visit covariates and treatments."""
     cols = [panel.L0[:, j] for j in range(panel.d_baseline)]
     cols.append(z_last if treat_upto == 0 else panel.Z0.astype(float))
     cols.append(a_last if treat_upto == 0 else panel.A0.astype(float))
@@ -63,6 +62,29 @@ def _running_means(panel, treat_upto, a_last, z_last):
     return a_sum / denom, z_sum / denom, l_sum / denom
 
 
+def _running_avg_design(panel, treat_upto, cov_upto, a_last, z_last):
+    """Compact summary sufficient for running-average dynamics: the baseline
+    block at the first step, then recent values plus running means."""
+    n = panel.n
+    if treat_upto == 0:
+        out = [np.ones(n)] + [panel.L0[:, j] for j in range(panel.d_baseline)]
+        out += [z_last, a_last]
+        if cov_upto >= 1:
+            lc = panel.l_at(cov_upto)
+            out += [lc[:, j] for j in range(lc.shape[1])]
+        return np.column_stack(out)
+    abar, zbar, lbar = _running_means(panel, treat_upto, a_last, z_last)
+    out = [np.ones(n), a_last, z_last, abar, zbar]
+    lc = panel.l_at(cov_upto)
+    out += [lc[:, j] for j in range(lc.shape[1])]
+    out += [lbar[:, j] for j in range(lbar.shape[1])]
+    if cov_upto > treat_upto:
+        # mechanism design: the pre-treatment covariate block is informative
+        lt = panel.l_at(treat_upto)
+        out += [lt[:, j] for j in range(lt.shape[1])]
+    return np.column_stack(out)
+
+
 def history_design(
     panel: TrialPanel,
     features: str,
@@ -87,8 +109,12 @@ def history_design(
     if features == "intercept":
         return np.ones((n, 1))
 
-    cols = _history_columns(panel, treat_upto, cov_upto, sub_a, sub_z)
+    a_last = _as_vec(sub_a, n) if sub_a is not None else panel.a_at(treat_upto).astype(float)
+    z_last = _as_vec(sub_z, n) if sub_z is not None else panel.z_at(treat_upto).astype(float)
+    if features == "running_avg":
+        return _running_avg_design(panel, treat_upto, cov_upto, a_last, z_last)
 
+    cols = _history_columns(panel, treat_upto, cov_upto, a_last, z_last)
     if features == "saturated":
         vals = np.column_stack(cols)
         if not np.all((vals == 0) | (vals == 1)):
@@ -103,34 +129,12 @@ def history_design(
     if features == "main":
         return np.column_stack([np.ones(n)] + cols)
 
-    if features == "interactions":
-        out = list(cols)
-        for i in range(len(cols)):
-            for j in range(i + 1, len(cols)):
-                out.append(cols[i] * cols[j])
-        return np.column_stack([np.ones(n)] + out)
-
-    # running_avg: compact summary sufficient for running-average dynamics --
-    # baseline block at the first step, then recent values plus running means.
-    a_last = _as_vec(sub_a, n) if sub_a is not None else panel.a_at(treat_upto).astype(float)
-    z_last = _as_vec(sub_z, n) if sub_z is not None else panel.z_at(treat_upto).astype(float)
-    if treat_upto == 0:
-        out = [np.ones(n)] + [panel.L0[:, j] for j in range(panel.d_baseline)]
-        out += [z_last, a_last]
-        if cov_upto >= 1:
-            lc = panel.l_at(cov_upto)
-            out += [lc[:, j] for j in range(lc.shape[1])]
-        return np.column_stack(out)
-    abar, zbar, lbar = _running_means(panel, treat_upto, a_last, z_last)
-    out = [np.ones(n), a_last, z_last, abar, zbar]
-    lc = panel.l_at(cov_upto)
-    out += [lc[:, j] for j in range(lc.shape[1])]
-    out += [lbar[:, j] for j in range(lbar.shape[1])]
-    if cov_upto > treat_upto:
-        # mechanism design: the pre-treatment covariate block is informative
-        lt = panel.l_at(treat_upto)
-        out += [lt[:, j] for j in range(lt.shape[1])]
-    return np.column_stack(out)
+    # interactions
+    out = list(cols)
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            out.append(cols[i] * cols[j])
+    return np.column_stack([np.ones(n)] + out)
 
 
 def mechanism_design(panel: TrialPanel, features: str, node: str, k: int,

@@ -23,7 +23,6 @@ import numpy as np
 from .engine import (EstimateReport, EstimationError, contrast, fit_g, fit_top_step, gcomp_arm,
                      tmle_arm)
 from .interventions import arm_pair, fit_stochastic_gstar, standard_policies
-from .learners import LearnerSpec
 from .sim import (
     ScenarioConfig,
     fit_reference_gstar,
@@ -118,13 +117,12 @@ class PolicyRun:
 
 
 def _replication_worker(args):
-    (cfg, policy_names, n, horizon, seed_r, g_floor, weight_cap,
-     q_learner, g_learner, include_gcomp, static_baseline) = args
+    cfg, policy_names, n, horizon, seed_r, g_floor, weight_cap, q_learner, include_gcomp = args
     panel = simulate_trial(cfg, n, seed_r)
     try:
-        gfit = fit_g(panel, g_learner, g_floor=g_floor, validate=False)
+        gfit = fit_g(panel, g_floor=g_floor, validate=False)
         gstar = fit_stochastic_gstar(panel) if "stochastic" in policy_names else None
-        specs = standard_policies(gstar, static_baseline=static_baseline)
+        specs = standard_policies(gstar)
         top = fit_top_step(panel, q_learner, horizon)
     except Exception as exc:  # a dead panel fails every policy
         return {name: PolicyRun(failure=f"{type(exc).__name__}: {exc}")
@@ -157,11 +155,11 @@ def _replication_worker(args):
 
 
 def compute_truths(cfg: ScenarioConfig, policy_names, horizon, n_mc, seed,
-                   static_baseline: bool = True, n_fit: int = 1_000_000):
+                   n_fit: int = 1_000_000):
     """Oracle risk-difference truths per policy (paired hypothetical arms)."""
     gstar_ref = (fit_reference_gstar(cfg, n_fit=n_fit, seed=seed + 900_001)
                  if "stochastic" in policy_names else None)
-    specs = standard_policies(gstar_ref, static_baseline=static_baseline)
+    specs = standard_policies(gstar_ref)
     truths = {}
     for name in policy_names:
         oc = oracle_risk_difference(cfg, specs[name], horizon, n_mc, seed + 700_001)
@@ -173,31 +171,30 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
                      reps: int = 500, horizon: int | None = None,
                      seed: int = 1, n_mc: int = 1_000_000,
                      g_floor: float = 1e-3, weight_cap: float | None = None,
-                     q_learner=None, g_learner=None,
+                     q_learner: str | list[str] = "running_avg",
                      include_gcomp: bool = False, workers: int | None = None,
-                     truths: dict | None = None,
-                     static_baseline: bool = True) -> ReplicationTable:
+                     truths: dict | None = None) -> ReplicationTable:
     """Full replication study for one scenario.
 
-    ``truths`` can be supplied to skip the oracle pass (e.g. reusing truths
-    across runs); otherwise they are computed at ``n_mc`` draws.
+    ``q_learner`` fits the outcome regressions; the nuisance mechanisms use the
+    default learner.  ``truths`` can be supplied to skip the oracle pass (e.g.
+    reusing truths across runs); otherwise they are computed at ``n_mc`` draws.
     """
     cfg = resolve_scenario(scenario)
     name = scenario if isinstance(scenario, str) else "custom"
     horizon = cfg.n_visits if horizon is None else horizon
+    if not 1 <= horizon <= cfg.n_visits:
+        raise ValueError(f"horizon {horizon} is outside 1..K; the scenario has "
+                         f"K = {cfg.n_visits}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     policy_names = list(policies)
-    q_learner = LearnerSpec() if q_learner is None else q_learner
-    g_learner = LearnerSpec() if g_learner is None else g_learner
 
     if truths is None:
-        truths = compute_truths(cfg, policy_names, horizon, n_mc, seed,
-                                static_baseline=static_baseline)
+        truths = compute_truths(cfg, policy_names, horizon, n_mc, seed)
 
     tasks = [(cfg, policy_names, n, horizon, seed + r, g_floor, weight_cap,
-              q_learner, g_learner, include_gcomp, static_baseline)
-             for r in range(1, reps + 1)]
+              q_learner, include_gcomp) for r in range(1, reps + 1)]
     workers = n_workers() if workers is None else workers
     if workers > 1 and reps > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -253,39 +250,29 @@ def emit_report(obj, path, fmt: str = "csv") -> None:
     """Write a table or report to disk with a stable schema.
 
     ReplicationTable -> CSV with the documented column order (or JSON);
-    EstimateReport / dicts -> canonical JSON (sorted keys, 6 significant
-    digits); drop-in trajectories -> per-visit CSV.
+    EstimateReport / dicts -> canonical JSON (see ``_write_json``); drop-in
+    trajectories -> per-visit CSV.
     """
+    if isinstance(obj, ReplicationTable) and fmt == "json":
+        obj = {"scenario": obj.scenario, "n": obj.n, "reps": obj.reps,
+               "horizon": obj.horizon, "seed": obj.seed, "rows": obj.rows()}
+    elif isinstance(obj, EstimateReport):
+        obj = obj.to_dict()
     if isinstance(obj, ReplicationTable):
-        if fmt == "json":
-            payload = {"scenario": obj.scenario, "n": obj.n, "reps": obj.reps,
-                       "horizon": obj.horizon, "seed": obj.seed,
-                       "rows": [_round_floats(r) for r in obj.rows()]}
-            _write_json(payload, path)
-            return
-        lines = [",".join(TABLE_COLUMNS)]
-        for row in obj.rows():
-            lines.append(",".join(_fmt6(row[c]) for c in TABLE_COLUMNS))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return
-    if isinstance(obj, EstimateReport):
-        _write_json(obj.to_dict(), path)
-        return
-    if isinstance(obj, dict) and "visit" in obj:
+        cols, rows = TABLE_COLUMNS, obj.rows()
+    elif isinstance(obj, dict) and "visit" in obj:
         cols = ["visit", "arm0", "arm1", "n_at_risk0", "n_at_risk1"]
-        lines = [",".join(cols)]
-        for i in range(len(obj["visit"])):
-            lines.append(",".join(_fmt6(
-                float(obj[c][i]) if c in ("arm0", "arm1") else int(obj[c][i])
-            ) for c in cols))
+        rows = [{c: float(obj[c][i]) if c in ("arm0", "arm1") else int(obj[c][i])
+                 for c in cols} for i in range(len(obj["visit"]))]
+    elif isinstance(obj, dict):
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            _write_json(obj, fh)
         return
-    if isinstance(obj, dict):
-        _write_json(_round_floats(obj), path)
-        return
-    raise TypeError(f"do not know how to emit {type(obj).__name__}")
+    else:
+        raise TypeError(f"do not know how to emit {type(obj).__name__}")
+    lines = [",".join(cols)] + [",".join(_fmt6(row[c]) for c in cols) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _round_floats(obj):
@@ -302,7 +289,7 @@ def _round_floats(obj):
     return obj
 
 
-def _write_json(payload, path) -> None:
-    text = json.dumps(_round_floats(payload), indent=2, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _write_json(payload, fh) -> None:
+    """The one JSON serializer, for files and stdout alike: sorted keys,
+    floats at 6 significant digits, non-finite floats as null."""
+    fh.write(json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n")

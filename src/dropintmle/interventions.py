@@ -72,9 +72,8 @@ class InterventionSpec:
         return True
 
 
-def static_z(value: int, intervene_baseline: bool = True) -> InterventionSpec:
-    return InterventionSpec(node="Z", form="static", value=value,
-                            intervene_baseline=intervene_baseline)
+def static_z(value: int) -> InterventionSpec:
+    return InterventionSpec(node="Z", form="static", value=value)
 
 
 def dynamic_z() -> InterventionSpec:
@@ -176,12 +175,12 @@ def fit_stochastic_gstar(panel: TrialPanel, upto: int | None = None) -> Interven
                             intervene_baseline=True)
 
 
-def standard_policies(stochastic_spec: InterventionSpec | None = None,
-                      static_baseline: bool = True) -> dict[str, InterventionSpec]:
+def standard_policies(stochastic_spec: InterventionSpec | None = None
+                      ) -> dict[str, InterventionSpec]:
     """The concomitant-treatment forms contrasted in the study, by name."""
     pol = {
-        "static0": static_z(0, intervene_baseline=static_baseline),
-        "static1": static_z(1, intervene_baseline=static_baseline),
+        "static0": static_z(0),
+        "static1": static_z(1),
         "dynamic": dynamic_z(),
         "ignore": observational_z(),
     }

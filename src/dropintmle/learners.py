@@ -7,6 +7,8 @@ iteratively reweighted least squares with a small ridge jitter on the normal
 equations, which keeps late-follow-up fits stable when covariate columns
 collapse or collide.  A discrete (selector) super learner picks among
 candidate design matrices by V-fold cross-validated quasi-binomial loss.
+A learner is the name of its feature map (see features.py), and a library is
+a list of names; the IRLS settings are the ``fit_binary_glm`` defaults.
 """
 
 from __future__ import annotations
@@ -20,36 +22,11 @@ from scipy.special import expit, logit
 PROB_CLIP = 1e-6      # clip for probabilities entering logit transforms
 SCORE_TOL = 1e-6      # max-norm of the weighted score at convergence
 EPS_TOL = 1e-10       # step tolerance for the one-dimensional fluctuation
+FLUCT_MAX_ITER = 100  # Newton/bisection steps of the one-dimensional fluctuation
 
 
 class FitError(ValueError):
     """Raised when a regression problem is unusable (no data, no weight)."""
-
-
-@dataclass(frozen=True)
-class LearnerSpec:
-    """Configuration of one regression learner.
-
-    ``features`` names a design-matrix construction (see features.py):
-    ``intercept``, ``main``, ``interactions``, ``running_avg`` or
-    ``saturated``.
-    """
-
-    features: str = "running_avg"
-    max_iter: int = 50
-    tol: float = 1e-10
-    ridge: float = 1e-8
-    name: str | None = None
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-    @property
-    def label(self) -> str:
-        return self.name if self.name is not None else self.features
 
 
 @dataclass
@@ -189,7 +166,6 @@ def fit_intercept_fluctuation(
     pseudo_outcome: np.ndarray,
     offset_logit: np.ndarray,
     weights: np.ndarray,
-    max_iter: int = 100,
 ) -> tuple[float, bool]:
     """Solve sum_i w_i (y_i - expit(offset_i + eps)) = 0 for scalar eps.
 
@@ -223,7 +199,7 @@ def fit_intercept_fluctuation(
         return hi, False
 
     eps = 0.0
-    for _ in range(max_iter):
+    for _ in range(FLUCT_MAX_ITER):
         mu = expit(o + eps)
         s = float(np.sum(w * (y - mu)))
         if s > 0:
@@ -260,7 +236,6 @@ class SelectorFit:
     name: str
     model: FittedModel
     cv_risks: dict = field(default_factory=dict)
-    excluded: list = field(default_factory=list)
 
 
 def fit_discrete_super_learner(
@@ -268,16 +243,14 @@ def fit_discrete_super_learner(
     response: np.ndarray,
     n_folds: int = 10,
     seed: int = 0,
-    max_iter: int = 50,
-    tol: float = 1e-10,
-    ridge: float = 1e-8,
 ) -> SelectorFit:
     """Discrete super learner over candidate design matrices.
 
     Each candidate is (name, design) sharing the same response.  The member
     minimizing V-fold cross-validated quasi-binomial loss is refit on all data;
     ties break toward the earliest member.  Members that error on every fold
-    are excluded; if all members fail, raises FitError.
+    get no CV risk; if all members fail, raises FitError.  Every fit uses the
+    ``fit_binary_glm`` defaults.
     """
     if not candidates:
         raise FitError("empty learner library")
@@ -290,7 +263,6 @@ def fit_discrete_super_learner(
 
     folds = cv_fold_ids(n, n_folds, seed)
     cv_risks: dict[str, float] = {}
-    excluded: list[str] = []
     for name, design in candidates:
         X = np.atleast_2d(np.asarray(design, dtype=float))
         total, n_scored, failed_folds = 0.0, 0.0, 0
@@ -298,17 +270,15 @@ def fit_discrete_super_learner(
             val = folds == v        # n >= n_folds >= 2: both sides are nonempty
             train = ~val
             try:
-                m = fit_binary_glm(X[train], y[train], max_iter=max_iter, tol=tol, ridge=ridge)
+                m = fit_binary_glm(X[train], y[train])
                 p = m.predict(X[val])
             except (FitError, np.linalg.LinAlgError):
                 failed_folds += 1
                 continue
             total += -_log_likelihood(y[val], p, 1.0)
             n_scored += float(np.sum(val))
-        if failed_folds == n_folds:
-            excluded.append(name)
-            continue
-        cv_risks[name] = total / n_scored
+        if failed_folds < n_folds:
+            cv_risks[name] = total / n_scored
 
     if not cv_risks:
         raise FitError("every library member failed cross-validation")
@@ -318,5 +288,4 @@ def fit_discrete_super_learner(
         if name in cv_risks and cv_risks[name] < best_risk:
             best_name, best_risk = name, cv_risks[name]
     design = dict(candidates)[best_name]
-    model = fit_binary_glm(design, y, max_iter=max_iter, tol=tol, ridge=ridge)
-    return SelectorFit(name=best_name, model=model, cv_risks=cv_risks, excluded=excluded)
+    return SelectorFit(name=best_name, model=fit_binary_glm(design, y), cv_risks=cv_risks)

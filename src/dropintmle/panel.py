@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_VIOLATIONS = 1000   # per check of validate_panel's absorbing/exclusive loops
+
 
 class DataError(ValueError):
     """Raised for malformed input data (files, grids, records)."""
@@ -153,7 +155,7 @@ class ValidationReport:
         return iter(self.violations)
 
 
-def validate_panel(panel: TrialPanel, max_violations: int = 1000) -> ValidationReport:
+def validate_panel(panel: TrialPanel) -> ValidationReport:
     """Check panel invariants; violations are returned as data, not raised.
 
     Checks: strictly increasing visit grid, binary status/treatment columns,
@@ -189,12 +191,12 @@ def validate_panel(panel: TrialPanel, max_violations: int = 1000) -> ValidationR
     for name in ("Y", "D", "C"):
         arr = getattr(panel, name)
         dropped = (arr[:-1] == 1) & (arr[1:] == 0)
-        for k, i in np.argwhere(dropped)[:max_violations]:
+        for k, i in np.argwhere(dropped)[:MAX_VIOLATIONS]:
             report.add("absorbing", i, k + 2, f"absorbing {name} broken at k={k + 2}")
 
     total = panel.Y.astype(int) + panel.D + panel.C
     multi = total > 1
-    for k, i in np.argwhere(multi)[:max_violations]:
+    for k, i in np.argwhere(multi)[:MAX_VIOLATIONS]:
         # only flag the first visit where the clash is introduced
         if k == 0 or total[k - 1, i] <= 1:
             report.add("exclusive", i, k + 1,
@@ -249,8 +251,11 @@ def ingest_long_events(records: list[EventRecord], visit_times) -> TrialPanel:
     n = len(records)
 
     d = np.asarray(records[0].L0, dtype=float).size
-    d_time = next((np.asarray(vec, dtype=float).size
-                   for r in records for _, vec in r.covariate_measurements), d)
+    d_time, first = next(((np.asarray(vec, dtype=float).size, r.subject_id)
+                          for r in records for _, vec in r.covariate_measurements), (d, None))
+    if d_time > d:  # L_0 is the first d_time baseline columns
+        raise DataError(f"subject {first}: covariate rows have {d_time} components but "
+                        f"the baseline block has {d}")
 
     L0, L = np.zeros((n, d)), np.zeros((K - 1, n, d_time))
     Z0, A0 = (np.zeros(n, dtype=np.int8) for _ in range(2))

@@ -154,6 +154,8 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
         raise ValueError("need at least one subject")
     K = config.n_visits
     horizon = K if horizon is None else horizon
+    if not 1 <= horizon <= K:
+        raise ValueError(f"horizon {horizon} is outside 1..K; the scenario has K = {K}")
 
     l0 = _normals(seed, 0, _NODE_L0, n)
     if a_value is None:
@@ -226,8 +228,6 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
         if not keep_panel and k == horizon:
             return y_abs.astype(np.int8)
 
-    if not keep_panel:
-        return y_abs.astype(np.int8)
     return TrialPanel(
         visit_times=np.arange(K + 1, dtype=float),
         L0=l0[:, None], Z0=z0, A0=a0, Y=Y, D=D, C=C, L=L, A=A, Z=Z,
@@ -252,8 +252,6 @@ def simulate_counterfactual_mean(config: ScenarioConfig, policy: ArmPolicy,
                                  ) -> OracleResult:
     """Ground-truth event risk at ``horizon`` under an arm policy, by direct
     sampling from the post-interventional distribution."""
-    if horizon > config.n_visits:
-        raise ValueError(f"horizon {horizon} exceeds K={config.n_visits}")
     y = _simulate(config, n_mc, seed, a_value=policy.a_value,
                   z_spec=policy.z_spec, censor_free=True,
                   keep_panel=False, horizon=horizon)

@@ -16,10 +16,9 @@ from dropintmle.cli import cli_main
 from dropintmle.engine import fit_g, gcomp_arm, tmle_arm
 from dropintmle.harness import compute_truths, run_replications
 from dropintmle.interventions import ArmPolicy, static_z
-from dropintmle.learners import LearnerSpec
 from dropintmle.sim import drop_in_trajectory, scenario_presets, simulate_trial
 
-from conftest import build_toy_panel
+from toy_panel import build_toy_panel
 from test_engine import SAT, enumerate_truth
 
 pytestmark = pytest.mark.acceptance
@@ -66,7 +65,7 @@ def dr_table():
     return run_replications("scenario1", policies=("static0",), n=2000,
                             reps=200, horizon=HORIZON, seed=SEED + 1,
                             n_mc=400_000,
-                            q_learner=LearnerSpec(features="intercept"),
+                            q_learner="intercept",
                             include_gcomp=True)
 
 
@@ -252,12 +251,12 @@ def test_leader_shaped_pipeline():
     assert panel.n == n and panel.K == K and panel.d_time == d
     assert validate_panel(panel).ok
     assert at_risk_mask(panel, K).sum() > 1000
-    gfit = fit_g(panel, LearnerSpec(features="main"))
+    gfit = fit_g(panel, "main")
     from dropintmle.engine import contrast
     from dropintmle.interventions import arm_pair, dynamic_z
 
     p1, p0 = arm_pair(dynamic_z(), "dynamic")
-    learner = LearnerSpec(features="main")
+    learner = "main"
     rep = contrast(tmle_arm(panel, gfit, p1, learner),
                    tmle_arm(panel, gfit, p0, learner), "dynamic")
     assert rep.se is not None and rep.se > 0

@@ -163,3 +163,57 @@ def test_scenario_config_file(tmp_path, capsys):
     assert run(["simulate", "--config", str(bad), "--n", "10", "--seed", "1",
                 "--out", str(out)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["replicate", "--policies", "static0", "--n", "200", "--reps", "1", "--nmc", "2000",
+     "--workers", "1", "--horizon", "9"],
+    ["oracle", "--policy", "static_a0_z0", "--nmc", "2000", "--horizon", "9"],
+    ["oracle", "--policy", "static_a0_z0", "--nmc", "2000", "--horizon", "0"],
+], ids=["replicate-9", "oracle-9", "oracle-0"])
+def test_horizon_outside_scenario_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--scenario", "scenario1", "--out", str(out)]) == 1
+    assert "K = 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_learner_is_usage_error(tmp_path, capsys):
+    panel_path = tmp_path / "panel.csv"
+    assert run(["simulate", "--scenario", "scenario1", "--n", "300",
+                "--seed", "3", "--out", str(panel_path)]) == 0
+    capsys.readouterr()
+    for argv in (["estimate", "--panel", str(panel_path)],
+                 ["replicate", "--scenario", "scenario1", "--n", "200", "--reps", "1",
+                  "--nmc", "2000", "--workers", "1", "--out", str(tmp_path / "t.csv")]):
+        assert run(argv + ["--learner", "main,bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "bogus" in err and "running_avg" in err
+
+
+def test_ingest_covariate_rows_wider_than_baseline_is_data_error(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_text(
+        "id,time,kind,v1,v2,v3\n"
+        "p1,0,baseline,0.5,0,1\n"
+        "p1,100,event,0,,\n"
+        "p1,4.0,covariate,0.1,0.2,\n"
+    )
+    assert run(["ingest", "--events", str(events), "--grid", "0,3,6,9,12",
+                "--out", str(tmp_path / "panel.csv")]) == 2
+    assert "subject p1" in capsys.readouterr().err
+
+
+def test_stdout_json_is_the_file_text(tmp_path, capsys):
+    panel_path = tmp_path / "panel.csv"
+    assert run(["simulate", "--scenario", "scenario1", "--n", "400",
+                "--seed", "3", "--out", str(panel_path)]) == 0
+    out = tmp_path / "out.json"
+    for argv in (["estimate", "--panel", str(panel_path), "--policies", "static0,stochastic"],
+                 ["oracle", "--scenario", "scenario1", "--policy", "stochastic_a1",
+                  "--nmc", "3000", "--nfit", "3000"]):
+        capsys.readouterr()
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        assert run(argv + ["--out", str(out)]) == 0
+        assert printed == out.read_text()

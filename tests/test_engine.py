@@ -23,13 +23,12 @@ from dropintmle.interventions import (
     standard_policies,
     static_z,
 )
-from dropintmle.learners import LearnerSpec
 from dropintmle.panel import TrialPanel, at_risk_mask, make_panel
 from dropintmle.sim import ScenarioConfig, scenario_presets, simulate_trial
 
-from conftest import build_toy_panel
+from toy_panel import build_toy_panel
 
-SAT = LearnerSpec(features="saturated")
+SAT = "saturated"
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +181,7 @@ def test_clever_weight_hand_value():
     gfit = GFit(
         a_mechs=[_Mech(kind="adherence")] * K,               # obs. prob always 1
         z_mechs=[_Mech(kind="const", prob_const=0.2)] * K,   # P(Z=0) = 0.8
-        c_mechs=[_Mech(kind="const", prob_const=0.0)] * K,
-        features="main", g_floor=1e-3, randomized=False,
+        c_mechs=[_Mech(kind="const", prob_const=0.0)] * K, g_floor=1e-3,
     )
     policy = ArmPolicy(a_value=1, z_spec=static_z(0))
     h3 = clever_weights(panel, gfit, policy, 3)
@@ -196,7 +194,7 @@ def test_clever_weight_hand_value():
 
 def test_clever_weight_absorbing_states():
     panel = small_status_panel()
-    gfit = fit_g(panel, learner=LearnerSpec(features="main"), randomized=True)
+    gfit = fit_g(panel, learner="main", randomized=True)
     policy = ArmPolicy(a_value=1, z_spec=observational_z())
     H = clever_weight_path(panel, gfit, policy, 3)
     # censored at visit 2: zero weight from step 2 on (and at the censoring
@@ -304,30 +302,6 @@ def test_arm_weight_summary_matches_support_diagnostics(floored_sc2, cap):
                                                                  weight_cap=cap)
 
 
-def test_library_passes_ridge_to_super_learner():
-    # a heavy ridge on every library member must reach the selected fit
-    from dropintmle.features import mechanism_design
-    from dropintmle.learners import fit_binary_glm
-
-    panel = simulate_trial(scenario_presets()["scenario1"], 2000, 61)
-    library = [LearnerSpec(features="main"), LearnerSpec(features="running_avg")]
-    ridged = [LearnerSpec(features=s.features, ridge=1e3) for s in library]
-    plain = fit_g(panel, library).z_mechs[1]
-    heavy = fit_g(panel, ridged).z_mechs[1]
-    mask = at_risk_mask(panel, 2)         # treatment pair observed at visit 1
-    y = panel.z_at(1)[mask].astype(float)
-    design = mechanism_design(panel, heavy.features, "Z", 1)[mask]
-    assert np.array_equal(heavy.model.coef, fit_binary_glm(design, y, ridge=1e3).coef)
-    assert not np.allclose(heavy.model.coef, plain.model.coef)
-
-
-def test_library_with_differing_settings_is_rejected():
-    panel = simulate_trial(scenario_presets()["scenario1"], 500, 61)
-    library = [LearnerSpec(features="main", ridge=1e3), LearnerSpec(features="running_avg")]
-    with pytest.raises(ValueError, match="main.*running_avg"):
-        fit_g(panel, library)
-
-
 # ---------------------------------------------------------------------------
 # The top step shared across arms
 
@@ -341,10 +315,10 @@ def _k8_panel():
 @pytest.mark.parametrize("case", ["scenario1", "k8_library"])
 def test_shared_top_step_is_bit_identical(case, scenario1_panel):
     if case == "scenario1":
-        panel, learner, seed, n_folds = scenario1_panel, LearnerSpec(), 0, 10
+        panel, learner, seed, n_folds = scenario1_panel, "running_avg", 0, 10
     else:
         panel, seed, n_folds = _k8_panel(), 5, 2
-        learner = [LearnerSpec(features="main"), LearnerSpec(features="running_avg")]
+        learner = ["main", "running_avg"]
     gfit = fit_g(panel, learner, seed=seed, n_folds=n_folds)
     top = fit_top_step(panel, learner, None, seed, n_folds)
     for name, spec in standard_policies(fit_stochastic_gstar(panel)).items():
@@ -364,7 +338,7 @@ def test_shared_top_step_is_bit_identical(case, scenario1_panel):
 
 def test_gcomp_arm_forwards_n_folds():
     panel, seed = _k8_panel(), 5
-    learner = [LearnerSpec(features="main"), LearnerSpec(features="running_avg")]
+    learner = ["main", "running_avg"]
     gfit = fit_g(panel, learner, seed=seed, n_folds=2)
     top = fit_top_step(panel, learner, None, seed, 2)
     for pol in arm_pair(static_z(0), "static0"):
@@ -398,7 +372,7 @@ def test_mismatched_top_step_raises(scenario1_panel):
     top = fit_top_step(panel)
     assert tmle_arm(panel, gfit, pol, top=top).psi == tmle_arm(panel, gfit, pol).psi
     for kwargs in ({"horizon": panel.K - 1}, {"seed": 1}, {"n_folds": 5},
-                   {"learner": LearnerSpec(features="main")}):
+                   {"learner": "main"}):
         with pytest.raises(ValueError, match="top step"):
             tmle_arm(panel, gfit, pol, top=top, **kwargs)
     # another panel, of another size or of the same size from another seed
@@ -561,7 +535,7 @@ def test_super_learner_selects_informative_map_across_seeds():
 
 
 def test_tmle_with_learner_library(scenario1_panel):
-    library = [LearnerSpec(features="running_avg"), LearnerSpec(features="intercept")]
+    library = ["running_avg", "intercept"]
     gfit = fit_g(scenario1_panel, library)
     est = tmle_arm(scenario1_panel, gfit, ArmPolicy(a_value=1, z_spec=static_z(0)),
                    learner=library)

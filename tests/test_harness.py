@@ -8,7 +8,6 @@ from dropintmle.harness import (
     emit_report,
     run_replications,
 )
-from dropintmle.learners import LearnerSpec
 from dropintmle.sim import scenario_presets, simulate_trial
 from dropintmle.sim import drop_in_trajectory
 
@@ -60,10 +59,18 @@ def test_truths_reusable(small_table):
     assert t.policies["ignore"].truth == truths["ignore"][0]
 
 
+@pytest.mark.parametrize("horizon", [0, 6, 9])
+def test_horizon_outside_scenario_rejected(horizon):
+    truths = {"ignore": (0.0, 0.0, 0.0, 0.0)}
+    with pytest.raises(ValueError, match="K = 5"):
+        run_replications("scenario1", policies=("ignore",), truths=truths, n=200,
+                         reps=1, horizon=horizon, workers=1)
+
+
 def test_gcomp_collection():
     t = run_replications("scenario1", policies=("static0",), n=900, reps=3,
                          seed=7, n_mc=40_000, workers=1,
-                         q_learner=LearnerSpec(features="intercept"),
+                         q_learner="intercept",
                          include_gcomp=True)
     pr = t.policies["static0"]
     assert pr.gcomp_estimates is not None and pr.gcomp_estimates.size == 3

@@ -157,6 +157,11 @@ def test_horizon_bounds():
     pol = ArmPolicy(a_value=0, z_spec=static_z(0))
     with pytest.raises(ValueError):
         simulate_counterfactual_mean(SC1, pol, 6, 100, 1)
+    for horizon in (0, 9):
+        with pytest.raises(ValueError, match="outside 1..K"):
+            simulate_counterfactual_mean(SC1, pol, horizon, 100, 1)
+        with pytest.raises(ValueError, match="outside 1..K"):
+            oracle_risk_difference(SC1, static_z(0), horizon, 100, 1)
 
 
 def test_stochastic_arm_requires_fit():
