@@ -11,7 +11,10 @@ first.  Every result
 line and machine record is written to ``BENCH_<tag>.json`` at the repository
 root; the summary printed per workload and metric gives each side's median
 and quartiles and the share of pairs the change won (ties count for
-neither side).  Run from the repository root, on an otherwise idle machine.
+neither side).  A run that reports ``correct: false`` or failed operations
+is no sample: the script stops with exit status 1, naming the workload, the
+side and the failing check lines.  Run from the repository root, on an
+otherwise idle machine.
 """
 
 from __future__ import annotations
@@ -36,10 +39,25 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=tree, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    lines = proc.stdout.strip().splitlines()
+    return parse_run(proc.stdout)
+
+
+def parse_run(stdout: str) -> dict:
+    """The result object, machine record and check lines of one run's output."""
+    lines = stdout.strip().splitlines()
     machine = next(json.loads(ln[len("machine "):]) for ln in lines if ln.startswith("machine "))
     checks = [ln for ln in lines if ln.startswith("check ")]
     return {"result": json.loads(lines[-1]), "machine": machine, "checks": checks}
+
+
+def run_failure(run: dict, workload: str, side: str) -> str | None:
+    """Why a run is no valid sample (a failed check or operation), or None."""
+    result = run["result"]
+    if result["correct"] and result["failed"] == 0:
+        return None
+    failing = [ln for ln in run["checks"] if not ln.split(": ", 1)[-1].startswith("ok")]
+    return "\n  ".join([f"{workload} ({side} side): correct={result['correct']}, "
+                        f"failed={result['failed']}"] + failing)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -116,6 +134,10 @@ def main(argv=None) -> int:
             for workload in WORKLOADS:
                 for position, side in enumerate(order):
                     run = run_side(trees[side], workload, args.seed, seconds)
+                    failure = run_failure(run, workload, side)
+                    if failure:
+                        print(f"bad run, stopping (pair {i}):\n  {failure}", file=sys.stderr)
+                        return 1
                     record["runs"].append({"workload": workload, "pair": i, "side": side,
                                            "position": position, **run})
                     metrics = run["result"]["metrics"]

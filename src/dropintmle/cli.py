@@ -95,9 +95,11 @@ def _parse_policies(text: str) -> list[str]:
 
 
 def _learner_from_args(args) -> str | list[str]:
-    """A feature-map name, or a list of them for the discrete super learner."""
-    text = getattr(args, "learner", None) or "running_avg"
-    names = [t.strip() for t in text.split(",") if t.strip()]
+    """A feature-map name, or a list of them for the discrete super learner,
+    given as a comma string or (from a request JSON) a list."""
+    given = getattr(args, "learner", None) or "running_avg"
+    names = (given if isinstance(given, list)
+             else [t.strip() for t in str(given).split(",") if t.strip()])
     bad = [nm for nm in names if nm not in FEATURE_NAMES]
     if bad or not names:
         raise UsageError(f"unknown learners {bad}; choose from {list(FEATURE_NAMES)}")

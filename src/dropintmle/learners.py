@@ -3,9 +3,13 @@
 Everything downstream (propensity models, sequential outcome regressions,
 targeting fluctuations) reduces to weighted logistic-link regression with an
 offset, where the response may be fractional in [0, 1].  We solve these by
-iteratively reweighted least squares with a small ridge jitter on the normal
-equations, which keeps late-follow-up fits stable when covariate columns
-collapse or collide.  A discrete (selector) super learner picks among
+iteratively reweighted least squares.  Columns that are exactly equal on the
+fitted rows (under full adherence the running mean of A is the last A, and
+A_0 = A_1 = ...) are fitted as one, with an equal share to each member; a
+small ridge jitter on the normal equations keeps late-follow-up fits stable
+when the remaining columns nearly collide.  The loop stops once the deviance
+has settled and the score vanishes, so a fit that runs to ``max_iter`` has
+not converged.  A discrete (selector) super learner picks among
 candidate design matrices by V-fold cross-validated quasi-binomial loss.
 A learner is the name of its feature map (see features.py), and a library is
 a list of names; the IRLS settings are the ``fit_binary_glm`` defaults.
@@ -66,6 +70,21 @@ def _log_likelihood(y, p, w) -> float:
     return float(np.sum(w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
+def _column_leaders(X: np.ndarray) -> np.ndarray:
+    """For each column, the index of the first column exactly equal to it.
+
+    Columns are compared only when their sums agree, so a design of distinct
+    columns costs one pass over X."""
+    leaders = np.arange(X.shape[1])
+    by_sum: dict[float, list[int]] = {}
+    for j, s in enumerate(X.sum(axis=0).tolist()):
+        firsts = by_sum.setdefault(s, [])
+        leaders[j] = next((i for i in firsts if np.array_equal(X[:, i], X[:, j])), j)
+        if leaders[j] == j:
+            firsts.append(j)
+    return leaders
+
+
 def fit_binary_glm(
     design: np.ndarray,
     response: np.ndarray,
@@ -78,9 +97,14 @@ def fit_binary_glm(
     """Weighted quasi-binomial regression with fixed offset, via IRLS.
 
     Maximizes sum_i w_i [y_i log mu_i + (1-y_i) log(1-mu_i)] with
-    mu = expit(offset + X beta).  At convergence the weighted score
-    X' w (y - mu) has max-norm <= 1e-6; otherwise the best iterate is
-    returned with ``converged`` False (e.g. under separation).
+    mu = expit(offset + X beta).  Columns that are exactly equal on the rows
+    with positive weight carry one coefficient: the normal equations are
+    reduced to the first column of each group, and every member gets an
+    equal share (the minimum-norm split).  The loop stops with ``converged``
+    True once the deviance changes by less than tol * (|deviance| + 1) and
+    the weighted score X' w (y - mu) has max-norm <= SCORE_TOL.  A fit that
+    runs to ``max_iter`` (e.g. under separation) returns its last iterate
+    with ``converged`` False.
     """
     X = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(response, dtype=float)
@@ -104,46 +128,67 @@ def fit_binary_glm(
 
     # Bit-identical to the textbook loop: X beta is kept from the last mu, mu is
     # not re-clipped, and a design with no zero weight is used in place, in C
-    # order since BLAS sums in a layout-dependent order.
+    # order since BLAS sums in a layout-dependent order.  Each iteration's
+    # n-length quantities are formed in place, in the textbook's operation
+    # order, in buffers allocated once.
     active = w > 0
     if np.all(active):
         Xa, ya, wa, offa = np.ascontiguousarray(X), y, w, off
     else:
         Xa, ya, wa, offa = X[active], y[active], w[active], off[active]
-    p = X.shape[1]
+    na, p = Xa.shape
+    leaders = _column_leaders(Xa)
+    keep = np.flatnonzero(leaders == np.arange(p))
+    reduced = np.ix_(keep, keep)
+    group = np.searchsorted(keep, leaders)         # each column's merged coefficient
+    share = np.bincount(group)[group].astype(float)
 
-    def mu_and_deviance(xb):
-        mu = clip_probs(expit(offa + xb))
-        ll = ya * np.log(mu) + (1.0 - ya) * np.log(1.0 - mu)
-        return mu, -2.0 * float(np.sum(wa * ll))
+    mu, xb, t1, t2, t3 = (np.empty(na) for _ in range(5))
+    XtW = np.empty((na, p)).T                      # the layout of Xa.T * irls_w
+
+    def update_mu_and_deviance():
+        np.add(offa, xb, out=mu)
+        expit(mu, out=mu)
+        np.clip(mu, PROB_CLIP, 1.0 - PROB_CLIP, out=mu)
+        ll = np.multiply(np.log(mu, out=t1), ya, out=t1)
+        tail = np.log(np.subtract(1.0, mu, out=t2), out=t2)
+        tail *= np.subtract(1.0, ya, out=t3)
+        ll += tail
+        ll *= wa
+        return -2.0 * float(np.sum(ll))
 
     beta = np.zeros(p)
-    xb = Xa @ beta
-    mu, dev = mu_and_deviance(xb)
+    np.matmul(Xa, beta, out=xb)
+    dev = update_mu_and_deviance()
+    converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        var = mu * (1.0 - mu)
-        irls_w = wa * mu * (1.0 - mu)
+        np.subtract(1.0, mu, out=t1)
+        np.multiply(mu, t1, out=t2)                # var = mu (1 - mu)
+        np.multiply(wa, mu, out=t3)
+        t3 *= t1                                   # irls_w = w mu (1 - mu)
+        np.multiply(Xa.T, t3, out=XtW)
         # working response on the linear-predictor scale, offset removed
-        z = xb + (ya - mu) / np.maximum(var, 1e-12)
-        XtW = Xa.T * irls_w
-        lhs = XtW @ Xa + ridge * np.eye(p)
-        rhs = XtW @ z
+        np.subtract(ya, mu, out=t1)
+        np.maximum(t2, 1e-12, out=t2)
+        t1 /= t2
+        t1 += xb
+        lhs = (XtW @ Xa)[reduced] + ridge * np.eye(keep.size)
+        rhs = (XtW @ t1)[keep]
         try:
-            beta_new = np.linalg.solve(lhs, rhs)
+            beta = np.linalg.solve(lhs, rhs)[group] / share
         except np.linalg.LinAlgError:
             break
-        xb_new = Xa @ beta_new
-        mu_new, dev_new = mu_and_deviance(xb_new)
-        step = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
-        beta, mu, xb = beta_new, mu_new, xb_new
-        if abs(dev - dev_new) < tol * (abs(dev_new) + 1.0) and step <= 1e-9:
-            dev = dev_new
-            break
+        np.matmul(Xa, beta, out=xb)
+        dev_new = update_mu_and_deviance()
+        settled = abs(dev - dev_new) < tol * (abs(dev_new) + 1.0)
         dev = dev_new
-
-    score = Xa.T @ (wa * (ya - mu))
-    converged = bool(np.max(np.abs(score), initial=0.0) <= SCORE_TOL)
+        if settled:
+            np.subtract(ya, mu, out=t1)
+            t1 *= wa
+            if np.max(np.abs(Xa.T @ t1), initial=0.0) <= SCORE_TOL:
+                converged = True
+                break
     return FittedModel(coef=beta, converged=converged, deviance=dev, n_iter=n_iter)
 
 

@@ -191,6 +191,29 @@ def test_unknown_learner_is_usage_error(tmp_path, capsys):
         assert "bogus" in err and "running_avg" in err
 
 
+def test_request_learner_list(tmp_path, capsys):
+    # a request JSON may name the library as a list: it runs like the comma
+    # string, and a list with an unknown name is a usage error
+    panel_path = tmp_path / "panel.csv"
+    assert run(["simulate", "--scenario", "scenario1", "--n", "300",
+                "--seed", "3", "--out", str(panel_path)]) == 0
+    request = tmp_path / "request.json"
+    common = ["--policies", "static0", "--folds", "2"]
+    request.write_text(json.dumps({"panel_path": str(panel_path),
+                                   "learner": ["main", "running_avg"]}))
+    capsys.readouterr()
+    assert run(["estimate", "--request", str(request)] + common) == 0
+    from_request = capsys.readouterr().out
+    assert run(["estimate", "--panel", str(panel_path), "--learner", "main,running_avg"]
+               + common) == 0
+    assert from_request == capsys.readouterr().out
+    request.write_text(json.dumps({"panel_path": str(panel_path),
+                                   "learner": ["main", "bogus"]}))
+    assert run(["estimate", "--request", str(request)] + common) == 1
+    err = capsys.readouterr().err
+    assert "bogus" in err and "running_avg" in err
+
+
 def test_ingest_covariate_rows_wider_than_baseline_is_data_error(tmp_path, capsys):
     events = tmp_path / "events.csv"
     events.write_text(

@@ -24,9 +24,9 @@ from dropintmle.interventions import (
     static_z,
 )
 from dropintmle.panel import TrialPanel, at_risk_mask, make_panel
-from dropintmle.sim import ScenarioConfig, scenario_presets, simulate_trial
+from dropintmle.sim import scenario_presets, simulate_trial
 
-from toy_panel import build_toy_panel
+from toy_panel import build_k8_panel, build_toy_panel
 
 SAT = "saturated"
 
@@ -306,18 +306,12 @@ def test_arm_weight_summary_matches_support_diagnostics(floored_sc2, cap):
 # The top step shared across arms
 
 
-def _k8_panel():
-    cfg = ScenarioConfig(c_z0=-1.5, c_z=-2.5, p_z=1.0, p_zy=1.0, n_visits=8,
-                         death_hazard=0.02, censor_hazard=0.03)
-    return simulate_trial(cfg, 1500, 13)
-
-
 @pytest.mark.parametrize("case", ["scenario1", "k8_library"])
 def test_shared_top_step_is_bit_identical(case, scenario1_panel):
     if case == "scenario1":
         panel, learner, seed, n_folds = scenario1_panel, "running_avg", 0, 10
     else:
-        panel, seed, n_folds = _k8_panel(), 5, 2
+        panel, seed, n_folds = build_k8_panel(), 5, 2
         learner = ["main", "running_avg"]
     gfit = fit_g(panel, learner, seed=seed, n_folds=n_folds)
     top = fit_top_step(panel, learner, None, seed, n_folds)
@@ -337,7 +331,7 @@ def test_shared_top_step_is_bit_identical(case, scenario1_panel):
 
 
 def test_gcomp_arm_forwards_n_folds():
-    panel, seed = _k8_panel(), 5
+    panel, seed = build_k8_panel(), 5
     learner = ["main", "running_avg"]
     gfit = fit_g(panel, learner, seed=seed, n_folds=2)
     top = fit_top_step(panel, learner, None, seed, 2)

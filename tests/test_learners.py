@@ -86,9 +86,11 @@ def test_rescaled_feature_predictions_invariant():
     assert m2.coef[1] == pytest.approx(m1.coef[1] / 7.0, rel=1e-6)
 
 
-def _reference_irls(X, y, w=None, offset=None, max_iter=50, tol=1e-10, ridge=1e-8):
-    """The textbook IRLS loop that ``fit_binary_glm`` must reproduce bit for
-    bit: every quantity recomputed each iteration, on a row-subset copy."""
+def _parent_irls(X, y, w=None, offset=None, max_iter=50, tol=1e-10, ridge=1e-8):
+    """The IRLS loop before columns were merged and the stop rule took the
+    score, kept verbatim: a ridge-jittered solve on the full design, stopping
+    once the deviance change is below tol (|dev| + 1) and the coefficient
+    step is <= 1e-9; ``converged`` is the score test on the last iterate."""
     def deviance(y, p, w):
         p = clip_probs(np.asarray(p, dtype=float))
         return -2.0 * float(np.sum(w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
@@ -128,6 +130,66 @@ def _reference_irls(X, y, w=None, offset=None, max_iter=50, tol=1e-10, ridge=1e-
     return beta, dev, n_iter, converged
 
 
+def _equal_column_groups(Xa):
+    """Pairwise scan for exactly equal columns: the first column of each
+    group, each column's group, and each column's group size."""
+    leader = [next(i for i in range(j + 1) if np.array_equal(Xa[:, i], Xa[:, j]))
+              for j in range(Xa.shape[1])]
+    keep = sorted(set(leader))
+    group = [keep.index(lead) for lead in leader]
+    share = np.array([leader.count(lead) for lead in leader], dtype=float)
+    return keep, group, share
+
+
+def _reference_irls(X, y, w=None, offset=None, max_iter=50, tol=1e-10, ridge=1e-8):
+    """The textbook IRLS loop that ``fit_binary_glm`` must reproduce bit for
+    bit: every quantity recomputed each iteration, on a row-subset copy.
+    Exactly equal columns (a pairwise scan of the active rows) carry one
+    coefficient, found from the normal equations reduced to each group's
+    first column and split equally among its members; the loop stops once
+    the deviance change is below tol (|dev| + 1) and the score max-norm is
+    <= 1e-6, which is also what ``converged`` reports."""
+    def deviance(y, p, w):
+        p = clip_probs(np.asarray(p, dtype=float))
+        return -2.0 * float(np.sum(w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+
+    n = X.shape[0]
+    w = np.ones(n) if w is None else w
+    off = np.zeros(n) if offset is None else offset
+    active = w > 0
+    Xa, ya, wa, offa = X[active], y[active], w[active], off[active]
+    p = X.shape[1]
+    keep, group, share = _equal_column_groups(Xa)
+
+    beta = np.zeros(p)
+    mu = clip_probs(expit(offa + Xa @ beta))
+    dev = deviance(ya, mu, wa)
+    converged = False
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        irls_w = wa * mu * (1.0 - mu)
+        z = (Xa @ beta) + (ya - mu) / np.maximum(mu * (1.0 - mu), 1e-12)
+        XtW = Xa.T * irls_w
+        lhs = (XtW @ Xa)[np.ix_(keep, keep)] + ridge * np.eye(len(keep))
+        rhs = (XtW @ z)[keep]
+        try:
+            gamma = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            break
+        beta = gamma[group] / share
+        mu_new = clip_probs(expit(offa + Xa @ beta))
+        dev_new = deviance(ya, mu_new, wa)
+        score = Xa.T @ (wa * (ya - mu_new))
+        mu = mu_new
+        if (abs(dev - dev_new) < tol * (abs(dev_new) + 1.0)
+                and np.max(np.abs(score), initial=0.0) <= 1e-6):
+            dev = dev_new
+            converged = True
+            break
+        dev = dev_new
+    return beta, dev, n_iter, converged
+
+
 def _assert_matches_reference(X, y, w=None, offset=None, **kw):
     m = fit_binary_glm(X, y, w, offset, **kw)
     beta, dev, n_iter, converged = _reference_irls(X, y, w, offset, **kw)
@@ -164,6 +226,7 @@ def test_irls_bit_identical_under_separation():
     y = (x > 0).astype(float)
     m = _assert_matches_reference(X, y)
     assert m.n_iter == 50
+    assert not m.converged
 
 
 def test_irls_bit_identical_on_aliased_running_avg_design():
@@ -176,7 +239,110 @@ def test_irls_bit_identical_on_aliased_running_avg_design():
     mask = at_risk_mask(panel, 3) & (panel.c_at(3) == 0)
     X = history_design(panel, "running_avg", treat_upto=2)[mask]
     assert np.array_equal(X[:, 1], X[:, 3])          # a_last == abar
-    _assert_matches_reference(X, panel.y_at(3)[mask].astype(float))
+    m = _assert_matches_reference(X, panel.y_at(3)[mask].astype(float))
+    assert m.converged
+    assert m.coef[1] == m.coef[3]
+
+
+def test_equal_columns_share_one_coefficient_equally():
+    # columns equal only on the positively weighted rows are merged too; the
+    # split is equal among the members, and predictions match the fit
+    # without the copies
+    rng = np.random.default_rng(21)
+    n = 400
+    x = rng.standard_normal(n)
+    X = np.column_stack([np.ones(n), x, x, rng.standard_normal(n), x])
+    w = rng.uniform(0.5, 2.0, n)
+    w[:20] = 0.0
+    X[:20, 4] = 5.0
+    y = (rng.random(n) < expit(0.3 + 0.9 * x - 0.4 * X[:, 3])).astype(float)
+    m = fit_binary_glm(X, y, w)
+    assert m.converged
+    assert m.coef[1] == m.coef[2] == m.coef[4]
+    single = fit_binary_glm(X[:, [0, 1, 3]], y, w)
+    active = w > 0
+    assert np.allclose(m.predict(X[active]), single.predict(X[active][:, [0, 1, 3]]),
+                       atol=1e-9)
+
+
+def _tight_irls(X, y, w=None, offset=None, max_iter=50, tol=1e-10, ridge=1e-8):
+    """A tightly converged fit of the merged-column problem: the textbook
+    loop of ``_reference_irls``, run until the coefficient step is <= 1e-13
+    whatever ``tol`` says.  A separated fit has no limit to converge to, so
+    it stops at ``max_iter`` like the loops it is compared with."""
+    n = X.shape[0]
+    w = np.ones(n) if w is None else w
+    off = np.zeros(n) if offset is None else offset
+    active = w > 0
+    Xa, ya, wa, offa = X[active], y[active], w[active], off[active]
+    keep, group, share = _equal_column_groups(Xa)
+    beta = np.zeros(X.shape[1])
+    for n_iter in range(1, max_iter + 1):
+        mu = clip_probs(expit(offa + Xa @ beta))
+        z = (Xa @ beta) + (ya - mu) / np.maximum(mu * (1.0 - mu), 1e-12)
+        XtW = Xa.T * (wa * mu * (1.0 - mu))
+        lhs = (XtW @ Xa)[np.ix_(keep, keep)] + ridge * np.eye(len(keep))
+        beta_new = np.linalg.solve(lhs, (XtW @ z)[keep])[group] / share
+        step = float(np.max(np.abs(beta_new - beta), initial=0.0))
+        beta = beta_new
+        if step <= 1e-13:
+            break
+    return beta, np.nan, n_iter, step <= 1e-13
+
+
+def _with_irls(monkeypatch, loop):
+    """Route every IRLS fit of the estimation core through ``loop``."""
+    from dropintmle import engine, interventions, learners
+    from dropintmle.learners import FittedModel
+
+    def fit(design, response, weights=None, offset=None, **kw):
+        beta, dev, n_iter, converged = loop(np.asarray(design, dtype=float),
+                                            np.asarray(response, dtype=float),
+                                            weights, offset, **kw)
+        return FittedModel(coef=beta, converged=converged, deviance=dev, n_iter=n_iter)
+
+    for module in (learners, engine, interventions):
+        monkeypatch.setattr(module, "fit_binary_glm", fit)
+
+
+def _policy_outputs(panel, learner, n_folds):
+    """Per policy: TMLE psi, its SE and the g-computation psi."""
+    from dropintmle.engine import contrast, fit_g, fit_top_step, gcomp_arm, tmle_arm
+    from dropintmle.interventions import arm_pair, fit_stochastic_gstar, standard_policies
+
+    gfit = fit_g(panel, learner, seed=0, n_folds=n_folds)
+    top = fit_top_step(panel, learner, None, 0, n_folds)
+    rows = []
+    for name, spec in standard_policies(fit_stochastic_gstar(panel)).items():
+        arms = arm_pair(spec, name)
+        rep = contrast(*(tmle_arm(panel, gfit, p, learner, seed=0, n_folds=n_folds,
+                                  top=top) for p in arms), name)
+        g1, g0 = (gcomp_arm(panel, gfit, p, learner, seed=0, n_folds=n_folds, top=top)
+                  for p in arms)
+        rows.append((rep.psi, rep.se, g1.psi - g0.psi))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("case", ["scenario1", "k8_library"])
+def test_stop_rule_stays_within_the_stated_bound_of_the_parent_loop(
+        case, scenario1_panel, monkeypatch):
+    # psi and SE within 1e-9 and g-computation within 1e-8 of the loop with
+    # the coefficient-step stop, and closer than it to a tight fit
+    from toy_panel import build_k8_panel
+
+    if case == "scenario1":
+        panel, learner, n_folds = scenario1_panel, "running_avg", 10
+    else:
+        panel, learner, n_folds = build_k8_panel(), ["main", "running_avg"], 2
+    new = _policy_outputs(panel, learner, n_folds)
+    _with_irls(monkeypatch, _parent_irls)
+    parent = _policy_outputs(panel, learner, n_folds)
+    _with_irls(monkeypatch, _tight_irls)
+    tight = _policy_outputs(panel, learner, n_folds)
+
+    assert np.max(np.abs(new[:, :2] - parent[:, :2])) <= 1e-9
+    assert np.max(np.abs(new[:, 2] - parent[:, 2])) <= 1e-8
+    assert np.max(np.abs(new - tight)) < np.max(np.abs(parent - tight))
 
 
 def test_fluctuation_one_point_closed_form():

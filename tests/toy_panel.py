@@ -1,10 +1,12 @@
-"""The binary K = 2 toy panel with competing death, shared by the
-enumeration tests (imported by name, so it lives outside conftest.py)."""
+"""Panels shared by several test files (imported by name, so they live
+outside conftest.py): the binary K = 2 toy panel with competing death used
+by the enumeration tests, and a K = 8 death-and-censoring panel."""
 
 import numpy as np
 from scipy.special import expit
 
 from dropintmle.panel import TrialPanel
+from dropintmle.sim import ScenarioConfig, simulate_trial
 
 
 def build_toy_panel(n=4000, seed=11, with_death=True, free_a1=True):
@@ -37,3 +39,10 @@ def build_toy_panel(n=4000, seed=11, with_death=True, free_a1=True):
         C=np.zeros((2, n), dtype=np.int8),
         L=l1[None, :, None].astype(float), A=a1[None, :], Z=z1[None, :],
     )
+
+
+def build_k8_panel():
+    """K = 8 simulated panel with death and censoring, LEADER-shaped."""
+    cfg = ScenarioConfig(c_z0=-1.5, c_z=-2.5, p_z=1.0, p_zy=1.0, n_visits=8,
+                         death_hazard=0.02, censor_hazard=0.03)
+    return simulate_trial(cfg, 1500, 13)
