@@ -31,12 +31,16 @@ def main(argv=None) -> int:
     ap.add_argument("--workers", type=int, default=None)
     ap.add_argument("--scenarios", default="scenario1,scenario2,scenario3")
     args = ap.parse_args(argv)
+    presets = scenario_presets()
+    names = [name.strip() for name in args.scenarios.split(",")]
+    unknown = [name for name in names if name not in presets]
+    if unknown:
+        ap.error(f"unknown scenarios {unknown}; choose from {sorted(presets)}")
 
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in args.scenarios.split(","):
-        name = name.strip()
-        cfg = scenario_presets()[name]
+    for name in names:
+        cfg = presets[name]
         t0 = time.time()
         table = run_replications(name, policies=POLICY_NAMES, n=args.n,
                                  reps=args.reps, seed=args.seed,

@@ -8,7 +8,6 @@ from .engine import (
     EstimationError,
     GFit,
     TopStep,
-    clever_weights,
     clever_weight_path,
     contrast,
     fit_g,

@@ -9,7 +9,7 @@ Subcommands:
   ingest      long event CSV + visit grid -> panel CSV
 
 Exit codes: 0 success, 1 usage error, 2 data/estimation error.
-Worker count for `replicate` comes from the LTMLE_THREADS variable.
+Worker count for `replicate` comes from --workers or the LTMLE_THREADS variable.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 
 from .engine import EstimationError, contrast, fit_g, fit_top_step, tmle_arm
 from .features import FEATURE_NAMES
-from .harness import POLICY_NAMES, _write_json, emit_report, run_replications
+from .harness import POLICY_NAMES, _write_json, emit_report, n_workers, run_replications
 from .interventions import ArmPolicy, arm_pair, fit_stochastic_gstar, standard_policies
 from .learners import FitError
 from .panel import (
@@ -44,6 +44,12 @@ from .sim import (
 
 class UsageError(ValueError):
     pass
+
+
+#: the keys of an ``estimate --request`` JSON object and the types of their values
+REQUEST_TYPES = {"panel_path": str, "policies": (str, list), "learner": (str, list),
+                 "horizon": int, "g_floor": (int, float), "weight_cap": (int, float, type(None)),
+                 "seed": int}
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -86,8 +92,10 @@ def _parse_arm_policy(text: str):
     return arm, aliases[zname]
 
 
-def _parse_policies(text: str) -> list[str]:
-    names = [p.strip() for p in text.split(",") if p.strip()]
+def _parse_policies(given: str | list) -> list[str]:
+    """Policy names, given as a comma string or (from a request JSON) a list."""
+    names = (given if isinstance(given, list)
+             else [p.strip() for p in given.split(",") if p.strip()])
     bad = [p for p in names if p not in POLICY_NAMES]
     if bad:
         raise UsageError(f"unknown policies {bad}; choose from {list(POLICY_NAMES)}")
@@ -142,14 +150,14 @@ def cmd_estimate(args) -> int:
     if args.request:
         with open(args.request) as fh:
             req = json.load(fh)
-        args.panel = req.get("panel_path", args.panel)
-        args.policies = ",".join(req.get("policies", _parse_policies(args.policies)))
-        args.horizon = req.get("horizon", args.horizon)
-        args.g_floor = req.get("g_floor", args.g_floor)
-        args.weight_cap = req.get("weight_cap", args.weight_cap)
-        args.seed = req.get("seed", args.seed)
-        if "learner" in req:
-            args.learner = req["learner"]
+        if not isinstance(req, dict):
+            raise UsageError(f"{args.request}: a request is a JSON object")
+        for key, value in req.items():
+            if key not in REQUEST_TYPES:
+                raise UsageError(f"unknown request key {key!r}; choose from {list(REQUEST_TYPES)}")
+            if isinstance(value, bool) or not isinstance(value, REQUEST_TYPES[key]):
+                raise UsageError(f"request key {key!r} cannot take the value {json.dumps(value)}")
+            setattr(args, "panel" if key == "panel_path" else key, value)
     if not args.panel:
         raise UsageError("--panel (or --request with panel_path) is required")
     panel = read_panel_csv(args.panel)
@@ -182,11 +190,15 @@ def cmd_replicate(args) -> int:
     policies = _parse_policies(args.policies)
     if args.horizon is not None:
         _check_horizon(args.horizon, cfg.n_visits, "scenario")
+    try:
+        workers = n_workers() if args.workers is None else args.workers
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     table = run_replications(
         args.scenario if args.scenario else cfg, policies=policies, n=args.n,
         reps=args.reps, horizon=args.horizon, seed=args.seed, n_mc=args.nmc,
         g_floor=args.g_floor, weight_cap=args.weight_cap,
-        q_learner=_learner_from_args(args), workers=args.workers,
+        q_learner=_learner_from_args(args), workers=workers,
     )
     emit_report(table, args.out, fmt=args.format)
     print(f"wrote replication table to {args.out}")

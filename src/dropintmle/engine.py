@@ -121,7 +121,7 @@ def _fit_learner(learner, design, y, seed, n_folds):
     return sel.model, sel.name
 
 
-def _fit_mech(panel, node, k, mask, learner, seed, n_folds=10) -> _Mech:
+def _fit_mech(panel, node, k, mask, learner, seed, n_folds) -> _Mech:
     y = {"A": panel.a_at, "Z": panel.z_at, "C": panel.c_at}[node](k)[mask].astype(float)
     model, feats = _fit_learner(
         learner, lambda f: mechanism_design(panel, f, node, k)[mask], y, seed, n_folds)
@@ -132,8 +132,9 @@ def _fit_mech(panel, node, k, mask, learner, seed, n_folds=10) -> _Mech:
 
 def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
           g_floor: float = 1e-3, randomized: bool = True, seed: int = 0,
-          validate: bool = True, n_folds: int = 10) -> GFit:
-    """Fit the treatment and censoring mechanisms per visit.
+          n_folds: int = 10) -> GFit:
+    """Fit the treatment and censoring mechanisms per visit, on a panel that
+    passes ``validate_panel``.
 
     Shortcuts: the baseline randomized assignment is the known constant 1/2
     under ``randomized``; a post-baseline randomized-treatment column equal
@@ -143,12 +144,10 @@ def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
     with ``learner``: a feature-map name, or a list of them for the discrete
     super learner.
     """
-    if validate:
-        report = validate_panel(panel)
-        if not report.ok:
-            v = report.violations[0]
-            raise EstimationError(
-                f"panel fails validation: {v.message} (subject {v.subject})")
+    report = validate_panel(panel)
+    if not report.ok:
+        v = report.violations[0]
+        raise EstimationError(f"panel fails validation: {v.message} (subject {v.subject})")
     K = panel.K
     a_mechs, z_mechs, c_mechs = [], [], []
     for k in range(K):
@@ -236,11 +235,6 @@ def _weight_summary(H, threshold=50.0):
 def clever_weight_path(panel, gfit, policy, horizon, weight_cap=None):
     """Clever weights H_l for every step l = 1..horizon, shape (horizon, n)."""
     return _weight_path(panel, gfit, policy, horizon, weight_cap)[0]
-
-
-def clever_weights(panel, gfit, policy, k, weight_cap=None):
-    """Clever weights for the step-k targeting (nonnegative, zero off-policy)."""
-    return clever_weight_path(panel, gfit, policy, k, weight_cap)[k - 1]
 
 
 def support_diagnostics(panel, gfit, policy, horizon=None, threshold=50.0,

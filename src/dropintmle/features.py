@@ -171,9 +171,7 @@ def gstar_columns(l0, k: int, z_prev=None) -> np.ndarray:
                             np.broadcast_to(l0, (n, l0.shape[1]))])
 
 
-def gstar_design(panel: TrialPanel, k: int, z_prev=None) -> np.ndarray:
+def gstar_design(panel: TrialPanel, k: int) -> np.ndarray:
     """The balancing-law design (see ``gstar_columns``) for every subject of a
-    panel; ``z_prev`` substitutes the observed visit-(k-1) status."""
-    if k >= 1 and z_prev is None:
-        z_prev = panel.z_at(k - 1)
-    return gstar_columns(panel.L0, k, z_prev)
+    panel at its observed visit-(k-1) status."""
+    return gstar_columns(panel.L0, k, panel.z_at(k - 1) if k >= 1 else None)

@@ -40,9 +40,13 @@ TABLE_COLUMNS = [
 
 
 def n_workers() -> int:
+    """Worker count: the LTMLE_THREADS variable if set, else every core."""
     env = os.environ.get("LTMLE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"LTMLE_THREADS={env!r} is not an integer") from None
     return os.cpu_count() or 1
 
 
@@ -120,7 +124,7 @@ def _replication_worker(args):
     cfg, policy_names, n, horizon, seed_r, g_floor, weight_cap, q_learner, include_gcomp = args
     panel = simulate_trial(cfg, n, seed_r)
     try:
-        gfit = fit_g(panel, g_floor=g_floor, validate=False)
+        gfit = fit_g(panel, g_floor=g_floor)
         gstar = fit_stochastic_gstar(panel) if "stochastic" in policy_names else None
         specs = standard_policies(gstar)
         top = fit_top_step(panel, q_learner, horizon)
@@ -189,13 +193,13 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
     if reps < 1:
         raise ValueError("reps must be >= 1")
     policy_names = list(policies)
+    workers = n_workers() if workers is None else workers
 
     if truths is None:
         truths = compute_truths(cfg, policy_names, horizon, n_mc, seed)
 
     tasks = [(cfg, policy_names, n, horizon, seed + r, g_floor, weight_cap,
               q_learner, include_gcomp) for r in range(1, reps + 1)]
-    workers = n_workers() if workers is None else workers
     if workers > 1 and reps > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication_worker, tasks, chunksize=4))

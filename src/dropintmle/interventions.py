@@ -34,54 +34,42 @@ USE_OBSERVED_G = None
 
 @dataclass(frozen=True)
 class InterventionSpec:
-    """Specification of one node's hypothetical mechanism.
+    """The hypothetical mechanism of the concomitant-treatment node: its
+    form, the static value, and the stochastic form's fitted laws."""
 
-    ``intervene_baseline`` controls whether the visit-0 node is replaced as
-    well; it is forced off for the dynamic form (whose rule references the
-    observed baseline status) and on for censoring.
-    """
-
-    node: str                       # "A" | "Z" | "C"
     form: str
     value: int | None = None
     models: tuple[FittedModel, ...] = field(default=())
-    intervene_baseline: bool = True
 
     def __post_init__(self):
-        if self.node not in ("A", "Z", "C"):
-            raise ValueError(f"unknown node '{self.node}'")
         if self.form not in Z_FORMS:
             raise ValueError(f"unknown form '{self.form}'")
-        if self.node == "C" and not (self.form == "static" and self.value == 0):
-            raise ValueError("censoring can only be intervened to static 0")
         if self.form == "static" and self.value not in (0, 1):
             raise ValueError("static form needs value 0 or 1")
-        if self.form == "dynamic" and self.intervene_baseline:
-            object.__setattr__(self, "intervene_baseline", False)
 
     @property
     def fitted(self) -> bool:
         return self.form != "stochastic" or len(self.models) > 0
 
     def intervenes_at(self, k: int) -> bool:
-        """Whether the visit-k node is replaced under this spec."""
+        """Whether the visit-k node is replaced under this spec.  The
+        observational form replaces none; the dynamic form, whose rule is
+        the observed baseline status, leaves the visit-0 node alone."""
         if self.form == "observational":
             return False
-        if k == 0:
-            return self.intervene_baseline
-        return True
+        return k > 0 or self.form != "dynamic"
 
 
 def static_z(value: int) -> InterventionSpec:
-    return InterventionSpec(node="Z", form="static", value=value)
+    return InterventionSpec(form="static", value=value)
 
 
 def dynamic_z() -> InterventionSpec:
-    return InterventionSpec(node="Z", form="dynamic", intervene_baseline=False)
+    return InterventionSpec(form="dynamic")
 
 
 def observational_z() -> InterventionSpec:
-    return InterventionSpec(node="Z", form="observational", intervene_baseline=False)
+    return InterventionSpec(form="observational")
 
 
 @dataclass(frozen=True)
@@ -171,8 +159,7 @@ def fit_stochastic_gstar(panel: TrialPanel, upto: int | None = None) -> Interven
             continue
         design = gstar_design(panel, k)[mask]
         models.append(fit_binary_glm(design, y))
-    return InterventionSpec(node="Z", form="stochastic", models=tuple(models),
-                            intervene_baseline=True)
+    return InterventionSpec(form="stochastic", models=tuple(models))
 
 
 def standard_policies(stochastic_spec: InterventionSpec | None = None

@@ -1,18 +1,18 @@
 """Binary / quasi-binary regression machinery.
 
-Everything downstream (propensity models, sequential outcome regressions,
-targeting fluctuations) reduces to weighted logistic-link regression with an
-offset, where the response may be fractional in [0, 1].  We solve these by
-iteratively reweighted least squares.  Columns that are exactly equal on the
-fitted rows (under full adherence the running mean of A is the last A, and
-A_0 = A_1 = ...) are fitted as one, with an equal share to each member; a
-small ridge jitter on the normal equations keeps late-follow-up fits stable
-when the remaining columns nearly collide.  The loop stops once the deviance
-has settled and the score vanishes, so a fit that runs to ``max_iter`` has
-not converged.  A discrete (selector) super learner picks among
-candidate design matrices by V-fold cross-validated quasi-binomial loss.
-A learner is the name of its feature map (see features.py), and a library is
-a list of names; the IRLS settings are the ``fit_binary_glm`` defaults.
+Propensity models and sequential outcome regressions reduce to
+logistic-link regression where the response may be fractional in [0, 1].  We
+solve these by iteratively reweighted least squares.  Columns that are
+exactly equal on the fitted rows (under full adherence the running mean of A
+is the last A, and A_0 = A_1 = ...) are fitted as one, with an equal share to
+each member; a small ridge jitter on the normal equations keeps
+late-follow-up fits stable when the remaining columns nearly collide.  The
+loop stops once the deviance has settled and the score vanishes, so a fit
+that runs to ``max_iter`` has not converged.  The targeting step, a weighted
+intercept-only fluctuation with an offset, has its own one-dimensional
+solver.  A discrete (selector) super learner picks among candidate design
+matrices by V-fold cross-validated quasi-binomial loss.  A learner is the
+name of its feature map (see features.py), and a library is a list of names.
 """
 
 from __future__ import annotations
@@ -24,18 +24,20 @@ import numpy as np
 from scipy.special import expit, logit
 
 PROB_CLIP = 1e-6      # clip for probabilities entering logit transforms
-SCORE_TOL = 1e-6      # max-norm of the weighted score at convergence
+SCORE_TOL = 1e-6      # max-norm of the IRLS score at convergence
+DEV_TOL = 1e-10       # relative deviance change at which an IRLS fit has settled
+RIDGE = 1e-8          # jitter on the diagonal of the IRLS normal equations
 EPS_TOL = 1e-10       # step tolerance for the one-dimensional fluctuation
 FLUCT_MAX_ITER = 100  # Newton/bisection steps of the one-dimensional fluctuation
 
 
 class FitError(ValueError):
-    """Raised when a regression problem is unusable (no data, no weight)."""
+    """Raised when a regression problem is unusable (no data, bad response)."""
 
 
 @dataclass
 class FittedModel:
-    """A fitted logit-link model: predictions are expit(X @ coef [+ offset]).
+    """A fitted logit-link model: predictions are expit(X @ coef).
 
     ``constant`` marks a degenerate fit (response had no variation); the
     stored probability is returned exactly, bypassing the linear predictor.
@@ -47,27 +49,23 @@ class FittedModel:
     n_iter: int = 0
     constant: float | None = None
 
-    def predict(self, design: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
+    def predict(self, design: np.ndarray) -> np.ndarray:
         design = np.asarray(design, dtype=float)
         if self.constant is not None:
             return np.full(design.shape[0], self.constant)
-        eta = design @ self.coef
-        if offset is not None:
-            eta = eta + offset
         # keep the open interval even under separation-sized coefficients
-        return np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
+        return np.clip(expit(design @ self.coef), 1e-12, 1.0 - 1e-12)
 
 
-def clip_probs(p: np.ndarray | float, lo: float = PROB_CLIP) -> np.ndarray:
-    return np.clip(p, lo, 1.0 - lo)
+def clip_probs(p: np.ndarray | float) -> np.ndarray:
+    return np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
 
 
-def _log_likelihood(y, p, w) -> float:
-    """Weighted quasi-binomial log-likelihood sum_i w_i [y_i log p_i +
-    (1-y_i) log(1-p_i)] at clipped p; valid for fractional y (constant terms
-    in y are dropped)."""
+def _log_likelihood(y, p) -> float:
+    """Quasi-binomial log-likelihood sum_i [y_i log p_i + (1-y_i) log(1-p_i)]
+    at clipped p; valid for fractional y (constant terms in y are dropped)."""
     p = clip_probs(np.asarray(p, dtype=float))
-    return float(np.sum(w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    return float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
 def _column_leaders(X: np.ndarray) -> np.ndarray:
@@ -85,26 +83,18 @@ def _column_leaders(X: np.ndarray) -> np.ndarray:
     return leaders
 
 
-def fit_binary_glm(
-    design: np.ndarray,
-    response: np.ndarray,
-    weights: np.ndarray | None = None,
-    offset: np.ndarray | None = None,
-    max_iter: int = 50,
-    tol: float = 1e-10,
-    ridge: float = 1e-8,
-) -> FittedModel:
-    """Weighted quasi-binomial regression with fixed offset, via IRLS.
+def fit_binary_glm(design: np.ndarray, response: np.ndarray,
+                   max_iter: int = 50) -> FittedModel:
+    """Quasi-binomial regression via IRLS.
 
-    Maximizes sum_i w_i [y_i log mu_i + (1-y_i) log(1-mu_i)] with
-    mu = expit(offset + X beta).  Columns that are exactly equal on the rows
-    with positive weight carry one coefficient: the normal equations are
-    reduced to the first column of each group, and every member gets an
-    equal share (the minimum-norm split).  The loop stops with ``converged``
-    True once the deviance changes by less than tol * (|deviance| + 1) and
-    the weighted score X' w (y - mu) has max-norm <= SCORE_TOL.  A fit that
-    runs to ``max_iter`` (e.g. under separation) returns its last iterate
-    with ``converged`` False.
+    Maximizes sum_i [y_i log mu_i + (1-y_i) log(1-mu_i)] with
+    mu = expit(X beta).  Exactly equal columns carry one coefficient: the
+    normal equations are reduced to the first column of each group, and every
+    member gets an equal share (the minimum-norm split).  The loop stops with
+    ``converged`` True once the deviance changes by less than
+    DEV_TOL * (|deviance| + 1) and the score X' (y - mu) has max-norm
+    <= SCORE_TOL.  A fit that runs to ``max_iter`` (e.g. under separation)
+    returns its last iterate with ``converged`` False.
     """
     X = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(response, dtype=float)
@@ -113,96 +103,76 @@ def fit_binary_glm(
         raise FitError("design has no rows")
     if y.shape[0] != n:
         raise FitError(f"response length {y.shape[0]} != design rows {n}")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape[0] != n:
-        raise FitError("weights length mismatch")
-    if np.any(w < 0):
-        raise FitError("weights must be nonnegative")
-    if not np.any(w > 0):
-        raise FitError("all weights are zero")
-    off = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
-    if off.shape[0] != n:
-        raise FitError("offset length mismatch")
     if np.any(y < 0) or np.any(y > 1):
         raise FitError("response must lie in [0, 1]")
 
     # Bit-identical to the textbook loop: X beta is kept from the last mu, mu is
-    # not re-clipped, and a design with no zero weight is used in place, in C
-    # order since BLAS sums in a layout-dependent order.  Each iteration's
-    # n-length quantities are formed in place, in the textbook's operation
-    # order, in buffers allocated once.
-    active = w > 0
-    if np.all(active):
-        Xa, ya, wa, offa = np.ascontiguousarray(X), y, w, off
-    else:
-        Xa, ya, wa, offa = X[active], y[active], w[active], off[active]
-    na, p = Xa.shape
-    leaders = _column_leaders(Xa)
+    # not re-clipped, and the design is used in C order since BLAS sums in a
+    # layout-dependent order.  Each iteration's n-length quantities are formed
+    # in place, in the textbook's operation order, in buffers allocated once.
+    X = np.ascontiguousarray(X)
+    p = X.shape[1]
+    leaders = _column_leaders(X)
     keep = np.flatnonzero(leaders == np.arange(p))
     reduced = np.ix_(keep, keep)
     group = np.searchsorted(keep, leaders)         # each column's merged coefficient
     share = np.bincount(group)[group].astype(float)
 
-    mu, xb, t1, t2, t3 = (np.empty(na) for _ in range(5))
-    XtW = np.empty((na, p)).T                      # the layout of Xa.T * irls_w
+    one_minus_y = np.subtract(1.0, y)
+    mu, xb, t1, t2 = (np.empty(n) for _ in range(4))
+    XtW = np.empty((n, p)).T                       # the layout of X.T * irls_w
 
     def update_mu_and_deviance():
-        np.add(offa, xb, out=mu)
-        expit(mu, out=mu)
+        expit(xb, out=mu)
         np.clip(mu, PROB_CLIP, 1.0 - PROB_CLIP, out=mu)
-        ll = np.multiply(np.log(mu, out=t1), ya, out=t1)
+        ll = np.multiply(np.log(mu, out=t1), y, out=t1)
         tail = np.log(np.subtract(1.0, mu, out=t2), out=t2)
-        tail *= np.subtract(1.0, ya, out=t3)
+        tail *= one_minus_y
         ll += tail
-        ll *= wa
         return -2.0 * float(np.sum(ll))
 
     beta = np.zeros(p)
-    np.matmul(Xa, beta, out=xb)
+    np.matmul(X, beta, out=xb)
     dev = update_mu_and_deviance()
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         np.subtract(1.0, mu, out=t1)
-        np.multiply(mu, t1, out=t2)                # var = mu (1 - mu)
-        np.multiply(wa, mu, out=t3)
-        t3 *= t1                                   # irls_w = w mu (1 - mu)
-        np.multiply(Xa.T, t3, out=XtW)
-        # working response on the linear-predictor scale, offset removed
-        np.subtract(ya, mu, out=t1)
+        np.multiply(mu, t1, out=t2)                # irls_w = var = mu (1 - mu)
+        np.multiply(X.T, t2, out=XtW)
+        # working response on the linear-predictor scale
+        np.subtract(y, mu, out=t1)
         np.maximum(t2, 1e-12, out=t2)
         t1 /= t2
         t1 += xb
-        lhs = (XtW @ Xa)[reduced] + ridge * np.eye(keep.size)
+        lhs = (XtW @ X)[reduced] + RIDGE * np.eye(keep.size)
         rhs = (XtW @ t1)[keep]
         try:
             beta = np.linalg.solve(lhs, rhs)[group] / share
         except np.linalg.LinAlgError:
             break
-        np.matmul(Xa, beta, out=xb)
+        np.matmul(X, beta, out=xb)
         dev_new = update_mu_and_deviance()
-        settled = abs(dev - dev_new) < tol * (abs(dev_new) + 1.0)
+        settled = abs(dev - dev_new) < DEV_TOL * (abs(dev_new) + 1.0)
         dev = dev_new
         if settled:
-            np.subtract(ya, mu, out=t1)
-            t1 *= wa
-            if np.max(np.abs(Xa.T @ t1), initial=0.0) <= SCORE_TOL:
+            np.subtract(y, mu, out=t1)
+            if np.max(np.abs(X.T @ t1), initial=0.0) <= SCORE_TOL:
                 converged = True
                 break
     return FittedModel(coef=beta, converged=converged, deviance=dev, n_iter=n_iter)
 
 
-def fit_constant(response: np.ndarray, weights: np.ndarray | None = None) -> FittedModel:
-    """Degenerate-fit shortcut: a model that predicts the weighted mean exactly."""
+def fit_constant(response: np.ndarray) -> FittedModel:
+    """Degenerate-fit shortcut: a model that predicts the mean exactly."""
     y = np.asarray(response, dtype=float)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    if not np.any(w > 0):
-        raise FitError("all weights are zero")
-    mean = float(np.sum(w * y) / np.sum(w))
+    if y.size == 0:
+        raise FitError("response has no rows")
+    mean = float(np.mean(y))
     return FittedModel(
         coef=np.array([logit(clip_probs(mean))]),
         converged=True,
-        deviance=-2.0 * _log_likelihood(y, np.full_like(y, max(mean, 1e-12)), w),
+        deviance=-2.0 * _log_likelihood(y, np.full_like(y, max(mean, 1e-12))),
         constant=mean,
     )
 
@@ -294,8 +264,7 @@ def fit_discrete_super_learner(
     Each candidate is (name, design) sharing the same response.  The member
     minimizing V-fold cross-validated quasi-binomial loss is refit on all data;
     ties break toward the earliest member.  Members that error on every fold
-    get no CV risk; if all members fail, raises FitError.  Every fit uses the
-    ``fit_binary_glm`` defaults.
+    get no CV risk; if all members fail, raises FitError.
     """
     if not candidates:
         raise FitError("empty learner library")
@@ -320,7 +289,7 @@ def fit_discrete_super_learner(
             except (FitError, np.linalg.LinAlgError):
                 failed_folds += 1
                 continue
-            total += -_log_likelihood(y[val], p, 1.0)
+            total += -_log_likelihood(y[val], p)
             n_scored += float(np.sum(val))
         if failed_folds < n_folds:
             cv_risks[name] = total / n_scored

@@ -378,10 +378,10 @@ def _load_error(path, header: list[str], exc: ValueError) -> DataError:
     return DataError(f"{path}: {exc}")
 
 
-def read_panel_csv(path, visit_times=None) -> TrialPanel:
+def read_panel_csv(path) -> TrialPanel:
     """Load a wide panel CSV.  Visit count and covariate widths are inferred
-    from the header; ``visit_times`` defaults to 0, 1, ..., K.  Columns may
-    come in any order; ``id`` and unknown columns are not parsed."""
+    from the header, and the visit times are 0, 1, ..., K.  Columns may come
+    in any order; ``id`` and unknown columns are not parsed."""
     with open(path) as fh:
         header = next(csv.reader(fh), None)
         if header is None:
@@ -417,8 +417,22 @@ def read_panel_csv(path, visit_times=None) -> TrialPanel:
                 raise DataError(f"{path}: column {c} holds {v[~ok][0]}, "
                                 "not an integer in -128..127")
         _wire_column(arrays, c)[:] = v
-    vt = np.arange(K + 1, dtype=float) if visit_times is None else visit_times
-    return TrialPanel(visit_times=np.asarray(vt, dtype=float), **arrays)
+    return TrialPanel(visit_times=np.arange(K + 1, dtype=float), **arrays)
+
+
+def _event_row_error(path, line: int, row: list[str], exc: Exception) -> DataError:
+    """A DataError naming the line and field of an event row that could not be read."""
+    where = f"{path}: line {line}"
+    if len(row) < 3:
+        return DataError(f"{where}: the row ends before field {('id', 'time', 'kind')[len(row)]}")
+    for name, text in [("time", row[1])] + [(f"v{j}", v) for j, v in enumerate(row[3:], 1) if v]:
+        try:
+            float(text)
+        except ValueError:
+            return DataError(f"{where}: field {name}: cannot read {text!r} as a number")
+    if isinstance(exc, IndexError):  # the event row is the one that indexes a value
+        return DataError(f"{where}: the event row has no delta (field v1)")
+    return DataError(f"{where}: {exc}")
 
 
 def read_event_csv(path) -> list[EventRecord]:
@@ -426,7 +440,8 @@ def read_event_csv(path) -> list[EventRecord]:
 
     Rows are ``id,time,kind,v1,v2,...`` with kind one of baseline, event,
     covariate, exposure_start, exposure_stop.  The baseline row carries
-    ``v1..vd`` = L0 followed by Z0 and A0; the event row has v1 = delta.
+    ``v1..vd`` = L0 followed by Z0 and A0; the event row has v1 = delta.  A
+    row that cannot be read raises DataError naming its line and field.
     """
     by_id: dict[str, dict] = {}
     order: list[str] = []
@@ -438,32 +453,37 @@ def read_event_csv(path) -> list[EventRecord]:
         for row in rd:
             if not row:
                 continue
-            sid, t, kind = row[0], float(row[1]), row[2]
-            vals = [x for x in row[3:] if x != ""]
-            if sid not in by_id:
-                by_id[sid] = {"expo_open": None, "intervals": [], "covs": [],
-                              "event": None, "base": None}
-                order.append(sid)
-            rec = by_id[sid]
-            if kind == "baseline":
-                if len(vals) < 3:
-                    raise DataError(f"{path}: baseline row for {sid} needs L0..,Z0,A0")
-                rec["base"] = (np.array([float(v) for v in vals[:-2]]),
-                               int(float(vals[-2])), int(float(vals[-1])))
-            elif kind == "event":
-                rec["event"] = (t, int(float(vals[0])))
-            elif kind == "covariate":
-                rec["covs"].append((t, np.array([float(v) for v in vals])))
-            elif kind == "exposure_start":
-                rec["expo_open"] = t
-            elif kind == "exposure_stop":
-                start = rec["expo_open"]
-                if start is None:
-                    raise DataError(f"{path}: exposure_stop without start for {sid}")
-                rec["intervals"].append((start, t))
-                rec["expo_open"] = None
-            else:
-                raise DataError(f"{path}: unknown kind '{kind}'")
+            try:
+                sid, t, kind = row[0], float(row[1]), row[2]
+                vals = [x for x in row[3:] if x != ""]
+                if sid not in by_id:
+                    by_id[sid] = {"expo_open": None, "intervals": [], "covs": [],
+                                  "event": None, "base": None}
+                    order.append(sid)
+                rec = by_id[sid]
+                if kind == "baseline":
+                    if len(vals) < 3:
+                        raise DataError(f"{path}: baseline row for {sid} needs L0..,Z0,A0")
+                    rec["base"] = (np.array([float(v) for v in vals[:-2]]),
+                                   int(float(vals[-2])), int(float(vals[-1])))
+                elif kind == "event":
+                    rec["event"] = (t, int(float(vals[0])))
+                elif kind == "covariate":
+                    rec["covs"].append((t, np.array([float(v) for v in vals])))
+                elif kind == "exposure_start":
+                    rec["expo_open"] = t
+                elif kind == "exposure_stop":
+                    start = rec["expo_open"]
+                    if start is None:
+                        raise DataError(f"{path}: exposure_stop without start for {sid}")
+                    rec["intervals"].append((start, t))
+                    rec["expo_open"] = None
+                else:
+                    raise DataError(f"{path}: unknown kind '{kind}'")
+            except DataError:
+                raise
+            except (ValueError, IndexError, OverflowError) as exc:
+                raise _event_row_error(path, rd.line_num, row, exc) from None
     records = []
     for sid in order:
         rec = by_id.pop(sid)  # the records take over its lists and arrays

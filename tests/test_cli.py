@@ -240,3 +240,45 @@ def test_stdout_json_is_the_file_text(tmp_path, capsys):
         printed = capsys.readouterr().out
         assert run(argv + ["--out", str(out)]) == 0
         assert printed == out.read_text()
+
+
+def test_request_policies_string_and_key_checks(tmp_path, capsys):
+    # a request may give its policies as a comma string, like --policies; a
+    # value of the wrong type and an unknown key are usage errors naming it
+    panel_path = tmp_path / "panel.csv"
+    assert run(["simulate", "--scenario", "scenario1", "--n", "300",
+                "--seed", "3", "--out", str(panel_path)]) == 0
+    request = tmp_path / "request.json"
+    capsys.readouterr()
+    outputs = []
+    for policies in ("static0,ignore", ["static0", "ignore"]):
+        request.write_text(json.dumps({"panel_path": str(panel_path), "policies": policies}))
+        assert run(["estimate", "--request", str(request), "--folds", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert set(json.loads(outputs[0])["policies"]) == {"static0", "ignore"}
+    for extra, named in (({"horizon": "5"}, "'horizon'"), ({"seed": True}, "'seed'"),
+                         ({"policies": "static0,bogus"}, "bogus"),
+                         ({"horizn": 5}, "horizn")):
+        request.write_text(json.dumps({"panel_path": str(panel_path), **extra}))
+        assert run(["estimate", "--request", str(request)]) == 1
+        assert named in capsys.readouterr().err
+
+
+def test_non_integer_thread_count_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LTMLE_THREADS", "abc")
+    out = tmp_path / "t.csv"
+    assert run(["replicate", "--scenario", "scenario1", "--policies", "static0", "--n", "200",
+                "--reps", "1", "--nmc", "2000", "--out", str(out)]) == 1
+    assert "LTMLE_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ingest_malformed_event_row_is_data_error(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_text("id,time,kind,v1,v2,v3\n"
+                      "p1,0,baseline,0.5,0,1\n"
+                      "p1,later,event,0,,\n")
+    assert run(["ingest", "--events", str(events), "--grid", "0,3,6",
+                "--out", str(tmp_path / "panel.csv")]) == 2
+    assert "line 3: field time" in capsys.readouterr().err

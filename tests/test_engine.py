@@ -5,7 +5,6 @@ from dropintmle import engine
 from dropintmle.engine import (
     EstimationError,
     clever_weight_path,
-    clever_weights,
     contrast,
     fit_g,
     fit_top_step,
@@ -184,9 +183,9 @@ def test_clever_weight_hand_value():
         c_mechs=[_Mech(kind="const", prob_const=0.0)] * K, g_floor=1e-3,
     )
     policy = ArmPolicy(a_value=1, z_spec=static_z(0))
-    h3 = clever_weights(panel, gfit, policy, 3)
+    h3 = clever_weight_path(panel, gfit, policy, 3)[2]
     assert h3[0] == pytest.approx((1 / 0.8) ** 3, abs=1e-12)   # three Z factors at k=3
-    h2 = clever_weights(panel, gfit, policy, 2)
+    h2 = clever_weight_path(panel, gfit, policy, 2)[1]
     assert h2[0] == pytest.approx(1 / 0.64, abs=1e-12)
     assert h2[1] == 0.0            # off-arm subject
     assert h2[2] == 0.0            # observed Z0=1 under z=0 policy
@@ -212,7 +211,7 @@ def test_observational_policy_weight_is_at_risk_indicator():
     gfit = fit_g(panel)
     policy = ArmPolicy(a_value=None, z_spec=observational_z())
     for k in (1, 3, 5):
-        h = clever_weights(panel, gfit, policy, k)
+        h = clever_weight_path(panel, gfit, policy, k)[k - 1]
         assert np.array_equal(h, at_risk_mask(panel, k).astype(float))
 
 
@@ -227,7 +226,7 @@ def test_matching_degenerate_policy_gives_unit_weights():
     gfit = fit_g(forced, randomized=False)
     policy = ArmPolicy(a_value=1, z_spec=observational_z())
     for k in (1, 4):
-        h = clever_weights(forced, gfit, policy, k)
+        h = clever_weight_path(forced, gfit, policy, k)[k - 1]
         assert set(np.unique(h)) <= {0.0, 1.0}
 
 

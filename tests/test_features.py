@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dropintmle.features import gstar_design, history_design, mechanism_design
+from dropintmle.features import gstar_columns, gstar_design, history_design, mechanism_design
 
 
 def test_intercept_map_shape(scenario1_panel):
@@ -74,7 +74,7 @@ def test_gstar_design_visits(scenario1_panel):
     assert X0.shape[1] == 1 + p.d_baseline
     X2 = gstar_design(p, 2)
     assert np.allclose(X2[:, 1], p.z_at(1))
-    X2s = gstar_design(p, 2, z_prev=1.0)
+    X2s = gstar_columns(p.L0, 2, 1.0)
     assert np.all(X2s[:, 1] == 1.0)
 
 

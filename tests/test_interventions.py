@@ -36,15 +36,8 @@ def test_observational_sentinel():
     assert gstar_prob(observational_z(), 1, k=2) is USE_OBSERVED_G
 
 
-def test_censoring_only_static_zero():
-    with pytest.raises(ValueError):
-        InterventionSpec(node="C", form="static", value=1)
-    with pytest.raises(ValueError):
-        InterventionSpec(node="C", form="dynamic")
-
-
 def test_unfitted_stochastic_raises():
-    spec = InterventionSpec(node="Z", form="stochastic")
+    spec = InterventionSpec(form="stochastic")
     with pytest.raises(ValueError, match="before fitting"):
         gstar_prob(spec, 1, k=1, l0=np.zeros((1, 1)), z_prev=0)
 
@@ -186,3 +179,11 @@ def test_stochastic_sticky_panel_tracks_persistence(gstar_panel):
     start = gstar_prob(spec, 1, k=2, l0=np.array([[0.0]]), z_prev=0)
     assert stay > 0.95
     assert start < 0.2
+
+
+def test_baseline_rule_follows_the_form():
+    # every form but dynamic replaces the visit-0 node; observational none
+    for spec, at_baseline in ((static_z(1), True), (InterventionSpec(form="stochastic"), True),
+                              (dynamic_z(), False), (observational_z(), False)):
+        assert spec.intervenes_at(0) is at_baseline
+        assert spec.intervenes_at(3) is (spec.form != "observational")

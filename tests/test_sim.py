@@ -167,7 +167,7 @@ def test_horizon_bounds():
 def test_stochastic_arm_requires_fit():
     from dropintmle.interventions import InterventionSpec
 
-    pol = ArmPolicy(a_value=0, z_spec=InterventionSpec(node="Z", form="stochastic"))
+    pol = ArmPolicy(a_value=0, z_spec=InterventionSpec(form="stochastic"))
     with pytest.raises(ValueError, match="fitted"):
         simulate_counterfactual_mean(SC1, pol, 5, 100, 1)
 
