@@ -12,7 +12,6 @@ from .engine import (
     contrast,
     fit_g,
     fit_top_step,
-    gcomp_arm,
     support_diagnostics,
     tmle_arm,
 )

@@ -19,7 +19,7 @@ import dataclasses
 import json
 import sys
 
-from .engine import EstimationError, contrast, fit_g, fit_top_step, tmle_arm
+from .engine import EstimationError, check_options, contrast, fit_g, fit_top_step, tmle_arm
 from .features import FEATURE_NAMES
 from .harness import POLICY_NAMES, _write_json, emit_report, n_workers, run_replications
 from .interventions import ArmPolicy, arm_pair, fit_stochastic_gstar, standard_policies
@@ -96,6 +96,8 @@ def _parse_policies(given: str | list) -> list[str]:
     """Policy names, given as a comma string or (from a request JSON) a list."""
     names = (given if isinstance(given, list)
              else [p.strip() for p in given.split(",") if p.strip()])
+    if not names:
+        raise UsageError(f"no policies given; choose from {list(POLICY_NAMES)}")
     bad = [p for p in names if p not in POLICY_NAMES]
     if bad:
         raise UsageError(f"unknown policies {bad}; choose from {list(POLICY_NAMES)}")
@@ -119,6 +121,16 @@ def _check_horizon(horizon, K, source) -> None:
         raise UsageError(f"--horizon {horizon} is outside 1..K; the {source} has K = {K}")
 
 
+def _check_options(args) -> None:
+    """Refuse a bad g floor or weight cap (see ``check_options``), or one fold."""
+    try:
+        check_options(args.g_floor, args.weight_cap)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if getattr(args, "folds", 2) < 2:
+        raise UsageError(f"--folds {args.folds} is below 2")
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
     panel = simulate_trial(cfg, args.n, args.seed)
@@ -131,10 +143,9 @@ def cmd_oracle(args) -> int:
     cfg = _load_scenario(args)
     arm, zname = _parse_arm_policy(args.policy)
     _check_horizon(args.horizon, cfg.n_visits, "scenario")
-    gstar = (fit_reference_gstar(cfg, n_fit=args.nfit, seed=args.seed + 900_001)
-             if zname == "stochastic" else None)
+    gstar = fit_reference_gstar(cfg, args.nfit, args.seed) if zname == "stochastic" else None
     spec = standard_policies(gstar)[zname]
-    policy = ArmPolicy(a_value=arm, z_spec=spec, name=args.policy)
+    policy = ArmPolicy(a_value=arm, z_spec=spec)
     res = simulate_counterfactual_mean(cfg, policy, args.horizon, args.nmc, args.seed)
     payload = {"arm": arm, "policy": zname, "horizon": res.horizon,
                "n_mc": res.n_mc, "risk": res.risk, "mc_se": res.mc_se}
@@ -160,9 +171,10 @@ def cmd_estimate(args) -> int:
             setattr(args, "panel" if key == "panel_path" else key, value)
     if not args.panel:
         raise UsageError("--panel (or --request with panel_path) is required")
-    panel = read_panel_csv(args.panel)
     policies = _parse_policies(args.policies)
     learner = _learner_from_args(args)
+    _check_options(args)
+    panel = read_panel_csv(args.panel)
     horizon = panel.K if args.horizon is None else args.horizon
     _check_horizon(horizon, panel.K, "panel")
     gfit = fit_g(panel, learner, g_floor=args.g_floor, seed=args.seed,
@@ -172,9 +184,8 @@ def cmd_estimate(args) -> int:
     top = fit_top_step(panel, learner, horizon, seed=args.seed, n_folds=args.folds)
     out = {"panel": args.panel, "horizon": horizon, "n": panel.n, "policies": {}}
     for name in policies:
-        p1, p0 = arm_pair(specs[name], name)
-        e1, e0 = (tmle_arm(panel, gfit, p, learner, horizon, weight_cap=args.weight_cap,
-                           seed=args.seed, n_folds=args.folds, top=top) for p in (p1, p0))
+        p1, p0 = arm_pair(specs[name])
+        e1, e0 = (tmle_arm(gfit, p, top, weight_cap=args.weight_cap) for p in (p1, p0))
         rep = contrast(e1, e0, name)
         out["policies"][name] = rep.to_dict()
     if args.out:
@@ -188,6 +199,7 @@ def cmd_estimate(args) -> int:
 def cmd_replicate(args) -> int:
     cfg = _load_scenario(args)
     policies = _parse_policies(args.policies)
+    _check_options(args)
     if args.horizon is not None:
         _check_horizon(args.horizon, cfg.n_visits, "scenario")
     try:

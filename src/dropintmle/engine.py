@@ -130,6 +130,15 @@ def _fit_mech(panel, node, k, mask, learner, seed, n_folds) -> _Mech:
     return _Mech(kind="glm", model=model, features=feats)
 
 
+def check_options(g_floor: float = 1e-3, weight_cap: float | None = None) -> None:
+    """Raise ValueError unless the g floor lies in [0, 0.5) and the weight cap
+    is None or a finite number above 0."""
+    if not 0 <= g_floor < 0.5:
+        raise ValueError(f"g floor {g_floor} is outside [0, 0.5)")
+    if weight_cap is not None and not (np.isfinite(weight_cap) and weight_cap > 0):
+        raise ValueError(f"weight cap {weight_cap} is not a finite number above 0")
+
+
 def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
           g_floor: float = 1e-3, randomized: bool = True, seed: int = 0,
           n_folds: int = 10) -> GFit:
@@ -144,6 +153,7 @@ def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
     with ``learner``: a feature-map name, or a list of them for the discrete
     super learner.
     """
+    check_options(g_floor=g_floor)
     report = validate_panel(panel)
     if not report.ok:
         v = report.violations[0]
@@ -258,7 +268,6 @@ class ArmEstimate:
     targeted: bool
     horizon: int
     n: int = 0
-    policy_name: str = ""
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -308,8 +317,8 @@ def _fit_step(panel, learner, pseudo, l, seed, n_folds):
 @dataclass(frozen=True)
 class TopStep:
     """The step-``horizon`` outcome regression fitted on ``panel``: its rows,
-    model and chosen features, the settings it was fitted with, and a memo of
-    pre-fluctuation predictions keyed by the substituted (a, z) values."""
+    model and chosen features, the settings of every step of an arm, and a
+    memo of pre-fluctuation predictions keyed by the substituted (a, z) values."""
 
     panel: TrialPanel
     rows: np.ndarray
@@ -335,8 +344,8 @@ class TopStep:
 
 def fit_top_step(panel, learner="running_avg", horizon=None, seed=0,
                  n_folds=10) -> TopStep:
-    """Fit the horizon step once for every ``tmle_arm`` / ``gcomp_arm`` call on
-    ``panel`` with the same learner, horizon, seed and n_folds (pass ``top``)."""
+    """Fit the horizon step of ``panel`` once; every ``tmle_arm`` call on the
+    panel shares it and takes its learner, horizon, seed and n_folds."""
     horizon = panel.K if horizon is None else horizon
     if not 1 <= horizon <= panel.K:
         raise ValueError(f"horizon must lie in 1..{panel.K}")
@@ -345,24 +354,17 @@ def fit_top_step(panel, learner="running_avg", horizon=None, seed=0,
     return TopStep(panel, rows, model, feats, horizon, learner, seed, n_folds)
 
 
-def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
-             learner: str | list[str] = "running_avg",
-             horizon: int | None = None, *, targeted: bool = True,
-             weight_cap: float | None = None, seed: int = 0,
-             n_folds: int = 10, top: TopStep | None = None) -> ArmEstimate:
-    """Targeted (or plain sequential-regression) estimate for one arm.
+def tmle_arm(gfit: GFit, policy: ArmPolicy, top: TopStep, *, targeted: bool = True,
+             weight_cap: float | None = None) -> ArmEstimate:
+    """Targeted (or plain sequential-regression) estimate for one arm on
+    ``top.panel``, with every step fitted like ``top``.
 
     With ``targeted`` False the fluctuation steps are skipped, giving the
     non-targeted g-computation estimator; no influence-curve values or
-    variance are attached in that case.  ``top`` is the panel's shared
-    horizon step (see ``fit_top_step``); it is fitted here when not given.
+    variance are attached in that case.
     """
-    if top is None:
-        top = fit_top_step(panel, learner, horizon, seed, n_folds)
-    elif top.panel is not panel or (top.learner, top.horizon, top.seed, top.n_folds) != (
-            learner, panel.K if horizon is None else horizon, seed, n_folds):
-        raise ValueError("top step fitted on another panel or with other settings")
-    learner, horizon, n = top.learner, top.horizon, panel.n
+    check_options(weight_cap=weight_cap)
+    panel, horizon, n = top.panel, top.horizon, top.panel.n
 
     H, floored = (_weight_path(panel, gfit, policy, horizon, weight_cap) if targeted
                   else (None, {}))
@@ -375,7 +377,7 @@ def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
         if l == horizon:
             obs_mask, model, predict = top.rows, top.model, top.predict
         else:
-            obs_mask, model, feats = _fit_step(panel, learner, pseudo, l, seed, n_folds)
+            obs_mask, model, feats = _fit_step(panel, top.learner, pseudo, l, top.seed, top.n_folds)
             predict = partial(_predict_step, panel, model, feats, l)
         at_risk_counts.append(int(obs_mask.sum()))
         preds = predict()
@@ -433,14 +435,7 @@ def tmle_arm(panel: TrialPanel, gfit: GFit, policy: ArmPolicy,
             warnings.warn(f"influence-curve equation poorly solved: "
                           f"mean={diagnostics['mean_eic']:.3e}")
     return ArmEstimate(psi=psi, eic=eic, targeted=targeted, horizon=horizon,
-                       n=n, policy_name=policy.name, diagnostics=diagnostics)
-
-
-def gcomp_arm(panel, gfit, policy, learner="running_avg", horizon=None, seed=0, *,
-              n_folds=10, top=None) -> ArmEstimate:
-    """Non-targeted sequential g-computation (no fluctuation, no variance)."""
-    return tmle_arm(panel, gfit, policy, learner, horizon, targeted=False, seed=seed,
-                    n_folds=n_folds, top=top)
+                       n=n, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

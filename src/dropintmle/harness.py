@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (EstimateReport, EstimationError, contrast, fit_g, fit_top_step, gcomp_arm,
-                     tmle_arm)
+from .engine import (EstimateReport, EstimationError, check_options, contrast, fit_g,
+                     fit_top_step, tmle_arm)
 from .interventions import arm_pair, fit_stochastic_gstar, standard_policies
 from .sim import (
     ScenarioConfig,
@@ -125,7 +125,8 @@ def _replication_worker(args):
     panel = simulate_trial(cfg, n, seed_r)
     try:
         gfit = fit_g(panel, g_floor=g_floor)
-        gstar = fit_stochastic_gstar(panel) if "stochastic" in policy_names else None
+        gstar = (fit_stochastic_gstar(panel, upto=horizon) if "stochastic" in policy_names
+                 else None)
         specs = standard_policies(gstar)
         top = fit_top_step(panel, q_learner, horizon)
     except Exception as exc:  # a dead panel fails every policy
@@ -134,9 +135,8 @@ def _replication_worker(args):
     out = {}
     for name in policy_names:
         try:
-            p1, p0 = arm_pair(specs[name], name)
-            e1, e0 = (tmle_arm(panel, gfit, p, q_learner, horizon, weight_cap=weight_cap,
-                               top=top) for p in (p1, p0))
+            p1, p0 = arm_pair(specs[name])
+            e1, e0 = (tmle_arm(gfit, p, top, weight_cap=weight_cap) for p in (p1, p0))
             if not (e1.diagnostics["fluct_converged"] and e0.diagnostics["fluct_converged"]):
                 raise EstimationError("fluctuation did not converge")
             rep = contrast(e1, e0, name)
@@ -147,8 +147,7 @@ def _replication_worker(args):
             mean_eic = max(abs(e1.mean_eic), abs(e0.mean_eic))
             gpsi = None
             if include_gcomp:
-                g1, g0 = (gcomp_arm(panel, gfit, p, q_learner, horizon, top=top)
-                          for p in (p1, p0))
+                g1, g0 = (tmle_arm(gfit, p, top, targeted=False) for p in (p1, p0))
                 gpsi = g1.psi - g0.psi
             out[name] = PolicyRun(psi=rep.psi, se=rep.se, ci_low=rep.ci_low,
                                   ci_high=rep.ci_high, max_weight=maxw,
@@ -161,8 +160,7 @@ def _replication_worker(args):
 def compute_truths(cfg: ScenarioConfig, policy_names, horizon, n_mc, seed,
                    n_fit: int = 1_000_000):
     """Oracle risk-difference truths per policy (paired hypothetical arms)."""
-    gstar_ref = (fit_reference_gstar(cfg, n_fit=n_fit, seed=seed + 900_001)
-                 if "stochastic" in policy_names else None)
+    gstar_ref = fit_reference_gstar(cfg, n_fit, seed) if "stochastic" in policy_names else None
     specs = standard_policies(gstar_ref)
     truths = {}
     for name in policy_names:
@@ -192,7 +190,10 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
                          f"K = {cfg.n_visits}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    check_options(g_floor, weight_cap)
     policy_names = list(policies)
+    if not policy_names:
+        raise ValueError("no policies to estimate")
     workers = n_workers() if workers is None else workers
 
     if truths is None:

@@ -81,7 +81,6 @@ class ArmPolicy:
 
     a_value: int | None
     z_spec: InterventionSpec
-    name: str = ""
 
     def a_intervenes(self) -> bool:
         return self.a_value is not None
@@ -176,7 +175,6 @@ def standard_policies(stochastic_spec: InterventionSpec | None = None
     return pol
 
 
-def arm_pair(z_spec: InterventionSpec, name: str = "") -> tuple[ArmPolicy, ArmPolicy]:
+def arm_pair(z_spec: InterventionSpec) -> tuple[ArmPolicy, ArmPolicy]:
     """The two hypothetical arms (active, control) sharing one balancing form."""
-    return (ArmPolicy(a_value=1, z_spec=z_spec, name=f"{name}:a1"),
-            ArmPolicy(a_value=0, z_spec=z_spec, name=f"{name}:a0"))
+    return ArmPolicy(a_value=1, z_spec=z_spec), ArmPolicy(a_value=0, z_spec=z_spec)

@@ -102,25 +102,22 @@ def _normals(seed, visit, node, n):
 
 
 class _RunningAverages:
-    """Incrementally maintained (optionally discounted) running averages."""
+    """Incrementally maintained (optionally discounted) running averages of Z and L."""
 
-    def __init__(self, a0, z0, l0, decay):
+    def __init__(self, z0, l0, decay):
         self.decay = decay
-        self.a = a0.astype(float).copy()
         self.z = z0.astype(float).copy()
         self.l = l0.astype(float).copy()
-        self._a_sum = a0.astype(float).copy()
         self._z_sum = z0.astype(float).copy()
         self._l_sum = l0.astype(float).copy()
         self._wsum = 1.0
 
-    def push(self, a, z, l):
+    def push(self, z, l):
         lam = 1.0 if self.decay is None else self.decay   # 1.0 * x == x: plain sums
-        for total, x in ((self._a_sum, a), (self._z_sum, z), (self._l_sum, l)):
+        for total, x in ((self._z_sum, z), (self._l_sum, l)):
             total *= lam
             total += x
         self._wsum = lam * self._wsum + 1.0
-        self.a = self._a_sum / self._wsum
         self.z = self._z_sum / self._wsum
         self.l = self._l_sum / self._wsum
 
@@ -141,14 +138,13 @@ def _sample_z(policy_spec, k, u, l_curr, z_prev, l0, z0, config):
 def _simulate(config: ScenarioConfig, n: int, seed: int,
               a_value: int | None = None,
               z_spec: InterventionSpec | None = None,
-              censor_free: bool = False,
               keep_panel: bool = True,
               horizon: int | None = None):
     """Shared core for factual and counterfactual simulation.
 
     Returns a TrialPanel when ``keep_panel``, else the event-status vector at
-    ``horizon``.  Absorbed subjects carry their last covariate/treatment
-    values forward; those payloads are ignored downstream.
+    ``horizon`` of a censoring-free run.  Absorbed subjects carry their last
+    covariate/treatment values forward; those payloads are ignored downstream.
     """
     if n < 1:
         raise ValueError("need at least one subject")
@@ -164,7 +160,8 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
         a0 = np.full(n, a_value, dtype=np.int8)
     z0 = _sample_z(z_spec, 0, _uniforms(seed, 0, _NODE_Z0, n), None, None, l0, None, config)
 
-    avg = _RunningAverages(a0, z0, l0, config.avg_decay)
+    a_avg = a0.astype(float)  # full adherence: A_k = A_0
+    avg = _RunningAverages(z0, l0, config.avg_decay)
     y_abs = np.zeros(n, dtype=bool)
     d_abs = np.zeros(n, dtype=bool)
     c_abs = np.zeros(n, dtype=bool)
@@ -182,7 +179,7 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
     for k in range(1, K + 1):
         at_risk = ~(y_abs | d_abs | c_abs)
 
-        if not censor_free and config.censor_hazard > 0:
+        if keep_panel and config.censor_hazard > 0:
             u = _uniforms(seed, k, _NODE_C, n)
             newly_c = at_risk & (u < config.censor_hazard)
         else:
@@ -197,7 +194,7 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
         alive = alive & ~newly_d
 
         hazard = expit(config.outcome_slope
-                       * (avg.l - avg.a - config.p_zy * avg.z)
+                       * (avg.l - a_avg - config.p_zy * avg.z)
                        + config.outcome_intercept)
         u = _uniforms(seed, k, _NODE_Y, n)
         newly_y = alive & (u < hazard)
@@ -212,18 +209,17 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
 
         if k <= K - 1:
             survivors = ~(y_abs | d_abs | c_abs)
-            mean_l = l_prev - config.covariate_drift_coef * (avg.a + config.p_z * avg.z)
+            mean_l = l_prev - config.covariate_drift_coef * (a_avg + config.p_z * avg.z)
             draw_l = mean_l + config.covariate_noise_sd * _normals(seed, k, _NODE_L, n)
             l_curr = np.where(survivors, draw_l, l_prev)
             u = _uniforms(seed, k, _NODE_Z, n)
             z_drawn = _sample_z(z_spec, k, u, l_curr, z_prev, l0, z0, config)
             z_curr = np.where(survivors, z_drawn, z_prev).astype(np.int8)
-            a_curr = a0  # full adherence
             if keep_panel:
                 L[k - 1, :, 0] = l_curr
-                A[k - 1] = a_curr
+                A[k - 1] = a0
                 Z[k - 1] = z_curr
-            avg.push(a_curr.astype(float), z_curr.astype(float), l_curr)
+            avg.push(z_curr.astype(float), l_curr)
             l_prev, z_prev = l_curr, z_curr
         if not keep_panel and k == horizon:
             return y_abs.astype(np.int8)
@@ -253,8 +249,7 @@ def simulate_counterfactual_mean(config: ScenarioConfig, policy: ArmPolicy,
     """Ground-truth event risk at ``horizon`` under an arm policy, by direct
     sampling from the post-interventional distribution."""
     y = _simulate(config, n_mc, seed, a_value=policy.a_value,
-                  z_spec=policy.z_spec, censor_free=True,
-                  keep_panel=False, horizon=horizon)
+                  z_spec=policy.z_spec, keep_panel=False, horizon=horizon)
     risk = float(np.mean(y))
     se = float(np.sqrt(max(risk * (1.0 - risk), 0.0) / n_mc))
     return OracleResult(risk=risk, mc_se=se, n_mc=n_mc, horizon=horizon)
@@ -274,10 +269,10 @@ def oracle_risk_difference(config: ScenarioConfig, z_spec: InterventionSpec,
                            horizon: int, n_mc: int, seed: int) -> OracleContrast:
     """Paired-arm oracle: both hypothetical arms reuse the same randomness, so
     the Monte-Carlo error of the difference reflects the paired design."""
-    y1 = _simulate(config, n_mc, seed, a_value=1, z_spec=z_spec,
-                   censor_free=True, keep_panel=False, horizon=horizon)
-    y0 = _simulate(config, n_mc, seed, a_value=0, z_spec=z_spec,
-                   censor_free=True, keep_panel=False, horizon=horizon)
+    y1 = _simulate(config, n_mc, seed, a_value=1, z_spec=z_spec, keep_panel=False,
+                   horizon=horizon)
+    y0 = _simulate(config, n_mc, seed, a_value=0, z_spec=z_spec, keep_panel=False,
+                   horizon=horizon)
     diff = y1.astype(float) - y0.astype(float)
     psi = float(np.mean(diff))
     se = float(np.std(diff, ddof=1) / np.sqrt(n_mc))
@@ -285,11 +280,10 @@ def oracle_risk_difference(config: ScenarioConfig, z_spec: InterventionSpec,
                           risk0=float(np.mean(y0)), n_mc=n_mc, horizon=horizon)
 
 
-def fit_reference_gstar(config: ScenarioConfig, n_fit: int = 1_000_000,
-                        seed: int = 20_240_001):
+def fit_reference_gstar(config: ScenarioConfig, n_fit: int, seed: int):
     """Canonical balancing law for oracle truths: the stochastic intervention
-    fitted once on a large observational panel from the scenario."""
-    panel = simulate_trial(config, n_fit, seed)
+    fitted on an ``n_fit``-subject observational panel drawn at seed + 900 001."""
+    panel = simulate_trial(config, n_fit, seed + 900_001)
     return fit_stochastic_gstar(panel)
 
 

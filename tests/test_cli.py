@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from dropintmle.cli import cli_main
@@ -282,3 +281,50 @@ def test_ingest_malformed_event_row_is_data_error(tmp_path, capsys):
     assert run(["ingest", "--events", str(events), "--grid", "0,3,6",
                 "--out", str(tmp_path / "panel.csv")]) == 2
     assert "line 3: field time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("opts,named", [
+    (["--weight-cap", "-1"], "weight cap"),
+    (["--weight-cap", "0"], "weight cap"),
+    (["--weight-cap", "nan"], "weight cap"),
+    (["--g-floor", "0.7"], "g floor"),
+    (["--g-floor", "0.5"], "g floor"),
+    (["--folds", "1", "--learner", "main,running_avg"], "--folds"),
+    (["--policies", " , "], "policies"),
+], ids=["cap-1", "cap0", "capnan", "floor0.7", "floor0.5", "folds1", "no-policies"])
+def test_estimate_out_of_range_option_is_usage_error(tmp_path, capsys, opts, named):
+    panel_path = tmp_path / "panel.csv"
+    assert run(["simulate", "--scenario", "scenario1", "--n", "300",
+                "--seed", "3", "--out", str(panel_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "est.json"
+    assert run(["estimate", "--panel", str(panel_path), "--out", str(out)] + opts) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra,named", [
+    ({"weight_cap": -1}, "weight cap"), ({"g_floor": 0.7}, "g floor"),
+    ({"policies": []}, "policies"),
+], ids=["cap", "floor", "no-policies"])
+def test_request_out_of_range_value_is_usage_error(tmp_path, capsys, extra, named):
+    panel_path = tmp_path / "panel.csv"
+    assert run(["simulate", "--scenario", "scenario1", "--n", "300",
+                "--seed", "3", "--out", str(panel_path)]) == 0
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps({"panel_path": str(panel_path), **extra}))
+    capsys.readouterr()
+    assert run(["estimate", "--request", str(request)]) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("opts,named", [
+    (["--weight-cap", "-1"], "weight cap"), (["--g-floor", "0.7"], "g floor"),
+    (["--policies", ","], "policies"),
+], ids=["cap", "floor", "no-policies"])
+def test_replicate_out_of_range_option_is_usage_error(tmp_path, capsys, opts, named):
+    out = tmp_path / "t.csv"
+    assert run(["replicate", "--scenario", "scenario1", "--policies", "static0", "--n", "200",
+                "--reps", "1", "--nmc", "2000", "--workers", "1", "--out", str(out)] + opts) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()

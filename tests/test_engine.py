@@ -8,7 +8,6 @@ from dropintmle.engine import (
     contrast,
     fit_g,
     fit_top_step,
-    gcomp_arm,
     support_diagnostics,
     tmle_arm,
 )
@@ -95,6 +94,11 @@ def toy_gfit(toy_panel):
     return fit_g(toy_panel, learner=SAT, g_floor=0.0, randomized=False)
 
 
+@pytest.fixture(scope="module")
+def toy_top(toy_panel):
+    return fit_top_step(toy_panel, SAT)
+
+
 @pytest.mark.parametrize("z_rule,spec_maker", [
     ("z0", lambda: static_z(0)),
     ("z1", lambda: static_z(1)),
@@ -102,11 +106,11 @@ def toy_gfit(toy_panel):
     ("obs", observational_z),
 ])
 @pytest.mark.parametrize("a_val", [0, 1])
-def test_enumeration_equivalence_k2(toy_panel, toy_gfit, z_rule, spec_maker, a_val):
+def test_enumeration_equivalence_k2(toy_panel, toy_gfit, toy_top, z_rule, spec_maker, a_val):
     policy = ArmPolicy(a_value=a_val, z_spec=spec_maker())
     truth = enumerate_truth(toy_panel, a_val, z_rule)
-    tm = tmle_arm(toy_panel, toy_gfit, policy, learner=SAT)
-    gc = gcomp_arm(toy_panel, toy_gfit, policy, learner=SAT)
+    tm = tmle_arm(toy_gfit, policy, toy_top)
+    gc = tmle_arm(toy_gfit, policy, toy_top, targeted=False)
     assert tm.psi == pytest.approx(truth, abs=1e-8)
     assert gc.psi == pytest.approx(truth, abs=1e-8)
     # targeting is a no-op at the saturated fit
@@ -118,15 +122,16 @@ def test_enumeration_equivalence_k2(toy_panel, toy_gfit, z_rule, spec_maker, a_v
 def test_enumeration_equivalence_k1(toy_panel, toy_gfit, a_val):
     policy = ArmPolicy(a_value=a_val, z_spec=static_z(0))
     truth = enumerate_truth(toy_panel, a_val, "z0", horizon=1)
-    tm = tmle_arm(toy_panel, toy_gfit, policy, learner=SAT, horizon=1)
+    tm = tmle_arm(toy_gfit, policy, fit_top_step(toy_panel, SAT, horizon=1))
     assert tm.psi == pytest.approx(truth, abs=1e-10)
 
 
-def test_horizon_monotone_on_toy(toy_panel, toy_gfit):
+def test_horizon_monotone_on_toy(toy_panel, toy_gfit, toy_top):
+    top1 = fit_top_step(toy_panel, SAT, horizon=1)
     for a_val in (0, 1):
         policy = ArmPolicy(a_value=a_val, z_spec=static_z(0))
-        psi1 = tmle_arm(toy_panel, toy_gfit, policy, learner=SAT, horizon=1).psi
-        psi2 = tmle_arm(toy_panel, toy_gfit, policy, learner=SAT, horizon=2).psi
+        psi1 = tmle_arm(toy_gfit, policy, top1).psi
+        psi2 = tmle_arm(toy_gfit, policy, toy_top).psi
         assert psi2 >= psi1 - 1e-10
 
 
@@ -138,8 +143,8 @@ def test_death_reduces_risk_but_keeps_denominator():
     g1 = fit_g(with_death, learner=SAT, g_floor=0.0, randomized=False)
     g2 = fit_g(no_death, learner=SAT, g_floor=0.0, randomized=False)
     pol = ArmPolicy(a_value=0, z_spec=static_z(0))
-    r_death = tmle_arm(with_death, g1, pol, learner=SAT).psi
-    r_free = tmle_arm(no_death, g2, pol, learner=SAT).psi
+    r_death = tmle_arm(g1, pol, fit_top_step(with_death, SAT)).psi
+    r_free = tmle_arm(g2, pol, fit_top_step(no_death, SAT)).psi
     assert r_death < r_free
 
 
@@ -265,13 +270,13 @@ def floored_sc2():
     # scenario 2 at a coarse floor: many concomitant probabilities hit it
     panel = simulate_trial(scenario_presets()["scenario2"], 2000, 12)
     gstar = fit_stochastic_gstar(panel)
-    return panel, fit_g(panel, g_floor=0.05), gstar
+    return panel, fit_g(panel, g_floor=0.05), gstar, fit_top_step(panel)
 
 
 def test_floored_counts_are_per_arm(floored_sc2):
     # one shared gfit across policies and arms: every arm reports the floored
     # probabilities its own weight path used, nothing carried over
-    panel, gfit, gstar = floored_sc2
+    panel, gfit, gstar, top = floored_sc2
     lo, hi = 0.05, 0.95
     direct = {}
     for j in range(panel.K):
@@ -280,8 +285,8 @@ def test_floored_counts_are_per_arm(floored_sc2):
         direct[f"Z{j}"] = int(np.sum(((p1 < lo) | (p1 > hi)) & used))
     assert sum(direct.values()) > 0
     for name, spec in standard_policies(gstar).items():
-        p1, p0 = arm_pair(spec, name)
-        counts = [tmle_arm(panel, gfit, pol).diagnostics["floored_counts"]
+        p1, p0 = arm_pair(spec)
+        counts = [tmle_arm(gfit, pol, top).diagnostics["floored_counts"]
                   for pol in (p1, p0)]
         z_counts = [{k: v for k, v in c.items() if k.startswith("Z")} for c in counts]
         want = {f"Z{j}": direct[f"Z{j}"] for j in range(panel.K)
@@ -293,10 +298,10 @@ def test_floored_counts_are_per_arm(floored_sc2):
 
 @pytest.mark.parametrize("cap", [None, 8.0])
 def test_arm_weight_summary_matches_support_diagnostics(floored_sc2, cap):
-    panel, gfit, gstar = floored_sc2
+    panel, gfit, gstar, top = floored_sc2
     for spec in (static_z(0), gstar):
         pol = ArmPolicy(a_value=1, z_spec=spec)
-        est = tmle_arm(panel, gfit, pol, weight_cap=cap)
+        est = tmle_arm(gfit, pol, top, weight_cap=cap)
         assert est.diagnostics["weights"] == support_diagnostics(panel, gfit, pol,
                                                                  weight_cap=cap)
 
@@ -314,31 +319,27 @@ def test_shared_top_step_is_bit_identical(case, scenario1_panel):
         learner = ["main", "running_avg"]
     gfit = fit_g(panel, learner, seed=seed, n_folds=n_folds)
     top = fit_top_step(panel, learner, None, seed, n_folds)
-    for name, spec in standard_policies(fit_stochastic_gstar(panel)).items():
-        for pol in arm_pair(spec, name):
-            for targeted in (True, False):
-                own, shared = (tmle_arm(panel, gfit, pol, learner, targeted=targeted,
-                                        seed=seed, n_folds=n_folds, top=t)
-                               for t in (None, top))
-                assert own.psi == shared.psi
-                assert own.diagnostics == shared.diagnostics
-                if targeted:
-                    assert np.array_equal(own.eic, shared.eic)
+    arms = [pol for spec in standard_policies(fit_stochastic_gstar(panel)).values()
+            for pol in arm_pair(spec)]
+
+    def estimates(pol):
+        return [tmle_arm(gfit, pol, top, targeted=targeted) for targeted in (True, False)]
+
+    alone = []
+    for pol in arms:          # each arm on a memo that only it has filled
+        top.memo.clear()
+        alone.append(estimates(pol))
+    for pol in arms:          # every arm's substitutions in the memo
+        estimates(pol)
     # observed histories, static/stochastic pairs (a, 0), (a, 1), dynamic
     # (a, Z0) and observational (a, observed): the five policies share nine
     assert len(top.memo) == 9
-
-
-def test_gcomp_arm_forwards_n_folds():
-    panel, seed = build_k8_panel(), 5
-    learner = ["main", "running_avg"]
-    gfit = fit_g(panel, learner, seed=seed, n_folds=2)
-    top = fit_top_step(panel, learner, None, seed, 2)
-    for pol in arm_pair(static_z(0), "static0"):
-        gc = gcomp_arm(panel, gfit, pol, learner, seed=seed, n_folds=2, top=top)
-        plain = tmle_arm(panel, gfit, pol, learner, targeted=False, seed=seed, n_folds=2,
-                         top=top)
-        assert gc.psi == plain.psi and gc.diagnostics == plain.diagnostics
+    for pol, first in zip(arms, alone):
+        for before, after in zip(first, estimates(pol)):
+            assert before.psi == after.psi
+            assert before.diagnostics == after.diagnostics
+            if before.targeted:
+                assert np.array_equal(before.eic, after.eic)
 
 
 def test_replication_makes_no_duplicate_fit(monkeypatch):
@@ -356,23 +357,6 @@ def test_replication_makes_no_duplicate_fit(monkeypatch):
     assert all(p.failures == 0 for p in table.policies.values())
     duplicates = len(fits) - len(set(fits))
     assert fits and duplicates == 0
-
-
-def test_mismatched_top_step_raises(scenario1_panel):
-    panel = scenario1_panel
-    gfit = fit_g(panel)
-    pol = ArmPolicy(a_value=1, z_spec=static_z(0))
-    top = fit_top_step(panel)
-    assert tmle_arm(panel, gfit, pol, top=top).psi == tmle_arm(panel, gfit, pol).psi
-    for kwargs in ({"horizon": panel.K - 1}, {"seed": 1}, {"n_folds": 5},
-                   {"learner": "main"}):
-        with pytest.raises(ValueError, match="top step"):
-            tmle_arm(panel, gfit, pol, top=top, **kwargs)
-    # another panel, of another size or of the same size from another seed
-    for other in (simulate_trial(scenario_presets()["scenario1"], 500, 2),
-                  simulate_trial(scenario_presets()["scenario1"], panel.n, 2)):
-        with pytest.raises(ValueError, match="top step"):
-            gcomp_arm(other, fit_g(other), pol, top=top)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +406,7 @@ def test_fit_g_rejects_invalid_panel():
 
 
 # ---------------------------------------------------------------------------
-# tmle_arm / gcomp_arm behavior
+# tmle_arm behavior
 
 
 def test_degenerate_outcome_panel_gives_zero():
@@ -434,7 +418,7 @@ def test_degenerate_outcome_panel_gives_zero():
     panel = simulate_trial(dead, 2000, 51)
     assert panel.Y.sum() == 0
     gfit = fit_g(panel)
-    est = tmle_arm(panel, gfit, ArmPolicy(a_value=1, z_spec=static_z(0)))
+    est = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), fit_top_step(panel))
     assert abs(est.psi) <= 1e-5
     assert np.all(np.abs(est.eic) <= 1e-5)
 
@@ -442,9 +426,10 @@ def test_degenerate_outcome_panel_gives_zero():
 def test_eic_mean_zero_and_step_scores(scenario1_panel):
     gfit = fit_g(scenario1_panel)
     gstar = fit_stochastic_gstar(scenario1_panel)
+    top = fit_top_step(scenario1_panel)
     for spec in (static_z(0), static_z(1), dynamic_z(), observational_z(), gstar):
         for a in (0, 1):
-            est = tmle_arm(scenario1_panel, gfit, ArmPolicy(a_value=a, z_spec=spec))
+            est = tmle_arm(gfit, ArmPolicy(a_value=a, z_spec=spec), top)
             assert abs(est.mean_eic) <= 1e-8
             assert all(abs(s) <= 1e-8 for s in est.diagnostics["step_scores"])
             assert est.diagnostics["fluct_converged"]
@@ -452,7 +437,7 @@ def test_eic_mean_zero_and_step_scores(scenario1_panel):
 
 def test_psi_equals_mean_of_final_projection(scenario1_panel):
     gfit = fit_g(scenario1_panel)
-    est = tmle_arm(scenario1_panel, gfit, ArmPolicy(a_value=1, z_spec=static_z(0)))
+    est = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), fit_top_step(scenario1_panel))
     assert 0.0 <= est.psi <= 1.0
     assert est.n == scenario1_panel.n
 
@@ -468,17 +453,29 @@ def test_empty_risk_set_raises():
 
 
 def test_horizon_validation(scenario1_panel):
+    for horizon in (0, 9):
+        with pytest.raises(ValueError, match="horizon"):
+            fit_top_step(scenario1_panel, horizon=horizon)
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, float("nan"), float("inf")])
+def test_weight_cap_outside_positive_reals_raises(scenario1_panel, cap):
     gfit = fit_g(scenario1_panel)
-    with pytest.raises(ValueError):
-        tmle_arm(scenario1_panel, gfit, ArmPolicy(a_value=1, z_spec=static_z(0)),
-                 horizon=9)
+    with pytest.raises(ValueError, match="weight cap"):
+        tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), fit_top_step(scenario1_panel),
+                 weight_cap=cap)
+
+
+@pytest.mark.parametrize("g_floor", [-0.1, 0.5, 0.7, float("nan")])
+def test_g_floor_outside_half_interval_raises(scenario1_panel, g_floor):
+    with pytest.raises(ValueError, match="g floor"):
+        fit_g(scenario1_panel, g_floor=g_floor)
 
 
 def test_gcomp_has_no_variance(scenario1_panel):
     gfit = fit_g(scenario1_panel)
-    p1, p0 = arm_pair(static_z(0), "static0")
-    g1 = gcomp_arm(scenario1_panel, gfit, p1)
-    g0 = gcomp_arm(scenario1_panel, gfit, p0)
+    top = fit_top_step(scenario1_panel)
+    g1, g0 = (tmle_arm(gfit, p, top, targeted=False) for p in arm_pair(static_z(0)))
     assert g1.eic is None
     rep = contrast(g1, g0, "static0")
     assert rep.se is None and rep.ci_low is None
@@ -487,7 +484,7 @@ def test_gcomp_has_no_variance(scenario1_panel):
 
 def test_contrast_identical_arms(scenario1_panel):
     gfit = fit_g(scenario1_panel)
-    e = tmle_arm(scenario1_panel, gfit, ArmPolicy(a_value=1, z_spec=static_z(0)))
+    e = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), fit_top_step(scenario1_panel))
     rep = contrast(e, e, "self")
     assert rep.psi == 0.0
     assert rep.ci_low == pytest.approx(-rep.ci_high, abs=1e-15)
@@ -495,9 +492,8 @@ def test_contrast_identical_arms(scenario1_panel):
 
 def test_contrast_ci_formula(scenario1_panel):
     gfit = fit_g(scenario1_panel)
-    p1, p0 = arm_pair(dynamic_z(), "dynamic")
-    e1 = tmle_arm(scenario1_panel, gfit, p1)
-    e0 = tmle_arm(scenario1_panel, gfit, p0)
+    top = fit_top_step(scenario1_panel)
+    e1, e0 = (tmle_arm(gfit, p, top) for p in arm_pair(dynamic_z()))
     rep = contrast(e1, e0, "dynamic")
     se = np.std(e1.eic - e0.eic, ddof=1) / np.sqrt(scenario1_panel.n)
     assert rep.se == pytest.approx(se, abs=1e-14)
@@ -530,8 +526,8 @@ def test_super_learner_selects_informative_map_across_seeds():
 def test_tmle_with_learner_library(scenario1_panel):
     library = ["running_avg", "intercept"]
     gfit = fit_g(scenario1_panel, library)
-    est = tmle_arm(scenario1_panel, gfit, ArmPolicy(a_value=1, z_spec=static_z(0)),
-                   learner=library)
+    est = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)),
+                   fit_top_step(scenario1_panel, library))
     assert abs(est.mean_eic) <= 1e-8
     assert 0.0 <= est.psi <= 1.0
 
@@ -544,6 +540,6 @@ def test_tmle_close_to_truth_on_one_panel():
     panel = simulate_trial(cfg, 9340, 59)
     gfit = fit_g(panel)
     truth = oracle_risk_difference(cfg, static_z(0), 5, 400_000, 5).psi
-    p1, p0 = arm_pair(static_z(0), "static0")
-    rep = contrast(tmle_arm(panel, gfit, p1), tmle_arm(panel, gfit, p0), "static0")
+    top = fit_top_step(panel)
+    rep = contrast(*(tmle_arm(gfit, p, top) for p in arm_pair(static_z(0))), "static0")
     assert rep.psi == pytest.approx(truth, abs=4 * rep.se)

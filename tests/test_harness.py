@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dropintmle import harness
 from dropintmle.engine import EstimateReport
 from dropintmle.harness import (
     TABLE_COLUMNS,
@@ -65,6 +66,20 @@ def test_horizon_outside_scenario_rejected(horizon):
     with pytest.raises(ValueError, match="K = 5"):
         run_replications("scenario1", policies=("ignore",), truths=truths, n=200,
                          reps=1, horizon=horizon, workers=1)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"weight_cap": -1.0}, "weight cap"), ({"weight_cap": float("nan")}, "weight cap"),
+    ({"g_floor": 0.7}, "g floor"), ({"policies": []}, "no policies"),
+], ids=["cap-1", "capnan", "floor0.7", "no-policies"])
+def test_bad_setting_rejected_before_truths(monkeypatch, kwargs, match):
+    def no_truths(*args, **kw):
+        raise AssertionError("truths computed before the settings were checked")
+
+    monkeypatch.setattr(harness, "compute_truths", no_truths)
+    with pytest.raises(ValueError, match=match):
+        run_replications("scenario1", **{"policies": ("ignore",), "n": 200, "reps": 1,
+                                         "workers": 1, **kwargs})
 
 
 def test_gcomp_collection():

@@ -1,12 +1,14 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package, script or test module imports is used in that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dropintmle"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "dropintmle").glob("*.py") if p.name != "__init__.py")
+OTHERS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+IDS = [p.stem for p in MODULES] + [f"{p.parent.name}/{p.stem}" for p in OTHERS]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,6 +30,6 @@ def test_checker_sees_an_unused_import():
         == ["os (line 1)", "match (line 3)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + OTHERS, ids=IDS)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []

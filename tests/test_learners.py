@@ -282,18 +282,16 @@ def _with_irls(monkeypatch, loop):
 
 def _policy_outputs(panel, learner, n_folds):
     """Per policy: TMLE psi, its SE and the g-computation psi."""
-    from dropintmle.engine import contrast, fit_g, fit_top_step, gcomp_arm, tmle_arm
+    from dropintmle.engine import contrast, fit_g, fit_top_step, tmle_arm
     from dropintmle.interventions import arm_pair, fit_stochastic_gstar, standard_policies
 
     gfit = fit_g(panel, learner, seed=0, n_folds=n_folds)
     top = fit_top_step(panel, learner, None, 0, n_folds)
     rows = []
     for name, spec in standard_policies(fit_stochastic_gstar(panel)).items():
-        arms = arm_pair(spec, name)
-        rep = contrast(*(tmle_arm(panel, gfit, p, learner, seed=0, n_folds=n_folds,
-                                  top=top) for p in arms), name)
-        g1, g0 = (gcomp_arm(panel, gfit, p, learner, seed=0, n_folds=n_folds, top=top)
-                  for p in arms)
+        arms = arm_pair(spec)
+        rep = contrast(*(tmle_arm(gfit, p, top) for p in arms), name)
+        g1, g0 = (tmle_arm(gfit, p, top, targeted=False) for p in arms)
         rows.append((rep.psi, rep.se, g1.psi - g0.psi))
     return np.array(rows)
 

@@ -4,7 +4,6 @@ from scipy.special import expit
 
 from dropintmle.interventions import (
     ArmPolicy,
-    dynamic_z,
     observational_z,
     static_z,
 )
