@@ -24,10 +24,11 @@ import json
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from reftree import ROOT, ref_tree  # noqa: E402  (the helper beside this script)
+
 WORKLOADS = ("replicate-sc1", "estimate-100k", "leader-k8")
 
 
@@ -123,11 +124,7 @@ def main(argv=None) -> int:
               "seconds": seconds, "pairs": args.pairs, "workloads": list(WORKLOADS),
               "runs": []}
 
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_tree = Path(tmp)
-        archive = subprocess.run(["git", "archive", ref], cwd=ROOT, capture_output=True,
-                                 check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
+    with ref_tree(ref, "bench-base-") as base_tree:
         trees = {"base": base_tree, "change": ROOT}
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")

@@ -1,0 +1,116 @@
+"""Byte-identity check: the outputs of a base commit against the working tree.
+
+    python3 scripts/compare_outputs.py --ref HEAD
+
+Runs one fixed list of commands (``COMMANDS``) in each tree: the base side
+from the committed files of ``--ref`` (extracted with ``git archive`` into a
+temporary directory that is removed afterwards), the change side from the
+working tree.  Each side imports its own ``src`` and ``perfbench``, runs with
+``OPENBLAS_NUM_THREADS=1`` and writes to the same relative paths of its own
+scratch directory; the standard output of command i is kept as
+``NN_<name>.stdout``.  Every file is then compared byte for byte.  The
+script exits 1 naming the first file that differs (or exists on one side
+only), or the command that failed and its side, and 0 with the file count
+when every output is byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from reftree import ROOT, ref_tree  # noqa: E402  (the helper beside this script)
+
+CLI = ["-m", "dropintmle.cli"]
+LEADER_GRID = ",".join(str(6 * k) for k in range(9))
+#: LEADER-shaped long event records (2000 subjects, K = 8, death and
+#: censoring on), as the benchmark's leader-k8 workload builds them
+LEADER_EVENTS = """
+import numpy as np
+from dropintmle.sim import simulate_trial
+from perfbench import inputs
+panel = simulate_trial(inputs.load_scenario(), 2000, 8)
+rows = inputs.event_rows(panel, inputs.LEADER_GRID, np.random.default_rng([8, 8]))
+inputs.write_event_csv(rows, "events.csv")
+"""
+REPLICATE = CLI + ["replicate", "--scenario", "scenario1", "--n", "600", "--reps", "2",
+                   "--horizon", "4", "--nmc", "20000", "--seed", "5", "--workers", "1"]
+
+#: (name, interpreter arguments), run in order in one directory per side
+COMMANDS = [
+    ("simulate", CLI + ["simulate", "--scenario", "scenario2", "--n", "2000", "--seed", "4",
+                        "--out", "sc2.csv"]),
+    ("estimate", CLI + ["estimate", "--panel", "sc2.csv", "--weight-cap", "8", "--horizon", "4",
+                        "--out", "sc2_estimate.json"]),
+    ("events", ["-c", LEADER_EVENTS]),
+    ("ingest", CLI + ["ingest", "--events", "events.csv", "--grid", LEADER_GRID,
+                      "--out", "leader.csv"]),
+    ("estimate_leader", CLI + ["estimate", "--panel", "leader.csv", "--learner",
+                               "main,running_avg", "--folds", "2",
+                               "--out", "leader_estimate.json"]),
+    ("replicate_csv", REPLICATE + ["--out", "replicate.csv"]),
+    ("replicate_json", REPLICATE + ["--format", "json", "--out", "replicate.json"]),
+    ("oracle", CLI + ["oracle", "--scenario", "scenario1", "--policy", "stochastic_a1",
+                      "--nmc", "50000", "--nfit", "50000", "--out", "oracle.json"]),
+    ("trajectory", CLI + ["trajectory", "--scenario", "scenario1", "--n", "2000", "--seed", "6",
+                          "--out", "trajectory.csv"]),
+]
+
+
+def run_commands(tree: Path, out: Path) -> str | None:
+    """Run ``COMMANDS`` with the code of ``tree``, writing into ``out``;
+    returns why a command failed, or None."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree)]),
+               OPENBLAS_NUM_THREADS="1")
+    for i, (name, argv) in enumerate(COMMANDS):
+        with open(out / f"{i:02d}_{name}.stdout", "w") as fh:
+            proc = subprocess.run([sys.executable, *argv], cwd=out, env=env, stdout=fh,
+                                  stderr=subprocess.PIPE, text=True, check=False)
+        if proc.returncode != 0:
+            return f"{name} exited {proc.returncode} with the code of {tree}:\n{proc.stderr}"
+    return None
+
+
+def files(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
+def first_difference(base: Path, change: Path) -> str | None:
+    """The first file, by relative path, that differs between two directories
+    or exists in only one of them; None when every file is byte-identical."""
+    for name in sorted(files(base) | files(change)):
+        a, b = base / name, change / name
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            return name
+    return None
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--ref", default="HEAD", help="base commit (default HEAD)")
+    args = ap.parse_args(argv)
+    with ref_tree(args.ref, "outputs-base-") as base_tree, \
+            tempfile.TemporaryDirectory(prefix="outputs-") as tmp:
+        outs = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        for side, tree in (("base", base_tree), ("change", ROOT)):
+            outs[side].mkdir()
+            failure = run_commands(tree, outs[side])
+            if failure:
+                print(f"{side} side: {failure}", file=sys.stderr)
+                return 1
+        differs = first_difference(outs["base"], outs["change"])
+        count = len(files(outs["change"]))
+    if differs:
+        print(f"differs: {differs}", file=sys.stderr)
+        return 1
+    print(f"{count} files byte-identical between {args.ref} and the working tree")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,7 +39,6 @@ from .panel import (
     DataError,
     EventRecord,
     TrialPanel,
-    ValidationReport,
     at_risk_mask,
     ingest_long_events,
     read_event_csv,

@@ -122,13 +122,21 @@ def _check_horizon(horizon, K, source) -> None:
 
 
 def _check_options(args) -> None:
-    """Refuse a bad g floor or weight cap (see ``check_options``), or one fold."""
+    """Refuse a bad g floor or weight cap (see ``check_options``)."""
     try:
         check_options(args.g_floor, args.weight_cap)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if getattr(args, "folds", 2) < 2:
-        raise UsageError(f"--folds {args.folds} is below 2")
+
+
+def _at_least(m: int):
+    """An argparse type: an integer of at least ``m``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < m:
+            raise argparse.ArgumentTypeError(f"{value} is below {m}")
+        return value
+    return count
 
 
 def cmd_simulate(args) -> int:
@@ -253,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate an observed-data panel")
     add_scenario_opts(p)
-    p.add_argument("--n", type=int, default=9340)
+    p.add_argument("--n", type=_at_least(1), default=9340)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
 
@@ -262,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True,
                    help="arm policy, e.g. static_a0_z0 or dynamic_a1")
     p.add_argument("--horizon", type=int, default=5)
-    p.add_argument("--nmc", type=int, default=1_000_000)
-    p.add_argument("--nfit", type=int, default=1_000_000,
+    p.add_argument("--nmc", type=_at_least(1), default=1_000_000)
+    p.add_argument("--nfit", type=_at_least(1), default=1_000_000,
                    help="panel size for fitting the stochastic reference law")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")
@@ -277,29 +285,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-cap", dest="weight_cap", type=float)
     p.add_argument("--learner", help="feature map, or comma list for the "
                                      "discrete super learner")
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=_at_least(2), default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")
 
     p = sub.add_parser("replicate", help="replication study for a scenario")
     add_scenario_opts(p)
     p.add_argument("--policies", default=",".join(POLICY_NAMES))
-    p.add_argument("--n", type=int, default=9340)
-    p.add_argument("--reps", type=int, default=500)
+    p.add_argument("--n", type=_at_least(1), default=9340)
+    p.add_argument("--reps", type=_at_least(1), default=500)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--nmc", type=int, default=1_000_000)
+    p.add_argument("--nmc", type=_at_least(1), default=1_000_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--g-floor", dest="g_floor", type=float, default=1e-3)
     p.add_argument("--weight-cap", dest="weight_cap", type=float)
     p.add_argument("--learner")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_at_least(1))
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("trajectory", help="per-arm drop-in fractions by visit")
     add_scenario_opts(p)
     p.add_argument("--panel")
-    p.add_argument("--n", type=int, default=9340)
+    p.add_argument("--n", type=_at_least(1), default=9340)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
 

@@ -143,7 +143,7 @@ def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
           g_floor: float = 1e-3, randomized: bool = True, seed: int = 0,
           n_folds: int = 10) -> GFit:
     """Fit the treatment and censoring mechanisms per visit, on a panel that
-    passes ``validate_panel``.
+    passes ``validate_panel`` (which raises DataError otherwise).
 
     Shortcuts: the baseline randomized assignment is the known constant 1/2
     under ``randomized``; a post-baseline randomized-treatment column equal
@@ -154,10 +154,7 @@ def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
     super learner.
     """
     check_options(g_floor=g_floor)
-    report = validate_panel(panel)
-    if not report.ok:
-        v = report.violations[0]
-        raise EstimationError(f"panel fails validation: {v.message} (subject {v.subject})")
+    validate_panel(panel)
     K = panel.K
     a_mechs, z_mechs, c_mechs = [], [], []
     for k in range(K):

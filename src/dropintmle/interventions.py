@@ -46,10 +46,8 @@ class InterventionSpec:
             raise ValueError(f"unknown form '{self.form}'")
         if self.form == "static" and self.value not in (0, 1):
             raise ValueError("static form needs value 0 or 1")
-
-    @property
-    def fitted(self) -> bool:
-        return self.form != "stochastic" or len(self.models) > 0
+        if self.form == "stochastic" and not self.models:
+            raise ValueError("stochastic form needs its fitted laws (models)")
 
     def intervenes_at(self, k: int) -> bool:
         """Whether the visit-k node is replaced under this spec.  The
@@ -103,9 +101,6 @@ def gstar_prob1(spec: InterventionSpec, k: int, l0=None, z_prev=None, z0=None):
         if z0 is None:
             raise ValueError("dynamic form needs the baseline status z0")
         return np.asarray(z0, dtype=float)
-    if not spec.fitted:
-        raise ValueError("stochastic intervention queried before fitting "
-                         "(no fitted conditional law)")
     if k >= len(spec.models):
         raise ValueError(f"stochastic intervention has no law for visit {k}")
     return clip_probs(spec.models[k].predict(gstar_columns(l0, k, z_prev)))

@@ -20,9 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MAX_VIOLATIONS = 1000   # per check of validate_panel's absorbing/exclusive loops
-
-
 class DataError(ValueError):
     """Raised for malformed input data (files, grids, records)."""
 
@@ -30,6 +27,7 @@ class DataError(ValueError):
 @dataclass(frozen=True)
 class TrialPanel:
     """Rectangular discrete-time panel, visit-major storage, immutable.
+    Visits are the indices k = 0..K; calendar time enters only at ingest.
 
     Array layout (K = number of follow-up visits):
       - ``Y``, ``D``, ``C``: shape (K, n), row k-1 holds visit-k status.
@@ -37,7 +35,6 @@ class TrialPanel:
         visits 1..K-1 (the final visit carries status only).
     """
 
-    visit_times: np.ndarray
     L0: np.ndarray
     Z0: np.ndarray
     A0: np.ndarray
@@ -49,7 +46,7 @@ class TrialPanel:
     Z: np.ndarray
 
     def __post_init__(self):
-        for name in ("visit_times", "L0", "Z0", "A0", "Y", "D", "C", "L", "A", "Z"):
+        for name in ("L0", "Z0", "A0", "Y", "D", "C", "L", "A", "Z"):
             arr = getattr(self, name)
             arr.flags.writeable = False
 
@@ -93,9 +90,8 @@ class TrialPanel:
         return self.L[k - 1]
 
 
-def make_panel(visit_times, L0, Z0, A0, Y, D, C, L=None, A=None, Z=None) -> TrialPanel:
+def make_panel(L0, Z0, A0, Y, D, C, L=None, A=None, Z=None) -> TrialPanel:
     """Assemble a TrialPanel from array-likes, normalizing dtypes and shapes."""
-    visit_times = np.asarray(visit_times, dtype=float)
     L0 = np.atleast_2d(np.asarray(L0, dtype=float))
     if L0.shape[0] == 1 and L0.shape[1] > 1 and np.asarray(Z0).shape[0] != 1:
         L0 = L0.T
@@ -112,7 +108,6 @@ def make_panel(visit_times, L0, Z0, A0, Y, D, C, L=None, A=None, Z=None) -> Tria
     A = np.zeros((K - 1, n), dtype=np.int8) if A is None else np.asarray(A, dtype=np.int8).reshape(K - 1, n)
     Z = np.zeros((K - 1, n), dtype=np.int8) if Z is None else np.asarray(Z, dtype=np.int8).reshape(K - 1, n)
     return TrialPanel(
-        visit_times=visit_times,
         L0=L0,
         Z0=np.asarray(Z0, dtype=np.int8).reshape(n),
         A0=np.asarray(A0, dtype=np.int8).reshape(n),
@@ -132,76 +127,36 @@ def at_risk_mask(panel: TrialPanel, k: int) -> np.ndarray:
     return ~gone
 
 
-@dataclass
-class Violation:
-    code: str
-    subject: int
-    visit: int
-    message: str
+def _raise_first(bad: np.ndarray, message: str, first_visit: int = 1) -> None:
+    """Raise DataError at the first flagged entry of ``bad``, naming its visit
+    and subject: a per-subject mask is visit 0, row r of a visit-major mask
+    is visit ``first_visit + r``."""
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        visit, subject = (0, at[0]) if bad.ndim == 1 else (first_visit + at[0], at[1])
+        raise DataError(f"{message} at visit {visit} (subject {subject})")
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+def validate_panel(panel: TrialPanel) -> None:
+    """Check the panel invariants, raising DataError at the first broken one.
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, code, subject, visit, message):
-        self.violations.append(Violation(code, int(subject), int(visit), message))
-
-    def __iter__(self):
-        return iter(self.violations)
-
-
-def validate_panel(panel: TrialPanel) -> ValidationReport:
-    """Check panel invariants; violations are returned as data, not raised.
-
-    Checks: strictly increasing visit grid, binary status/treatment columns,
-    absorbing event/death/censoring processes, at most one absorbing process
-    per subject (exclusive first transition), finite covariates.
+    Checks, in order: binary status and treatment columns, finite
+    covariates, absorbing event/death/censoring processes, and at most one
+    absorbing process per subject (exclusive first transition).
     """
-    report = ValidationReport()
-    vt = panel.visit_times
-    if vt.shape[0] != panel.K + 1:
-        report.add("grid_shape", -1, -1,
-                   f"visit_times has {vt.shape[0]} entries, expected K+1={panel.K + 1}")
-    if np.any(np.diff(vt) <= 0):
-        report.add("grid_order", -1, -1, "visit times are not strictly increasing")
-
+    for name in ("Y", "D", "C", "Z0", "A0", "A", "Z"):
+        arr = getattr(panel, name)
+        _raise_first((arr != 0) & (arr != 1), f"{name} has a non-binary value")
+    _raise_first(~np.isfinite(panel.L0).all(axis=1),
+                 "baseline covariates contain non-finite values")
+    _raise_first(~np.isfinite(panel.L).all(axis=2),
+                 "time-varying covariates contain non-finite values")
     for name in ("Y", "D", "C"):
         arr = getattr(panel, name)
-        bad = (arr != 0) & (arr != 1)
-        if bad.any():
-            k, i = np.argwhere(bad)[0]
-            report.add("nonbinary", i, k + 1, f"{name} has non-binary value")
-    for name in ("Z0", "A0"):
-        arr = getattr(panel, name)
-        bad = (arr != 0) & (arr != 1)
-        if bad.any():
-            report.add("nonbinary", np.argwhere(bad)[0][0], 0, f"{name} has non-binary value")
-    if not np.all(np.isfinite(panel.L0)):
-        report.add("nonfinite", int(np.argwhere(~np.isfinite(panel.L0))[0][0]), 0,
-                   "baseline covariates contain non-finite values")
-    if panel.L.size and not np.all(np.isfinite(panel.L)):
-        k, i, _ = np.argwhere(~np.isfinite(panel.L))[0]
-        report.add("nonfinite", i, k + 1, "time-varying covariates contain non-finite values")
-
-    for name in ("Y", "D", "C"):
-        arr = getattr(panel, name)
-        dropped = (arr[:-1] == 1) & (arr[1:] == 0)
-        for k, i in np.argwhere(dropped)[:MAX_VIOLATIONS]:
-            report.add("absorbing", i, k + 2, f"absorbing {name} broken at k={k + 2}")
-
-    total = panel.Y.astype(int) + panel.D + panel.C
-    multi = total > 1
-    for k, i in np.argwhere(multi)[:MAX_VIOLATIONS]:
-        # only flag the first visit where the clash is introduced
-        if k == 0 or total[k - 1, i] <= 1:
-            report.add("exclusive", i, k + 1,
-                       f"exclusive first transition violated at k={k + 1}")
-    return report
+        _raise_first((arr[:-1] == 1) & (arr[1:] == 0), f"absorbing {name} broken", 2)
+    # the earliest clash is where it is introduced: the visit before has none
+    total = panel.Y.astype(np.int8) + panel.D + panel.C
+    _raise_first(total > 1, "exclusive first transition of Y, D and C violated")
 
 
 @dataclass
@@ -315,14 +270,8 @@ def ingest_long_events(records: list[EventRecord], visit_times) -> TrialPanel:
         Z[:, i] = [any(a <= hi and b > lo for a, b in intervals) for lo, hi in windows]
     A = np.repeat(A0[None], K - 1, axis=0)
 
-    panel = TrialPanel(
-        visit_times=visit_times, L0=L0, Z0=Z0, A0=A0,
-        Y=Y, D=D, C=C, L=L, A=A, Z=Z,
-    )
-    report = validate_panel(panel)
-    if not report.ok:
-        first = report.violations[0]
-        raise DataError(f"ingested panel invalid: {first.message} (subject {first.subject})")
+    panel = TrialPanel(L0=L0, Z0=Z0, A0=A0, Y=Y, D=D, C=C, L=L, A=A, Z=Z)
+    validate_panel(panel)
     return panel
 
 
@@ -380,8 +329,8 @@ def _load_error(path, header: list[str], exc: ValueError) -> DataError:
 
 def read_panel_csv(path) -> TrialPanel:
     """Load a wide panel CSV.  Visit count and covariate widths are inferred
-    from the header, and the visit times are 0, 1, ..., K.  Columns may come
-    in any order; ``id`` and unknown columns are not parsed."""
+    from the header.  Columns may come in any order; ``id`` and unknown
+    columns are not parsed."""
     with open(path) as fh:
         header = next(csv.reader(fh), None)
         if header is None:
@@ -417,7 +366,7 @@ def read_panel_csv(path) -> TrialPanel:
                 raise DataError(f"{path}: column {c} holds {v[~ok][0]}, "
                                 "not an integer in -128..127")
         _wire_column(arrays, c)[:] = v
-    return TrialPanel(visit_times=np.arange(K + 1, dtype=float), **arrays)
+    return TrialPanel(**arrays)
 
 
 def _event_row_error(path, line: int, row: list[str], exc: Exception) -> DataError:

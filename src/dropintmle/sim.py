@@ -224,10 +224,7 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
         if not keep_panel and k == horizon:
             return y_abs.astype(np.int8)
 
-    return TrialPanel(
-        visit_times=np.arange(K + 1, dtype=float),
-        L0=l0[:, None], Z0=z0, A0=a0, Y=Y, D=D, C=C, L=L, A=A, Z=Z,
-    )
+    return TrialPanel(L0=l0[:, None], Z0=z0, A0=a0, Y=Y, D=D, C=C, L=L, A=A, Z=Z)
 
 
 def simulate_trial(config: ScenarioConfig, n: int, seed: int) -> TrialPanel:

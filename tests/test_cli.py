@@ -64,6 +64,20 @@ def test_estimate_malformed_panel_is_data_error(tmp_path, capsys):
     assert "column D1" in capsys.readouterr().err
 
 
+def test_estimate_non_binary_treatment_is_data_error_naming_column_and_visit(tmp_path, capsys):
+    panel_path = tmp_path / "panel.csv"
+    assert run(["simulate", "--scenario", "scenario1", "--n", "300",
+                "--seed", "3", "--out", str(panel_path)]) == 0
+    header, *rows = panel_path.read_text().splitlines()
+    first = header.split(",")
+    cells = rows[0].split(",")
+    cells[first.index("Z2")] = "2"
+    panel_path.write_text("\n".join([header, ",".join(cells)] + rows[1:]) + "\n")
+    capsys.readouterr()
+    assert run(["estimate", "--panel", str(panel_path), "--policies", "static0"]) == 2
+    assert "Z has a non-binary value at visit 2 (subject 0)" in capsys.readouterr().err
+
+
 def test_estimate_missing_file_is_data_error(tmp_path, capsys):
     assert run(["estimate", "--panel", str(tmp_path / "nope.csv")]) == 2
     capsys.readouterr()
@@ -327,4 +341,30 @@ def test_replicate_out_of_range_option_is_usage_error(tmp_path, capsys, opts, na
     assert run(["replicate", "--scenario", "scenario1", "--policies", "static0", "--n", "200",
                 "--reps", "1", "--nmc", "2000", "--workers", "1", "--out", str(out)] + opts) == 1
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+SMALL_REPLICATE = ["replicate", "--scenario", "scenario1", "--policies", "static0", "--n", "200",
+                   "--reps", "1", "--nmc", "2000", "--workers", "1"]
+SMALL_ORACLE = ["oracle", "--scenario", "scenario1", "--policy", "stochastic_a0",
+                "--nmc", "2000", "--nfit", "2000"]
+
+
+@pytest.mark.parametrize("argv, option, least", [
+    (["simulate", "--scenario", "scenario1", "--n", "0"], "--n", 1),
+    (["trajectory", "--scenario", "scenario1", "--n", "0"], "--n", 1),
+    (SMALL_ORACLE + ["--nmc", "0"], "--nmc", 1),
+    (SMALL_ORACLE + ["--nfit", "0"], "--nfit", 1),
+    (SMALL_REPLICATE + ["--reps", "0"], "--reps", 1),
+    (SMALL_REPLICATE + ["--n", "0"], "--n", 1),
+    (SMALL_REPLICATE + ["--nmc", "0"], "--nmc", 1),
+    (SMALL_REPLICATE + ["--workers", "0"], "--workers", 1),
+    (["estimate", "--panel", "panel.csv", "--folds", "1"], "--folds", 2),
+], ids=["simulate-n", "trajectory-n", "oracle-nmc", "oracle-nfit", "replicate-reps",
+        "replicate-n", "replicate-nmc", "replicate-workers", "estimate-folds"])
+def test_count_below_its_minimum_is_usage_error(tmp_path, capsys, argv, option, least):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {option}: {least - 1} is below {least}" in err
     assert not out.exists()

@@ -21,7 +21,7 @@ from dropintmle.interventions import (
     standard_policies,
     static_z,
 )
-from dropintmle.panel import TrialPanel, at_risk_mask, make_panel
+from dropintmle.panel import DataError, TrialPanel, at_risk_mask, make_panel
 from dropintmle.sim import scenario_presets, simulate_trial
 
 from toy_panel import build_k8_panel, build_toy_panel
@@ -162,7 +162,6 @@ def small_status_panel():
     Y[0:, 2] = 1
     D[1:, 3] = 1
     return make_panel(
-        visit_times=np.arange(4, dtype=float),
         L0=np.linspace(-1, 1, 4)[:, None], Z0=[0, 0, 0, 0], A0=[1, 1, 0, 1],
         Y=Y, D=D, C=C,
         L=np.zeros((2, 4, 1)), A=[[1, 1, 0, 1]] * 2, Z=np.zeros((2, 4)),
@@ -177,7 +176,6 @@ def test_clever_weight_hand_value():
 
     n, K = 3, 3
     panel = make_panel(
-        visit_times=np.arange(K + 1, dtype=float),
         L0=np.zeros((n, 1)), Z0=[0, 0, 1], A0=[1, 0, 1],
         Y=np.zeros((K, n)), D=np.zeros((K, n)), C=np.zeros((K, n)),
         L=np.zeros((K - 1, n, 1)), A=[[1, 0, 1]] * (K - 1), Z=np.zeros((K - 1, n)),
@@ -224,7 +222,7 @@ def test_matching_degenerate_policy_gives_unit_weights():
     # everyone on arm 1 with deterministic adherence: all ratios collapse
     panel = simulate_trial(scenario_presets()["scenario1"], 800, 13)
     forced = TrialPanel(
-        visit_times=panel.visit_times, L0=panel.L0, Z0=panel.Z0,
+        L0=panel.L0, Z0=panel.Z0,
         A0=np.ones(panel.n, dtype=np.int8), Y=panel.Y, D=panel.D, C=panel.C,
         L=panel.L, A=np.ones_like(panel.A), Z=panel.Z,
     )
@@ -398,10 +396,10 @@ def test_fit_g_rejects_invalid_panel():
     Y = np.zeros((2, 3), dtype=np.int8)
     Y[0] = [1, 0, 0]
     Y[1] = [0, 0, 0]          # absorbing violation
-    panel = make_panel(np.arange(3, dtype=float), np.zeros((3, 1)),
-                       [0, 0, 0], [1, 0, 1], Y, np.zeros((2, 3)), np.zeros((2, 3)),
-                       L=np.zeros((1, 3, 1)), A=np.zeros((1, 3)), Z=np.zeros((1, 3)))
-    with pytest.raises(EstimationError, match="validation"):
+    panel = make_panel(np.zeros((3, 1)), [0, 0, 0], [1, 0, 1], Y, np.zeros((2, 3)),
+                       np.zeros((2, 3)), L=np.zeros((1, 3, 1)), A=np.zeros((1, 3)),
+                       Z=np.zeros((1, 3)))
+    with pytest.raises(DataError, match=r"absorbing Y broken at visit 2 \(subject 0\)"):
         fit_g(panel)
 
 

@@ -13,7 +13,7 @@ from dropintmle.interventions import (
     static_z,
 )
 from dropintmle.features import gstar_design
-from dropintmle.learners import clip_probs
+from dropintmle.learners import clip_probs, fit_constant
 from dropintmle.panel import TrialPanel
 from dropintmle.sim import scenario_presets, simulate_trial
 
@@ -37,9 +37,8 @@ def test_observational_sentinel():
 
 
 def test_unfitted_stochastic_raises():
-    spec = InterventionSpec(form="stochastic")
-    with pytest.raises(ValueError, match="before fitting"):
-        gstar_prob(spec, 1, k=1, l0=np.zeros((1, 1)), z_prev=0)
+    with pytest.raises(ValueError, match="fitted laws"):
+        InterventionSpec(form="stochastic")
 
 
 @settings(max_examples=25, deadline=None)
@@ -91,7 +90,7 @@ def test_stochastic_ignores_postbaseline_covariates(gstar_panel):
     L = p.L.copy()
     L[2] = L[2][rng.permutation(p.n)]
     shuffled = TrialPanel(
-        visit_times=p.visit_times, L0=p.L0, Z0=p.Z0, A0=p.A0,
+        L0=p.L0, Z0=p.Z0, A0=p.A0,
         Y=p.Y, D=p.D, C=p.C, L=L, A=p.A, Z=p.Z,
     )
     spec2 = fit_stochastic_gstar(shuffled)
@@ -112,7 +111,6 @@ def test_stochastic_recovers_iid_coin():
     K = 3
     Z = (rng.random((K - 1, n)) < 0.5).astype(np.int8)
     panel = TrialPanel(
-        visit_times=np.arange(K + 1, dtype=float),
         L0=rng.standard_normal((n, 1)),
         Z0=(rng.random(n) < 0.5).astype(np.int8),
         A0=(rng.random(n) < 0.5).astype(np.int8),
@@ -133,7 +131,6 @@ def test_stochastic_degenerate_panel_warns():
     rng = np.random.default_rng(6)
     z0 = (rng.random(n) < 0.5).astype(np.int8)
     panel = TrialPanel(
-        visit_times=np.arange(K + 1, dtype=float),
         L0=rng.standard_normal((n, 1)), Z0=z0,
         A0=(rng.random(n) < 0.5).astype(np.int8),
         Y=np.zeros((K, n), dtype=np.int8), D=np.zeros((K, n), dtype=np.int8),
@@ -164,7 +161,7 @@ def test_stochastic_fit_invariant_to_arm_relabeling(gstar_panel):
     p = gstar_panel
     spec1 = fit_stochastic_gstar(p)
     flipped = TrialPanel(
-        visit_times=p.visit_times, L0=p.L0, Z0=p.Z0, A0=(1 - p.A0).astype(np.int8),
+        L0=p.L0, Z0=p.Z0, A0=(1 - p.A0).astype(np.int8),
         Y=p.Y, D=p.D, C=p.C, L=p.L, A=(1 - np.asarray(p.A)).astype(np.int8), Z=p.Z,
     )
     spec2 = fit_stochastic_gstar(flipped)
@@ -183,7 +180,8 @@ def test_stochastic_sticky_panel_tracks_persistence(gstar_panel):
 
 def test_baseline_rule_follows_the_form():
     # every form but dynamic replaces the visit-0 node; observational none
-    for spec, at_baseline in ((static_z(1), True), (InterventionSpec(form="stochastic"), True),
+    stochastic = InterventionSpec(form="stochastic", models=(fit_constant(np.array([0.3])),))
+    for spec, at_baseline in ((static_z(1), True), (stochastic, True),
                               (dynamic_z(), False), (observational_z(), False)):
         assert spec.intervenes_at(0) is at_baseline
         assert spec.intervenes_at(3) is (spec.form != "observational")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import warnings
 
 import numpy as np
@@ -28,7 +29,6 @@ def small_panel(Y, D=None, C=None, K=None):
     D = np.zeros_like(Y) if D is None else np.asarray(D, dtype=np.int8)
     C = np.zeros_like(Y) if C is None else np.asarray(C, dtype=np.int8)
     return make_panel(
-        visit_times=np.arange(K + 1, dtype=float),
         L0=np.zeros((n, 1)), Z0=np.zeros(n), A0=np.zeros(n),
         Y=Y, D=D, C=C,
         L=np.zeros((K - 1, n, 1)), A=np.zeros((K - 1, n)), Z=np.zeros((K - 1, n)),
@@ -39,23 +39,32 @@ def test_absorbing_violation_reported_with_coordinates():
     Y = np.zeros((3, 2), dtype=np.int8)
     Y[1, 0] = 1  # event at visit 2 ...
     Y[2, 0] = 0  # ... dropped at visit 3
-    report = validate_panel(small_panel(Y))
-    assert not report.ok
-    v = report.violations[0]
-    assert v.code == "absorbing" and v.subject == 0 and v.visit == 3
+    with pytest.raises(DataError, match=r"^absorbing Y broken at visit 3 \(subject 0\)$"):
+        validate_panel(small_panel(Y))
 
 
 def test_exclusive_first_transition_violation():
     Y = np.zeros((2, 1), dtype=np.int8)
     D = np.zeros((2, 1), dtype=np.int8)
-    Y[0, 0] = 1
-    D[0, 0] = 1
-    report = validate_panel(small_panel(Y, D=D))
-    assert any(v.code == "exclusive" and v.visit == 1 for v in report)
+    Y[:, 0] = 1
+    D[:, 0] = 1    # both absorbed at visit 1; the clash persists at visit 2
+    with pytest.raises(DataError, match=r"exclusive first transition .* at visit 1 \(subject 0\)$"):
+        validate_panel(small_panel(Y, D=D))
+
+
+@pytest.mark.parametrize("name, visit", [("Y", 2), ("D", 2), ("C", 2), ("Z0", 0), ("A0", 0),
+                                          ("A", 2), ("Z", 2)])
+def test_non_binary_value_named_with_coordinates(name, visit):
+    p = small_panel(np.zeros((3, 3), dtype=np.int8))
+    arr = getattr(p, name).copy()
+    arr[(1,) if arr.ndim == 1 else (1, 1)] = 2    # subject 1, at visit 0 or at visit 2
+    with pytest.raises(DataError, match=rf"^{name} has a non-binary value at visit {visit} "
+                                        r"\(subject 1\)$"):
+        validate_panel(dataclasses.replace(p, **{name: arr}))
 
 
 def test_valid_simulated_panel_passes(scenario1_panel):
-    assert validate_panel(scenario1_panel).ok
+    assert validate_panel(scenario1_panel) is None
 
 
 def test_at_risk_mask_semantics():
@@ -102,7 +111,7 @@ def test_event_lands_in_right_closed_window():
 def test_censoring_and_death_channels():
     p = ingest_long_events([rec(t=7.0, delta=0)], GRID)
     assert p.c_at(3)[0] == 1 and p.y_at(3)[0] == 0 and p.d_at(3)[0] == 0
-    assert validate_panel(p).ok
+    validate_panel(p)
 
 
 def test_exposure_any_overlap_rule():
@@ -198,11 +207,13 @@ def test_panel_csv_round_trip(tmp_path, scenario1_panel):
     path = tmp_path / "panel.csv"
     write_panel_csv(scenario1_panel, path)
     back = read_panel_csv(path)
-    assert back.n == scenario1_panel.n and back.K == scenario1_panel.K
-    assert np.array_equal(back.Y, scenario1_panel.Y)
-    assert np.array_equal(back.Z, scenario1_panel.Z)
-    assert np.allclose(back.L0, scenario1_panel.L0)
-    assert np.allclose(back.L, scenario1_panel.L)
+    for f in dataclasses.fields(TrialPanel):
+        got, want = getattr(back, f.name), getattr(scenario1_panel, f.name)
+        assert got.shape == want.shape, f.name
+        if np.issubdtype(want.dtype, np.integer):
+            assert np.array_equal(got, want), f.name
+        else:  # covariates are written to 10 significant digits
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=f.name)
 
 
 def test_panel_csv_missing_column(tmp_path):
@@ -321,9 +332,9 @@ def ref_write_panel_csv(panel: TrialPanel, path) -> None:
             wr.writerow(row)
 
 
-def ref_read_panel_csv(path, visit_times=None) -> TrialPanel:
+def ref_read_panel_csv(path) -> TrialPanel:
     """Load a wide panel CSV.  Visit count and covariate widths are inferred
-    from the header; ``visit_times`` defaults to 0, 1, ..., K."""
+    from the header."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         try:
@@ -367,10 +378,7 @@ def ref_read_panel_csv(path, visit_times=None) -> TrialPanel:
                     L[k - 1, i, j] = float(get(r, f"L{k}_{j + 1}"))
                 A[k - 1, i] = int(float(get(r, f"A{k}")))
                 Z[k - 1, i] = int(float(get(r, f"Z{k}")))
-    if visit_times is None:
-        visit_times = np.arange(K + 1, dtype=float)
     return TrialPanel(
-        visit_times=np.asarray(visit_times, dtype=float),
         L0=L0, Z0=Z0, A0=A0, Y=Y, D=D, C=C, L=L, A=A, Z=Z,
     )
 
@@ -470,17 +478,14 @@ def ref_ingest_long_events(records: list[EventRecord], visit_times) -> TrialPane
             A[k - 1, i] = A0[i]
 
     panel = TrialPanel(
-        visit_times=visit_times, L0=L0, Z0=Z0, A0=A0,
+        L0=L0, Z0=Z0, A0=A0,
         Y=Y, D=D, C=C, L=L, A=A, Z=Z,
     )
-    report = validate_panel(panel)
-    if not report.ok:
-        first = report.violations[0]
-        raise DataError(f"ingested panel invalid: {first.message} (subject {first.subject})")
+    validate_panel(panel)
     return panel
 
 
-FIELDS = ("visit_times", "L0", "Z0", "A0", "Y", "D", "C", "L", "A", "Z")
+FIELDS = ("L0", "Z0", "A0", "Y", "D", "C", "L", "A", "Z")
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 1e17, 0.1, -2.5e-7, 123456789012.0]
 
 
@@ -509,7 +514,7 @@ def wire_panel(n, K, d, d_time, seed):
         return rng.choice([0, 1, 1, 0, -1, 127, -128, 5], size=shape)
 
     L0, L = floats((n, d)), floats((K - 1, n, d_time))
-    return make_panel(np.arange(K + 1.0), L0, ints(n), ints(n), ints((K, n)), ints((K, n)),
+    return make_panel(L0, ints(n), ints(n), ints((K, n)), ints((K, n)),
                       ints((K, n)), L, ints((K - 1, n)), ints((K - 1, n)))
 
 

@@ -66,7 +66,7 @@ def test_subject_draws_stable_under_n():
 
 def test_simulated_panel_structure():
     panel = simulate_trial(SC1, 2000, 5)
-    assert validate_panel(panel).ok
+    validate_panel(panel)
     assert np.all(panel.D == 0) and np.all(panel.C == 0)
     assert np.array_equal(panel.A[0], panel.A0)   # full adherence
     # at-risk counts non-increasing
@@ -78,7 +78,7 @@ def test_optional_death_and_censoring_hazards():
     cfg = ScenarioConfig(c_z0=-1.5, c_z=-2.5, p_z=1, p_zy=1,
                          death_hazard=0.05, censor_hazard=0.05)
     panel = simulate_trial(cfg, 3000, 9)
-    assert validate_panel(panel).ok
+    validate_panel(panel)
     assert panel.D.sum() > 0 and panel.C.sum() > 0
 
 
@@ -166,9 +166,8 @@ def test_horizon_bounds():
 def test_stochastic_arm_requires_fit():
     from dropintmle.interventions import InterventionSpec
 
-    pol = ArmPolicy(a_value=0, z_spec=InterventionSpec(form="stochastic"))
     with pytest.raises(ValueError, match="fitted"):
-        simulate_counterfactual_mean(SC1, pol, 5, 100, 1)
+        ArmPolicy(a_value=0, z_spec=InterventionSpec(form="stochastic"))
 
 
 def test_dropin_trajectory_shape_and_ordering():
@@ -201,6 +200,6 @@ def test_scenario2_baseline_dropin_rate():
 def test_discounted_running_average_option():
     cfg = ScenarioConfig(c_z0=-1.5, c_z=-2.5, p_z=1, p_zy=1, avg_decay=0.5)
     panel = simulate_trial(cfg, 2000, 3)
-    assert validate_panel(panel).ok
+    validate_panel(panel)
     base = simulate_trial(SC1, 2000, 3)
     assert not np.array_equal(panel.Y, base.Y)   # the dynamics change

@@ -33,7 +33,6 @@ def build_toy_panel(n=4000, seed=11, with_death=True, free_a1=True):
     y2 = np.where(alive, (rng.random(n) < expit(-1.2 + 0.9 * l1 - 0.6 * a1 - 0.5 * z1 + 0.3 * l0)).astype(np.int8), y1)
     y2 = np.maximum(y2, y1)
     return TrialPanel(
-        visit_times=np.arange(3, dtype=float),
         L0=l0[:, None].astype(float), Z0=z0, A0=a0,
         Y=np.stack([y1, y2]), D=np.stack([d1, d1]),
         C=np.zeros((2, n), dtype=np.int8),
