@@ -38,6 +38,32 @@ panel = simulate_trial(inputs.load_scenario(), 2000, 8)
 rows = inputs.event_rows(panel, inputs.LEADER_GRID, np.random.default_rng([8, 8]))
 inputs.write_event_csv(rows, "events.csv")
 """
+#: every arm estimate at full precision on the scenario-2 and LEADER-shaped
+#: panels: each standard policy with arm 1, arm 0 and the natural course (A
+#: left alone), targeted and g-computation, as psi's repr, the SHA-256 of the
+#: EIC and the diagnostics JSON, plus each contrast's SE
+ARMS = """
+import hashlib, json
+from dropintmle import (ArmPolicy, contrast, fit_g, fit_stochastic_gstar, fit_top_step,
+                        read_panel_csv, standard_policies, tmle_arm)
+PANELS = (("sc2.csv", "running_avg", 10, 8.0, 4),
+          ("leader.csv", ["main", "running_avg"], 2, None, 8))
+with open("arms.txt", "w") as out:
+    for path, learner, folds, cap, horizon in PANELS:
+        panel = read_panel_csv(path)
+        gfit = fit_g(panel, learner, seed=1, n_folds=folds)
+        top = fit_top_step(panel, learner, horizon, seed=1, n_folds=folds)
+        for name, spec in standard_policies(fit_stochastic_gstar(panel, upto=horizon)).items():
+            arms = {}
+            for a in (1, 0, None):
+                for targeted in (True, False):
+                    est = arms[a, targeted] = tmle_arm(gfit, ArmPolicy(a, spec), top,
+                                                       targeted=targeted, weight_cap=cap)
+                    eic = None if est.eic is None else hashlib.sha256(est.eic).hexdigest()
+                    diag = json.dumps(est.diagnostics, sort_keys=True)
+                    print(path, name, a, targeted, repr(est.psi), eic, diag, file=out)
+            print(path, name, "se", repr(contrast(arms[1, True], arms[0, True]).se), file=out)
+"""
 REPLICATE = CLI + ["replicate", "--scenario", "scenario1", "--n", "600", "--reps", "2",
                    "--horizon", "4", "--nmc", "20000", "--seed", "5", "--workers", "1"]
 
@@ -53,6 +79,9 @@ COMMANDS = [
     ("estimate_leader", CLI + ["estimate", "--panel", "leader.csv", "--learner",
                                "main,running_avg", "--folds", "2",
                                "--out", "leader_estimate.json"]),
+    ("arms", ["-c", ARMS]),
+    ("ingest_spaced", CLI + ["ingest", "--events", "events.csv", "--visits", "8", "--spacing", "6",
+                             "--out", "leader_spaced.csv"]),
     ("replicate_csv", REPLICATE + ["--out", "replicate.csv"]),
     ("replicate_json", REPLICATE + ["--format", "json", "--out", "replicate.json"]),
     ("oracle", CLI + ["oracle", "--scenario", "scenario1", "--policy", "stochastic_a1",

@@ -22,7 +22,6 @@ from .interventions import (
     arm_pair,
     dynamic_z,
     fit_stochastic_gstar,
-    gstar_prob,
     observational_z,
     standard_policies,
     static_z,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .engine import EstimationError, check_options, contrast, fit_g, fit_top_step, tmle_arm
@@ -26,6 +27,7 @@ from .interventions import ArmPolicy, arm_pair, fit_stochastic_gstar, standard_p
 from .learners import FitError
 from .panel import (
     DataError,
+    check_visit_grid,
     ingest_long_events,
     read_event_csv,
     read_panel_csv,
@@ -139,6 +141,22 @@ def _at_least(m: int):
     return count
 
 
+def _above_zero(text: str) -> float:
+    """An argparse type: a finite number above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number above 0")
+    return value
+
+
+def _visit_grid(text: str) -> list[float]:
+    """An argparse type: comma-separated visit times that pass ``check_visit_grid``."""
+    try:
+        return check_visit_grid([float(t) for t in text.split(",")]).tolist()
+    except ValueError as exc:      # DataError is a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
     panel = simulate_trial(cfg, args.n, args.seed)
@@ -238,10 +256,7 @@ def cmd_trajectory(args) -> int:
 
 def cmd_ingest(args) -> int:
     records = read_event_csv(args.events)
-    if args.grid:
-        grid = [float(t) for t in args.grid.split(",")]
-    else:
-        grid = [args.spacing * k for k in range(args.visits + 1)]
+    grid = args.grid or [args.spacing * k for k in range(args.visits + 1)]
     panel = ingest_long_events(records, grid)
     write_panel_csv(panel, args.out)
     print(f"wrote panel ({panel.n} subjects, {panel.K} visits) to {args.out}")
@@ -313,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="discretize long event records onto a grid")
     p.add_argument("--events", required=True)
-    p.add_argument("--grid", help="comma-separated visit times, e.g. 0,3,6,9")
-    p.add_argument("--visits", type=int, default=5)
-    p.add_argument("--spacing", type=float, default=6.0)
+    p.add_argument("--grid", type=_visit_grid, help="comma-separated visit times, e.g. 0,3,6,9")
+    p.add_argument("--visits", type=_at_least(1), default=5)
+    p.add_argument("--spacing", type=_above_zero, default=6.0)
     p.add_argument("--out", required=True)
     return ap
 

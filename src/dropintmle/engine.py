@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .features import history_design, mechanism_design
-from .interventions import USE_OBSERVED_G, ArmPolicy, gstar_prob, gstar_prob1, panel_history
+from .interventions import USE_OBSERVED_G, ArmPolicy, gstar_prob1, panel_history
 from .learners import (
     FittedModel,
     clip_probs,
@@ -184,7 +184,7 @@ def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
 # Clever weights
 
 
-def _weight_path(panel, gfit: GFit, policy: ArmPolicy, horizon: int, weight_cap=None):
+def clever_weight_path(panel, gfit: GFit, policy: ArmPolicy, horizon: int, weight_cap=None):
     """Clever weights for steps 1..horizon, shape (horizon, n), and the number
     of used probabilities that hit the g floor, per node (e.g. ``"Z1"``).
 
@@ -209,11 +209,11 @@ def _weight_path(panel, gfit: GFit, policy: ArmPolicy, horizon: int, weight_cap=
         j = l - 1
         used = at_risk_mask(panel, l)
         treat = np.ones(n)
-        if policy.a_intervenes():
+        if policy.a_value is not None:
             treat = treat * (panel.a_at(j) == policy.a_value).astype(float) / g("A", j, used)
-        z_num = gstar_prob(policy.z_spec, panel.z_at(j), j, *panel_history(panel, j))
-        if z_num is not USE_OBSERVED_G:
-            treat = treat * z_num / g("Z", j, used)
+        p1 = gstar_prob1(policy.z_spec, j, *panel_history(panel, j))
+        if p1 is not USE_OBSERVED_G:
+            treat = treat * np.where(panel.z_at(j) == 1, p1, 1.0 - p1) / g("Z", j, used)
         uncens = (panel.c_at(l) == 0).astype(float)
         cum_treat = cum_treat * treat                       # treatment nodes through l-1
         cum_cens = cum_cens * (uncens / g("C", l, used))    # censoring through l
@@ -239,16 +239,11 @@ def _weight_summary(H, threshold=50.0):
     return rows
 
 
-def clever_weight_path(panel, gfit, policy, horizon, weight_cap=None):
-    """Clever weights H_l for every step l = 1..horizon, shape (horizon, n)."""
-    return _weight_path(panel, gfit, policy, horizon, weight_cap)[0]
-
-
 def support_diagnostics(panel, gfit, policy, horizon=None, threshold=50.0,
                         weight_cap=None):
     """Per-visit weight-tail summary of the clever-weight path."""
     horizon = panel.K if horizon is None else horizon
-    return _weight_summary(clever_weight_path(panel, gfit, policy, horizon, weight_cap),
+    return _weight_summary(clever_weight_path(panel, gfit, policy, horizon, weight_cap)[0],
                            threshold)
 
 
@@ -272,23 +267,19 @@ class ArmEstimate:
         return float(np.mean(self.eic)) if self.eic is not None else float("nan")
 
 
-def _margin_options(panel, policy, j):
-    """Integration support for the visit-j treatment pair.
-
-    Returns (a_options, z_options): lists of (substitution, weight) where the
-    substitution is None (keep observed column), a scalar, or a per-subject
-    vector, and the weight is a scalar or vector of interventional
-    probabilities.  A degenerate law (static, dynamic) substitutes its value.
+def _z_options(panel, spec, j):
+    """Integration support for the visit-j concomitant node under ``spec``: a
+    list of (substitution, weight) where the substitution is None (keep the
+    observed column), a scalar, or a per-subject vector, and the weight is a
+    scalar or vector of interventional probabilities.  A degenerate law
+    (static, dynamic) substitutes its value.
     """
-    a_opts = [(float(policy.a_value) if policy.a_intervenes() else None, 1.0)]
-    p1 = gstar_prob1(policy.z_spec, j, *panel_history(panel, j))
+    p1 = gstar_prob1(spec, j, *panel_history(panel, j))
     if p1 is USE_OBSERVED_G:
-        z_opts = [(None, 1.0)]
-    elif policy.z_spec.form == "stochastic":
-        z_opts = [(0.0, 1.0 - p1), (1.0, p1)]
-    else:
-        z_opts = [(p1, 1.0)]
-    return a_opts, z_opts
+        return [(None, 1.0)]
+    if spec.form == "stochastic":
+        return [(0.0, 1.0 - p1), (1.0, p1)]
+    return [(p1, 1.0)]
 
 
 def _predict_step(panel, model, features, l, sub_a=None, sub_z=None):
@@ -363,8 +354,9 @@ def tmle_arm(gfit: GFit, policy: ArmPolicy, top: TopStep, *, targeted: bool = Tr
     check_options(weight_cap=weight_cap)
     panel, horizon, n = top.panel, top.horizon, top.panel.n
 
-    H, floored = (_weight_path(panel, gfit, policy, horizon, weight_cap) if targeted
+    H, floored = (clever_weight_path(panel, gfit, policy, horizon, weight_cap) if targeted
                   else (None, {}))
+    a_sub = None if policy.a_value is None else float(policy.a_value)
 
     pseudo = panel.y_at(horizon).astype(float)
     eic = np.zeros(n) if targeted else None
@@ -398,14 +390,12 @@ def tmle_arm(gfit: GFit, policy: ArmPolicy, top: TopStep, *, targeted: bool = Tr
 
         # marginalize the visit-(l-1) treatment pair under the arm's laws,
         # splicing prior events (value 1) and prior deaths (value 0)
-        a_opts, z_opts = _margin_options(panel, policy, l - 1)
         marg = np.zeros(n)
-        for a_sub, a_w in a_opts:
-            for z_sub, z_w in z_opts:
-                p = predict(a_sub, z_sub)
-                if fluctuate:
-                    p = expit(logit(clip_probs(p)) + eps)
-                marg = marg + (a_w * z_w) * p
+        for z_sub, z_w in _z_options(panel, policy.z_spec, l - 1):
+            p = predict(a_sub, z_sub)
+            if fluctuate:
+                p = expit(logit(clip_probs(p)) + eps)
+            marg = marg + z_w * p
 
         if l - 1 >= 1:
             y_prev = panel.y_at(l - 1).astype(bool)

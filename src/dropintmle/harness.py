@@ -42,12 +42,13 @@ TABLE_COLUMNS = [
 def n_workers() -> int:
     """Worker count: the LTMLE_THREADS variable if set, else every core."""
     env = os.environ.get("LTMLE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"LTMLE_THREADS={env!r} is not an integer") from None
-    return os.cpu_count() or 1
+    try:
+        workers = int(env) if env else os.cpu_count() or 1
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"LTMLE_THREADS={env!r} is not an integer of at least 1")
+    return workers
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .panel import TrialPanel, at_risk_mask
 
 Z_FORMS = ("static", "dynamic", "stochastic", "observational")
 
-#: sentinel returned by gstar_prob for observational nodes ("use fitted g")
+#: sentinel returned by gstar_prob1 for nodes left alone ("use fitted g")
 USE_OBSERVED_G = None
 
 
@@ -80,9 +80,6 @@ class ArmPolicy:
     a_value: int | None
     z_spec: InterventionSpec
 
-    def a_intervenes(self) -> bool:
-        return self.a_value is not None
-
 
 def gstar_prob1(spec: InterventionSpec, k: int, l0=None, z_prev=None, z0=None):
     """Interventional probability that the visit-k concomitant node is 1.
@@ -107,26 +104,9 @@ def gstar_prob1(spec: InterventionSpec, k: int, l0=None, z_prev=None, z0=None):
 
 
 def panel_history(panel: TrialPanel, k: int) -> tuple:
-    """The history arguments (l0, z_prev, z0) of ``gstar_prob1`` and
-    ``gstar_prob`` for every subject of a panel at visit k."""
+    """The history arguments (l0, z_prev, z0) of ``gstar_prob1`` for every
+    subject of a panel at visit k."""
     return panel.L0, (panel.z_at(k - 1) if k >= 1 else None), panel.Z0
-
-
-def gstar_prob(spec: InterventionSpec, value, k: int, l0=None, z_prev=None,
-               z0=None):
-    """Interventional probability that the visit-k node takes ``value``.
-
-    History arguments are vectors (or scalars) of the conditioning variables
-    the form needs: baseline covariates ``l0`` (one row per history),
-    previous concomitant status ``z_prev`` and baseline status ``z0``.  Only
-    at-risk histories are meaningful (the law conditions on survival).  For
-    observational nodes the sentinel USE_OBSERVED_G is returned.
-    """
-    p1 = gstar_prob1(spec, k, l0, z_prev, z0)
-    if p1 is USE_OBSERVED_G:
-        return USE_OBSERVED_G
-    out = np.where(np.asarray(value, dtype=float) == 1, p1, 1.0 - p1)
-    return out if out.size > 1 else float(out.reshape(-1)[0])
 
 
 def fit_stochastic_gstar(panel: TrialPanel, upto: int | None = None) -> InterventionSpec:

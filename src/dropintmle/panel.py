@@ -186,6 +186,18 @@ class EventRecord:
         return [(a, b) for a, b in merged]
 
 
+def check_visit_grid(visit_times) -> np.ndarray:
+    """The grid as a float array; DataError unless 2+ finite, increasing times."""
+    visit_times = np.asarray(visit_times, dtype=float)
+    if visit_times.size < 2:
+        raise DataError("visit grid must contain at least t_0 and t_1")
+    if not np.all(np.isfinite(visit_times)):
+        raise DataError("visit grid times must be finite")
+    if np.any(np.diff(visit_times) <= 0):
+        raise DataError("visit grid must be strictly increasing")
+    return visit_times
+
+
 def ingest_long_events(records: list[EventRecord], visit_times) -> TrialPanel:
     """Discretize continuous-time records onto the visit grid.
 
@@ -195,11 +207,7 @@ def ingest_long_events(records: list[EventRecord], visit_times) -> TrialPanel:
     (L_k is the last measurement at or before t_{k-1}) with LOCF for gaps.
     Records with no A information carry the randomized arm forward (A_k = A0).
     """
-    visit_times = np.asarray(visit_times, dtype=float)
-    if visit_times.size < 2:
-        raise DataError("visit grid must contain at least t_0 and t_1")
-    if np.any(np.diff(visit_times) <= 0):
-        raise DataError("visit grid must be strictly increasing")
+    visit_times = check_visit_grid(visit_times)
     if not records:
         raise DataError("no records to ingest")
     K = visit_times.size - 1

@@ -50,7 +50,6 @@ class ScenarioConfig:
     covariate_drift_coef: float = 0.3
     covariate_noise_sd: float = 0.5
     n_visits: int = 5
-    full_adherence: bool = True
     death_hazard: float = 0.0
     censor_hazard: float = 0.0
     avg_decay: float | None = None
@@ -62,8 +61,6 @@ class ScenarioConfig:
             raise ValueError("covariate noise sd must be positive")
         if self.n_visits < 1:
             raise ValueError("need at least one follow-up visit")
-        if not self.full_adherence:
-            raise NotImplementedError("only full adherence (A_k = A_0) is modeled")
         for h in (self.death_hazard, self.censor_hazard):
             if not 0.0 <= h < 1.0:
                 raise ValueError("hazards must lie in [0, 1)")
@@ -138,17 +135,18 @@ def _sample_z(policy_spec, k, u, l_curr, z_prev, l0, z0, config):
 def _simulate(config: ScenarioConfig, n: int, seed: int,
               a_value: int | None = None,
               z_spec: InterventionSpec | None = None,
-              keep_panel: bool = True,
               horizon: int | None = None):
     """Shared core for factual and counterfactual simulation.
 
-    Returns a TrialPanel when ``keep_panel``, else the event-status vector at
-    ``horizon`` of a censoring-free run.  Absorbed subjects carry their last
-    covariate/treatment values forward; those payloads are ignored downstream.
+    Returns a TrialPanel when ``horizon`` is None, else the event-status
+    vector at ``horizon`` of a censoring-free run.  Absorbed subjects carry
+    their last covariate/treatment values forward; those payloads are ignored
+    downstream.
     """
     if n < 1:
         raise ValueError("need at least one subject")
     K = config.n_visits
+    keep_panel = horizon is None
     horizon = K if horizon is None else horizon
     if not 1 <= horizon <= K:
         raise ValueError(f"horizon {horizon} is outside 1..K; the scenario has K = {K}")
@@ -229,7 +227,7 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
 
 def simulate_trial(config: ScenarioConfig, n: int, seed: int) -> TrialPanel:
     """Draw an observed-data panel from the scenario's generating process."""
-    return _simulate(config, n, seed, keep_panel=True)
+    return _simulate(config, n, seed)
 
 
 @dataclass(frozen=True)
@@ -246,7 +244,7 @@ def simulate_counterfactual_mean(config: ScenarioConfig, policy: ArmPolicy,
     """Ground-truth event risk at ``horizon`` under an arm policy, by direct
     sampling from the post-interventional distribution."""
     y = _simulate(config, n_mc, seed, a_value=policy.a_value,
-                  z_spec=policy.z_spec, keep_panel=False, horizon=horizon)
+                  z_spec=policy.z_spec, horizon=horizon)
     risk = float(np.mean(y))
     se = float(np.sqrt(max(risk * (1.0 - risk), 0.0) / n_mc))
     return OracleResult(risk=risk, mc_se=se, n_mc=n_mc, horizon=horizon)
@@ -266,10 +264,8 @@ def oracle_risk_difference(config: ScenarioConfig, z_spec: InterventionSpec,
                            horizon: int, n_mc: int, seed: int) -> OracleContrast:
     """Paired-arm oracle: both hypothetical arms reuse the same randomness, so
     the Monte-Carlo error of the difference reflects the paired design."""
-    y1 = _simulate(config, n_mc, seed, a_value=1, z_spec=z_spec, keep_panel=False,
-                   horizon=horizon)
-    y0 = _simulate(config, n_mc, seed, a_value=0, z_spec=z_spec, keep_panel=False,
-                   horizon=horizon)
+    y1 = _simulate(config, n_mc, seed, a_value=1, z_spec=z_spec, horizon=horizon)
+    y0 = _simulate(config, n_mc, seed, a_value=0, z_spec=z_spec, horizon=horizon)
     diff = y1.astype(float) - y0.astype(float)
     psi = float(np.mean(diff))
     se = float(np.std(diff, ddof=1) / np.sqrt(n_mc))

@@ -287,6 +287,35 @@ def test_non_integer_thread_count_is_usage_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_thread_count_below_one_is_usage_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("LTMLE_THREADS", value)
+    out = tmp_path / "t.csv"
+    assert run(["replicate", "--scenario", "scenario1", "--policies", "static0", "--n", "200",
+                "--reps", "1", "--nmc", "2000", "--out", str(out)]) == 1
+    assert f"LTMLE_THREADS={value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("opts, named", [
+    (["--grid", "0,x,12"], "argument --grid: could not convert string to float: 'x'"),
+    (["--grid", "0,nan,12"], "argument --grid: visit grid times must be finite"),
+    (["--grid", "0,6,inf"], "argument --grid: visit grid times must be finite"),
+    (["--visits", "0"], "argument --visits: 0 is below 1"),
+    (["--spacing", "-6"], "argument --spacing: -6 is not a finite number above 0"),
+    (["--spacing", "nan"], "argument --spacing: nan is not a finite number above 0"),
+], ids=["grid-x", "grid-nan", "grid-inf", "visits0", "spacing-6", "spacing-nan"])
+def test_ingest_bad_grid_option_is_usage_error(tmp_path, capsys, opts, named):
+    events = tmp_path / "events.csv"
+    events.write_text("id,time,kind,v1,v2,v3\n"
+                      "p1,0,baseline,0.5,0,1\n"
+                      "p1,4.2,event,1,,\n")
+    out = tmp_path / "panel.csv"
+    assert run(["ingest", "--events", str(events), "--out", str(out)] + opts) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_malformed_event_row_is_data_error(tmp_path, capsys):
     events = tmp_path / "events.csv"
     events.write_text("id,time,kind,v1,v2,v3\n"

@@ -17,12 +17,14 @@ from dropintmle.interventions import (
     arm_pair,
     dynamic_z,
     fit_stochastic_gstar,
+    gstar_prob1,
     observational_z,
+    panel_history,
     standard_policies,
     static_z,
 )
 from dropintmle.panel import DataError, TrialPanel, at_risk_mask, make_panel
-from dropintmle.sim import scenario_presets, simulate_trial
+from dropintmle.sim import ScenarioConfig, scenario_presets, simulate_trial
 
 from toy_panel import build_k8_panel, build_toy_panel
 
@@ -186,9 +188,9 @@ def test_clever_weight_hand_value():
         c_mechs=[_Mech(kind="const", prob_const=0.0)] * K, g_floor=1e-3,
     )
     policy = ArmPolicy(a_value=1, z_spec=static_z(0))
-    h3 = clever_weight_path(panel, gfit, policy, 3)[2]
+    h3 = clever_weight_path(panel, gfit, policy, 3)[0][2]
     assert h3[0] == pytest.approx((1 / 0.8) ** 3, abs=1e-12)   # three Z factors at k=3
-    h2 = clever_weight_path(panel, gfit, policy, 2)[1]
+    h2 = clever_weight_path(panel, gfit, policy, 2)[0][1]
     assert h2[0] == pytest.approx(1 / 0.64, abs=1e-12)
     assert h2[1] == 0.0            # off-arm subject
     assert h2[2] == 0.0            # observed Z0=1 under z=0 policy
@@ -198,7 +200,7 @@ def test_clever_weight_absorbing_states():
     panel = small_status_panel()
     gfit = fit_g(panel, learner="main", randomized=True)
     policy = ArmPolicy(a_value=1, z_spec=observational_z())
-    H = clever_weight_path(panel, gfit, policy, 3)
+    H = clever_weight_path(panel, gfit, policy, 3)[0]
     # censored at visit 2: zero weight from step 2 on (and at the censoring
     # visit itself, since censoring resolves first within a visit)
     assert H[1, 1] == 0.0 and H[2, 1] == 0.0
@@ -214,7 +216,7 @@ def test_observational_policy_weight_is_at_risk_indicator():
     gfit = fit_g(panel)
     policy = ArmPolicy(a_value=None, z_spec=observational_z())
     for k in (1, 3, 5):
-        h = clever_weight_path(panel, gfit, policy, k)[k - 1]
+        h = clever_weight_path(panel, gfit, policy, k)[0][k - 1]
         assert np.array_equal(h, at_risk_mask(panel, k).astype(float))
 
 
@@ -229,7 +231,7 @@ def test_matching_degenerate_policy_gives_unit_weights():
     gfit = fit_g(forced, randomized=False)
     policy = ArmPolicy(a_value=1, z_spec=observational_z())
     for k in (1, 4):
-        h = clever_weight_path(forced, gfit, policy, k)[k - 1]
+        h = clever_weight_path(forced, gfit, policy, k)[0][k - 1]
         assert set(np.unique(h)) <= {0.0, 1.0}
 
 
@@ -237,10 +239,54 @@ def test_weight_cap_truncates():
     panel = simulate_trial(scenario_presets()["scenario2"], 3000, 23)
     gfit = fit_g(panel)
     policy = ArmPolicy(a_value=1, z_spec=static_z(0))
-    H = clever_weight_path(panel, gfit, policy, 5)
+    H = clever_weight_path(panel, gfit, policy, 5)[0]
     assert H.max() > 5.0
-    Hc = clever_weight_path(panel, gfit, policy, 5, weight_cap=5.0)
+    Hc = clever_weight_path(panel, gfit, policy, 5, weight_cap=5.0)[0]
     assert Hc.max() <= 5.0
+
+
+def test_clever_weights_of_every_policy_by_hand():
+    # H_l rebuilt factor by factor: g*/g for A and Z through visit l-1, the
+    # censoring ratio through visit l, zero off the visit-l at-risk rows
+    cfg = ScenarioConfig(c_z0=-1.0, c_z=-1.0, p_z=1.0, p_zy=1.0, n_visits=4,
+                         death_hazard=0.05, censor_hazard=0.05)
+    panel = simulate_trial(cfg, 600, 17)
+    gfit = fit_g(panel, learner="main")
+    K = panel.K
+
+    def z_numerator(name, spec, j):
+        """g*(observed Z_j | history), or None where the node is left alone."""
+        z = panel.z_at(j)
+        if name == "ignore" or (name == "dynamic" and j == 0):
+            return None
+        if name == "dynamic":
+            return (z == panel.Z0).astype(float)
+        if name.startswith("static"):
+            return (z == spec.value).astype(float)
+        p1 = gstar_prob1(spec, j, *panel_history(panel, j))
+        return np.where(z == 1, p1, 1.0 - p1)
+
+    for name, spec in standard_policies(fit_stochastic_gstar(panel)).items():
+        for a in (1, 0):
+            want = np.zeros((K, panel.n))
+            for l in range(1, K + 1):
+                used = at_risk_mask(panel, l)
+                h = used.astype(float)
+                for j in range(l):
+                    h = h * (panel.a_at(j) == a) / gfit.floored_prob(panel, "A", j, used)[0]
+                    num = z_numerator(name, spec, j)
+                    if num is not None:
+                        h = h * num / gfit.floored_prob(panel, "Z", j, used)[0]
+                for j in range(1, l + 1):
+                    h = h * (panel.c_at(j) == 0) / gfit.floored_prob(panel, "C", j, used)[0]
+                want[l - 1] = h
+            policy = ArmPolicy(a_value=a, z_spec=spec)
+            H, _ = clever_weight_path(panel, gfit, policy, K)
+            np.testing.assert_allclose(H, want, rtol=1e-12, atol=0, err_msg=f"{name} a={a}")
+            cap = 4.0
+            assert name == "ignore" or (want > cap).any()
+            Hc, _ = clever_weight_path(panel, gfit, policy, K, weight_cap=cap)
+            np.testing.assert_allclose(Hc, np.minimum(want, cap), rtol=1e-12, atol=0)
 
 
 def test_support_diagnostics_structure():

@@ -8,7 +8,7 @@ from dropintmle.interventions import (
     InterventionSpec,
     dynamic_z,
     fit_stochastic_gstar,
-    gstar_prob,
+    gstar_prob1,
     observational_z,
     static_z,
 )
@@ -19,21 +19,20 @@ from dropintmle.sim import scenario_presets, simulate_trial
 
 
 def test_static_degenerate_mass():
-    spec = static_z(0)
-    assert gstar_prob(spec, 1, k=2) == 0.0
-    assert gstar_prob(spec, 0, k=2) == 1.0
+    assert gstar_prob1(static_z(0), k=2) == 0.0
+    assert gstar_prob1(static_z(1), k=2) == 1.0
 
 
 def test_dynamic_follows_baseline_status():
     spec = dynamic_z()
-    assert gstar_prob(spec, 1, k=3, z0=1) == 1.0
-    assert gstar_prob(spec, 1, k=3, z0=0) == 0.0
+    assert gstar_prob1(spec, k=3, z0=1) == 1.0
+    assert gstar_prob1(spec, k=3, z0=0) == 0.0
     # at baseline the rule is vacuous: the node is left observational
-    assert gstar_prob(spec, 1, k=0, z0=1) is USE_OBSERVED_G
+    assert gstar_prob1(spec, k=0, z0=1) is USE_OBSERVED_G
 
 
 def test_observational_sentinel():
-    assert gstar_prob(observational_z(), 1, k=2) is USE_OBSERVED_G
+    assert gstar_prob1(observational_z(), k=2) is USE_OBSERVED_G
 
 
 def test_unfitted_stochastic_raises():
@@ -44,10 +43,7 @@ def test_unfitted_stochastic_raises():
 @settings(max_examples=25, deadline=None)
 @given(z_prev=st.integers(0, 1), l0=st.floats(-3, 3), k=st.integers(0, 4))
 def test_probabilities_sum_to_one(z_prev, l0, k, fitted_gstar):
-    spec = fitted_gstar
-    p0 = gstar_prob(spec, 0, k=k, l0=np.array([[l0]]), z_prev=z_prev)
-    p1 = gstar_prob(spec, 1, k=k, l0=np.array([[l0]]), z_prev=z_prev)
-    assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
+    p1 = gstar_prob1(fitted_gstar, k=k, l0=np.array([[l0]]), z_prev=z_prev)
     assert 0.0 < p1 < 1.0
 
 
@@ -67,19 +63,15 @@ def test_gstar_prob_on_panel_histories(fitted_gstar, gstar_panel):
     p = gstar_panel
     for k in range(p.K):
         hist = dict(l0=p.L0, z_prev=p.z_at(k - 1) if k else None, z0=p.Z0)
-        z = p.z_at(k)
         p1 = clip_probs(fitted_gstar.models[k].predict(gstar_design(p, k)))
-        assert np.array_equal(gstar_prob(fitted_gstar, 1, k, **hist), p1)
-        assert np.array_equal(gstar_prob(fitted_gstar, z, k, **hist),
-                              np.where(z == 1, p1, 1.0 - p1))
+        assert np.array_equal(gstar_prob1(fitted_gstar, k, **hist), p1)
         for v in (0, 1):
-            assert np.array_equal(gstar_prob(static_z(v), z, k, **hist),
-                                  (z == v).astype(float))
-        dyn = gstar_prob(dynamic_z(), z, k, **hist)
+            assert gstar_prob1(static_z(v), k, **hist) == float(v)
+        dyn = gstar_prob1(dynamic_z(), k, **hist)
         if k == 0:
             assert dyn is USE_OBSERVED_G
         else:
-            assert np.array_equal(dyn, (z == p.Z0).astype(float))
+            assert np.array_equal(dyn, p.Z0.astype(float))
 
 
 def test_stochastic_ignores_postbaseline_covariates(gstar_panel):
@@ -101,8 +93,8 @@ def test_stochastic_ignores_postbaseline_covariates(gstar_panel):
 def test_stochastic_ignores_randomized_arm(gstar_panel):
     # two histories differing only in the randomized arm get one probability
     spec = fit_stochastic_gstar(gstar_panel)
-    p_a = gstar_prob(spec, 1, k=2, l0=np.array([[0.3]]), z_prev=1)
-    assert isinstance(p_a, float)  # no arm argument exists to vary
+    p_a = gstar_prob1(spec, k=2, l0=np.array([[0.3]]), z_prev=1)
+    assert p_a.shape == (1,)  # one history, and no arm argument exists to vary
 
 
 def test_stochastic_recovers_iid_coin():
@@ -122,7 +114,7 @@ def test_stochastic_recovers_iid_coin():
     spec = fit_stochastic_gstar(panel)
     for z_prev in (0, 1):
         for l0 in (-1.0, 0.0, 1.0):
-            p = gstar_prob(spec, 1, k=1, l0=np.array([[l0]]), z_prev=z_prev)
+            p = gstar_prob1(spec, k=1, l0=np.array([[l0]]), z_prev=z_prev)
             assert p == pytest.approx(0.5, abs=0.02)
 
 
@@ -141,7 +133,7 @@ def test_stochastic_degenerate_panel_warns():
     )
     with pytest.warns(UserWarning, match="constant"):
         spec = fit_stochastic_gstar(panel)
-    p = gstar_prob(spec, 1, k=1, l0=np.array([[0.0]]), z_prev=1)
+    p = gstar_prob1(spec, k=1, l0=np.array([[0.0]]), z_prev=1)
     assert p > 0.999
 
 
@@ -150,9 +142,7 @@ def test_dynamic_equals_per_subject_static():
     # status
     dyn = dynamic_z()
     for z0 in (0, 1):
-        for value in (0, 1):
-            assert gstar_prob(dyn, value, k=2, z0=z0) == \
-                gstar_prob(static_z(z0), value, k=2)
+        assert gstar_prob1(dyn, k=2, z0=z0) == gstar_prob1(static_z(z0), k=2)
 
 
 def test_stochastic_fit_invariant_to_arm_relabeling(gstar_panel):
@@ -172,8 +162,8 @@ def test_stochastic_fit_invariant_to_arm_relabeling(gstar_panel):
 def test_stochastic_sticky_panel_tracks_persistence(gstar_panel):
     # scenario panels have persistent treatment: staying probability is high
     spec = fit_stochastic_gstar(gstar_panel)
-    stay = gstar_prob(spec, 1, k=2, l0=np.array([[0.0]]), z_prev=1)
-    start = gstar_prob(spec, 1, k=2, l0=np.array([[0.0]]), z_prev=0)
+    stay = gstar_prob1(spec, k=2, l0=np.array([[0.0]]), z_prev=1)
+    start = gstar_prob1(spec, k=2, l0=np.array([[0.0]]), z_prev=0)
     assert stay > 0.95
     assert start < 0.2
 

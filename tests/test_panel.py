@@ -149,6 +149,14 @@ def test_empty_grid_rejected():
         ingest_long_events([rec()], [0.0])
 
 
+@pytest.mark.parametrize("grid", [[0.0, np.nan, 6.0], [0.0, 3.0, np.inf], [np.nan, 3.0]],
+                         ids=["nan", "inf", "nan-t0"])
+def test_non_finite_grid_rejected(grid):
+    # NaN passes the strictly-increasing check (every comparison is False)
+    with pytest.raises(DataError, match="visit grid times must be finite"):
+        ingest_long_events([rec()], grid)
+
+
 def test_measurement_after_last_visit_warns():
     with pytest.warns(UserWarning):
         ingest_long_events([rec(covs=[(99.0, (1.0,))])], GRID)

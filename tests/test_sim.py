@@ -42,8 +42,6 @@ def test_config_validation():
         ScenarioConfig(c_z0=0, c_z=0, p_z=-1, p_zy=1)
     with pytest.raises(ValueError):
         ScenarioConfig(c_z0=0, c_z=0, p_z=1, p_zy=1, covariate_noise_sd=0.0)
-    with pytest.raises(NotImplementedError):
-        ScenarioConfig(c_z0=0, c_z=0, p_z=1, p_zy=1, full_adherence=False)
 
 
 def test_seed_determinism():
