@@ -23,6 +23,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from reftree import ROOT, ref_tree  # noqa: E402  (the helper beside this script)
 
@@ -64,6 +66,31 @@ with open("arms.txt", "w") as out:
                     print(path, name, a, targeted, repr(est.psi), eic, diag, file=out)
             print(path, name, "se", repr(contrast(arms[1, True], arms[0, True]).se), file=out)
 """
+MESSY_GRID = "1,4,7,10,13"
+#: a messy events file (see ``messy_event_rows``) from a fixed seed, written
+#: by this script's own generator on both sides
+MESSY_EVENTS = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+import numpy as np
+from compare_outputs import event_text, messy_event_rows
+rng = np.random.default_rng(18)
+rows = messy_event_rows(rng, 300, [{MESSY_GRID}])
+with open("messy.csv", "w", newline="") as fh:
+    fh.write(event_text(rows, rng, "\\r\\n"))
+"""
+#: ``ingest`` of the messy file in process, keeping its warnings and exit code
+MESSY_INGEST = f"""
+import warnings
+from dropintmle.cli import cli_main
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    code = cli_main(["ingest", "--events", "messy.csv", "--grid", "{MESSY_GRID}",
+                     "--out", "messy_panel.csv"])
+with open("messy_warnings.txt", "w") as fh:
+    fh.write(f"exit {{code}}\\n")
+    fh.writelines(f"{{w.category.__name__}}: {{w.message}}\\n" for w in caught)
+"""
 REPLICATE = CLI + ["replicate", "--scenario", "scenario1", "--n", "600", "--reps", "2",
                    "--horizon", "4", "--nmc", "20000", "--seed", "5", "--workers", "1"]
 
@@ -80,6 +107,8 @@ COMMANDS = [
                                "main,running_avg", "--folds", "2",
                                "--out", "leader_estimate.json"]),
     ("arms", ["-c", ARMS]),
+    ("messy_events", ["-c", MESSY_EVENTS]),
+    ("ingest_messy", ["-c", MESSY_INGEST]),
     ("ingest_spaced", CLI + ["ingest", "--events", "events.csv", "--visits", "8", "--spacing", "6",
                              "--out", "leader_spaced.csv"]),
     ("replicate_csv", REPLICATE + ["--out", "replicate.csv"]),
@@ -89,6 +118,107 @@ COMMANDS = [
     ("trajectory", CLI + ["trajectory", "--scenario", "scenario1", "--n", "2000", "--seed", "6",
                           "--out", "trajectory.csv"]),
 ]
+
+
+def messy_event_rows(rng, n: int, grid) -> list[list[str]]:
+    """Long event rows (lists of cells) of ``n`` subjects that ingest onto
+    ``grid`` without error while touching every rule the event reader keeps:
+    repeated baseline and event rows (the last wins), empty value cells, NaN
+    and infinite covariate components, tied, on-visit, early and late
+    measurement times, endpoints at or before t_0 and on visit times,
+    start-start-stop and open-ended exposure runs, indicators written as
+    floats, and ids holding a comma.  Each subject's rows keep their order;
+    subjects interleave.  Uses numpy and the standard library only."""
+    grid = [float(t) for t in grid]
+    t0, t_last = grid[0], grid[-1]
+    d = int(rng.integers(1, 4))
+    d_time = int(rng.integers(0, d + 1))
+
+    def num(x):
+        return repr(float(x))
+
+    def some_time():
+        pick = rng.random()
+        if pick < 0.3:
+            return grid[int(rng.integers(0, len(grid)))]
+        return float(rng.uniform(t0 - 2.0, t_last + 2.0)) if pick < 0.9 else t_last + 1.0
+
+    def flag():
+        return str(rng.choice(["0", "1", "1.0", "0.0", "0.9", "1e0"]))
+
+    def values(k):
+        cells = [str(rng.choice(["nan", "inf", "-inf"])) if rng.random() < 0.2
+                 else num(rng.normal()) for _ in range(k)]
+        for _ in range(int(rng.integers(0, 2))):  # empty cells are skipped
+            cells.insert(int(rng.integers(0, len(cells) + 1)), "")
+        return cells
+
+    per_subject = []
+    for i in range(n):
+        sid = f"S,{i}" if rng.random() < 0.1 else f"S{i:03d}"
+        rows = []
+        for _ in range(int(rng.integers(1, 3))):
+            rows.append([sid, "0", "baseline"] + [num(rng.normal()) for _ in range(d)]
+                        + [flag(), flag()])
+        for _ in range(int(rng.integers(1, 3))):
+            t = (max(0.0, some_time()) if rng.random() < 0.8
+                 else float(rng.choice([0.0, t0, t0 / 2])))
+            rows.append([sid, num(t), "event", str(rng.choice(["0", "1", "2", "1.0"]))])
+        meas = []
+        for _ in range(int(rng.integers(0, 6))):
+            t = meas[-1][1] if meas and rng.random() < 0.25 else num(some_time())
+            meas.append([sid, t, "covariate"] + values(d_time))
+        rows += meas
+        rng.shuffle(rows)  # any order; the exposure rows below keep theirs
+        expo, t = [], float(rng.uniform(t0 - 1.0, t_last))
+        for _ in range(int(rng.integers(0, 3))):
+            if rng.random() < 0.3:  # a start that the next one replaces
+                expo.append([sid, num(t), "exposure_start", ""])
+                t += float(rng.exponential(1.0))
+            start = grid[int(rng.integers(0, len(grid)))] if rng.random() < 0.2 else t
+            t = max(t, start)
+            expo.append([sid, num(start), "exposure_start"])
+            if rng.random() < 0.25:  # left open to the end of follow-up
+                break
+            t += float(rng.exponential(3.0)) if rng.random() < 0.8 else 0.0
+            if rng.random() < 0.2:  # stop on the next visit time
+                t = min((g for g in grid if g >= t), default=t)
+            expo.append([sid, num(t), "exposure_stop"])
+            t += float(rng.exponential(2.0))
+        slots = np.sort(rng.integers(0, len(rows) + 1, size=len(expo))).tolist()
+        for offset, (slot, row) in enumerate(zip(slots, expo)):
+            rows.insert(slot + offset, row)
+        per_subject.append(rows)
+    # interleave the subjects, each one's rows in order
+    owners = np.repeat(np.arange(n), [len(r) for r in per_subject])
+    rng.shuffle(owners)
+    cursor = [0] * n
+    out = []
+    for i in owners.tolist():
+        out.append(per_subject[i][cursor[i]])
+        cursor[i] += 1
+    return out
+
+
+def event_text(rows: list[list[str]], rng, eol: str) -> str:
+    """Rows as event CSV text with line end ``eol``: a header wide enough for
+    every row, some rows padded with empty cells, some cells quoted (and
+    every cell that needs it), and some blank lines."""
+    width = max(len(r) for r in rows) - 3
+
+    def cell(c):
+        if "," in c or '"' in c or rng.random() < 0.1:
+            return '"' + c.replace('"', '""') + '"'
+        return c
+
+    lines = [",".join(["id", "time", "kind"] + [f"v{j + 1}" for j in range(width)])]
+    for r in rows:
+        if rng.random() < 0.5:
+            r = r + [""] * (width + 3 - len(r))
+        lines.append(",".join(cell(c) for c in r))
+        if rng.random() < 0.05:
+            lines.append("")
+    return eol.join(lines) + eol
 
 
 def run_commands(tree: Path, out: Path) -> str | None:

@@ -36,7 +36,7 @@ from .learners import (
 )
 from .panel import (
     DataError,
-    EventRecord,
+    EventTable,
     TrialPanel,
     at_risk_mask,
     ingest_long_events,

@@ -255,9 +255,11 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    records = read_event_csv(args.events)
-    grid = args.grid or [args.spacing * k for k in range(args.visits + 1)]
-    panel = ingest_long_events(records, grid)
+    try:  # checked before the events are read: a --grid is checked by argparse
+        grid = args.grid or check_visit_grid([args.spacing * k for k in range(args.visits + 1)])
+    except DataError as exc:  # the spaced grid overflows
+        raise UsageError(f"--visits {args.visits} --spacing {args.spacing}: {exc}") from None
+    panel = ingest_long_events(read_event_csv(args.events), grid)
     write_panel_csv(panel, args.out)
     print(f"wrote panel ({panel.n} subjects, {panel.K} visits) to {args.out}")
     return 0

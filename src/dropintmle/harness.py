@@ -66,6 +66,7 @@ class PolicyReplication:
     mean_eics: np.ndarray
     gcomp_estimates: np.ndarray | None
     failures: int
+    failure_reasons: dict[str, int] = field(default_factory=dict)  # reason -> replications
 
     @property
     def n_ok(self) -> int:
@@ -213,11 +214,11 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
     for pol in policy_names:
         truth, truth_se = truths[pol][0], truths[pol][1]
         est, ses, covers, lens, maxw, eics, gests = [], [], [], [], [], [], []
-        failures = 0
+        reasons: dict[str, int] = {}
         for res in results:
             run = res[pol]
             if run.failure is not None:
-                failures += 1
+                reasons[run.failure] = reasons.get(run.failure, 0) + 1
                 continue
             est.append(run.psi)
             ses.append(run.se)
@@ -233,7 +234,7 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
             covers=np.array(covers, dtype=bool), ci_lens=np.array(lens),
             max_weights=np.array(maxw), mean_eics=np.array(eics),
             gcomp_estimates=np.array(gests) if gests else None,
-            failures=failures,
+            failures=sum(reasons.values()), failure_reasons=reasons,
         )
     return table
 
@@ -255,13 +256,16 @@ def _fmt6(x) -> str:
 def emit_report(obj, path, fmt: str = "csv") -> None:
     """Write a table or report to disk with a stable schema.
 
-    ReplicationTable -> CSV with the documented column order (or JSON);
+    ReplicationTable -> CSV with the documented column order (or JSON, whose
+    rows also count each policy's failures by reason, ``failure_reasons``);
     EstimateReport / dicts -> canonical JSON (see ``_write_json``); drop-in
     trajectories -> per-visit CSV.
     """
     if isinstance(obj, ReplicationTable) and fmt == "json":
+        rows = [dict(row, failure_reasons=p.failure_reasons)
+                for row, p in zip(obj.rows(), obj.policies.values())]
         obj = {"scenario": obj.scenario, "n": obj.n, "reps": obj.reps,
-               "horizon": obj.horizon, "seed": obj.seed, "rows": obj.rows()}
+               "horizon": obj.horizon, "seed": obj.seed, "rows": rows}
     elif isinstance(obj, EstimateReport):
         obj = obj.to_dict()
     if isinstance(obj, ReplicationTable):

@@ -16,7 +16,8 @@ import csv
 import itertools
 import re
 import warnings
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -159,31 +160,47 @@ def validate_panel(panel: TrialPanel) -> None:
     _raise_first(total > 1, "exclusive first transition of Y, D and C violated")
 
 
-@dataclass
-class EventRecord:
-    """One subject's continuous-time record before discretization."""
+@dataclass(frozen=True)
+class EventTable:
+    """Continuous-time records of n subjects as columns, before discretization.
 
-    subject_id: str
-    t_tilde: float
-    delta_tilde: int            # 0 censored, 1 primary event, 2 competing death
+    Subject i is the i-th id in order of first appearance.  Per subject:
+    endpoint time ``t_tilde`` and code ``delta`` (0 censored, 1 primary
+    event, 2 competing death), the baseline block ``L0`` (row i holds
+    ``L0_width[i]`` values, NaN past them), and ``Z0``/``A0`` as read (float,
+    so that an out-of-range value can be reported).  Covariate measurements,
+    in file order: owner ``meas_subject``, time ``meas_time``, component
+    count ``meas_width``, and ``meas_values``, every measurement's components
+    one after another.  Exposure intervals: owner ``expo_subject``,
+    ``expo_start`` and ``expo_stop`` (+inf for a run left open).
+    """
+
+    ids: np.ndarray
+    t_tilde: np.ndarray
+    delta: np.ndarray
     L0: np.ndarray
-    Z0: int
-    A0: int
-    exposure_intervals: list[tuple[float, float]] = field(default_factory=list)
-    covariate_measurements: list[tuple[float, np.ndarray]] = field(default_factory=list)
+    L0_width: np.ndarray
+    Z0: np.ndarray
+    A0: np.ndarray
+    meas_subject: np.ndarray
+    meas_time: np.ndarray
+    meas_width: np.ndarray
+    meas_values: np.ndarray
+    expo_subject: np.ndarray
+    expo_start: np.ndarray
+    expo_stop: np.ndarray
 
-    def normalized_intervals(self) -> list[tuple[float, float]]:
-        """Exposure intervals sorted and merged so they do not overlap."""
-        ivs = sorted((float(a), float(b)) for a, b in self.exposure_intervals)
-        merged: list[list[float]] = []
-        for a, b in ivs:
-            if b < a:
-                raise DataError(f"subject {self.subject_id}: interval ({a}, {b}) reversed")
-            if merged and a <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        return [(a, b) for a, b in merged]
+    def __post_init__(self):
+        for f in fields(self):
+            dtype = {"ids": str, "L0_width": np.intp, "meas_subject": np.intp,
+                     "meas_width": np.intp, "expo_subject": np.intp}.get(f.name, float)
+            arr = np.asarray(getattr(self, f.name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, f.name, arr)
+
+    @property
+    def n(self) -> int:
+        return self.ids.size
 
 
 def check_visit_grid(visit_times) -> np.ndarray:
@@ -198,7 +215,14 @@ def check_visit_grid(visit_times) -> np.ndarray:
     return visit_times
 
 
-def ingest_long_events(records: list[EventRecord], visit_times) -> TrialPanel:
+def _owners(n: int, subjects: np.ndarray) -> np.ndarray:
+    """Per-subject mask: True for each subject listed in ``subjects``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[subjects] = True
+    return mask
+
+
+def ingest_long_events(events: EventTable, visit_times) -> TrialPanel:
     """Discretize continuous-time records onto the visit grid.
 
     Status at visit k is set when the subject's endpoint time falls in the
@@ -206,79 +230,107 @@ def ingest_long_events(records: list[EventRecord], visit_times) -> TrialPanel:
     exposure interval intersects that window; covariates are lagged one visit
     (L_k is the last measurement at or before t_{k-1}) with LOCF for gaps.
     Records with no A information carry the randomized arm forward (A_k = A0).
+    A broken record raises DataError for the first such subject, at its
+    first failing check; the warnings of the subjects before it are issued.
     """
     visit_times = check_visit_grid(visit_times)
-    if not records:
+    ev = events
+    n = ev.n
+    if n == 0:
         raise DataError("no records to ingest")
     K = visit_times.size - 1
-    n = len(records)
+    t0, t_last = visit_times[0], visit_times[-1]
 
-    d = np.asarray(records[0].L0, dtype=float).size
-    d_time, first = next(((np.asarray(vec, dtype=float).size, r.subject_id)
-                          for r in records for _, vec in r.covariate_measurements), (d, None))
-    if d_time > d:  # L_0 is the first d_time baseline columns
-        raise DataError(f"subject {first}: covariate rows have {d_time} components but "
-                        f"the baseline block has {d}")
+    d = int(ev.L0_width[0])
+    d_time = d
+    if ev.meas_subject.size:  # the first subject's first measurement sets the width
+        first = int(np.argmin(ev.meas_subject))
+        d_time = int(ev.meas_width[first])
+        if d_time > d:  # L_0 is the first d_time baseline columns
+            raise DataError(f"subject {ev.ids[ev.meas_subject[first]]}: covariate rows have "
+                            f"{d_time} components but the baseline block has {d}")
 
-    L0, L = np.zeros((n, d)), np.zeros((K - 1, n, d_time))
-    Z0, A0 = (np.zeros(n, dtype=np.int8) for _ in range(2))
-    Y, D, C = (np.zeros((K, n), dtype=np.int8) for _ in range(3))
-    Z = np.zeros((K - 1, n), dtype=np.int8)
+    t, ms, mt, xs = ev.t_tilde, ev.meas_subject, ev.meas_time, ev.expo_subject
+    L0 = np.array(ev.L0[:, :d])
 
-    t_last = visit_times[-1]
-    windows = list(zip(visit_times[:-2].tolist(), visit_times[1:-1].tolist()))
-    for i, rec in enumerate(records):
-        base = np.asarray(rec.L0, dtype=float).reshape(-1)
-        if base.size != d:
-            raise DataError(f"subject {rec.subject_id}: baseline covariate width differs")
-        if not np.all(np.isfinite(base)):
-            raise DataError(f"subject {rec.subject_id}: missing baseline covariates")
-        if rec.t_tilde < 0:
-            raise DataError(f"subject {rec.subject_id}: negative endpoint time")
-        if rec.delta_tilde not in (0, 1, 2):
-            raise DataError(f"subject {rec.subject_id}: delta must be 0, 1 or 2")
-        L0[i] = base
-        Z0[i] = int(rec.Z0)
-        A0[i] = int(rec.A0)
+    def first_measurement(i):  # the first too-wide or too-narrow one in time order
+        rows = np.flatnonzero((ms == i) & (ev.meas_width != d_time))
+        return f"covariate width differs at t={float(mt[rows[np.argmin(mt[rows])]])}"
 
-        t_ev = rec.t_tilde
-        if t_ev <= visit_times[0]:
-            warnings.warn(f"subject {rec.subject_id}: endpoint at or before t_0; "
+    def first_reversed(i):
+        a, b = min((a, b) for a, b, s in zip(ev.expo_start.tolist(), ev.expo_stop.tolist(),
+                                             xs.tolist()) if s == i and b < a)
+        return f"interval ({a}, {b}) reversed"
+
+    def outside_int8(v):  # an indicator is read as int(value) into int8
+        return ~((v > -129) & (v < 128))
+
+    # the per-subject checks, in the order they apply to a subject
+    checks = [
+        (ev.L0_width != d, "baseline covariate width differs"),
+        (~np.isfinite(L0).all(axis=1), "missing baseline covariates"),
+        (t < 0, "negative endpoint time"),
+        (np.isnan(t), "endpoint time is nan"),
+        (~np.isin(ev.delta, (0, 1, 2)), "delta must be 0, 1 or 2"),
+        (outside_int8(ev.Z0), lambda i: f"Z0 holds {ev.Z0[i]}, not an integer in -128..127"),
+        (outside_int8(ev.A0), lambda i: f"A0 holds {ev.A0[i]}, not an integer in -128..127"),
+    ]
+    warn_endpoint = len(checks)  # the endpoint warning follows these checks
+    checks.append((_owners(n, ms[np.isnan(mt)]), "covariate measured at t=nan"))
+    warn_late = len(checks)  # the late-measurement warnings follow these
+    checks += [
+        (_owners(n, ms[ev.meas_width != d_time]), first_measurement),
+        (_owners(n, xs[np.isnan(ev.expo_start) | np.isnan(ev.expo_stop)]),
+         "exposure at t=nan"),
+        (_owners(n, xs[ev.expo_stop < ev.expo_start]), first_reversed),
+    ]
+    bad = np.array([mask for mask, _ in checks])
+    failing = bad.any(axis=0)
+    stop = int(np.argmax(failing)) if failing.any() else n
+    passed = int(np.argmax(bad[:, stop])) if stop < n else len(checks)
+    early = t <= t0
+    late = np.bincount(ms[mt > t_last], minlength=n)
+    for i in np.flatnonzero((early | (late > 0))[: stop + 1]).tolist():
+        checked = len(checks) if i < stop else passed
+        if early[i] and checked >= warn_endpoint:
+            warnings.warn(f"subject {ev.ids[i]}: endpoint at or before t_0; "
                           "assigned to visit 1")
-            k_ev = 1
-        elif t_ev > t_last:
-            k_ev = None  # event-free over the panel window
-        else:
-            k_ev = int(np.searchsorted(visit_times, t_ev, side="left"))
-        if k_ev is not None:
-            target = {1: Y, 2: D, 0: C}[rec.delta_tilde]
-            target[k_ev - 1:, i] = 1
+        for _ in range(late[i] if checked >= warn_late else 0):
+            warnings.warn(f"subject {ev.ids[i]}: covariate measured after last "
+                          "visit; truncated")
+    if stop < n:
+        message = checks[passed][1]
+        raise DataError(f"subject {ev.ids[stop]}: "
+                        + (message(stop) if callable(message) else message))
 
-        if any(t_m != t_m for t_m, _ in rec.covariate_measurements):
-            raise DataError(f"subject {rec.subject_id}: covariate measured at t=nan")
-        meas = sorted(rec.covariate_measurements, key=lambda m: m[0])
-        for t_m, _ in meas:
-            if t_m > t_last:
-                warnings.warn(f"subject {rec.subject_id}: covariate measured after last "
-                              "visit; truncated")
-        vecs = [np.asarray(vec, dtype=float).reshape(-1) for _, vec in meas]
-        for (t_m, _), v in zip(meas, vecs):
-            if v.size != d_time:
-                raise DataError(f"subject {rec.subject_id}: covariate width differs at t={t_m}")
-        intervals = rec.normalized_intervals()
-        # lag rule: L_k reflects what was known at visit k-1; the measurements
-        # are sorted, so each visit applies only the ones new since the last
-        current, rows, m = base[:d_time], [], 0
-        for t_lag, _ in windows:
-            while m < len(meas) and meas[m][0] <= t_lag:
-                current = np.where(np.isfinite(vecs[m]), vecs[m], current)  # LOCF
-                m += 1
-            rows.append(current)
-        L[:, i] = np.reshape(rows, (K - 1, d_time))  # no rows when K = 1
-        Z[:, i] = [any(a <= hi and b > lo for a, b in intervals) for lo, hi in windows]
+    # endpoint visit: t_0 and before is visit 1, past t_K is K + 1 (none)
+    k_ev = np.where(early, 1, np.searchsorted(visit_times, t, side="left"))
+    reached = np.arange(1, K + 1)[:, None] >= k_ev
+    Y, D, C = ((reached & (ev.delta == code)).astype(np.int8) for code in (1, 2, 0))
+
+    windows_lo, windows_hi = visit_times[:-2], visit_times[1:-1]
+    hit = (ev.expo_start[:, None] <= windows_hi) & (ev.expo_stop[:, None] > windows_lo)
+    Z = np.zeros((K - 1, n), dtype=np.int8)
+    k, m = np.nonzero(hit.T)
+    Z[k, xs[m]] = 1
+
+    # lag rule with LOCF: L_k takes, per component, the latest finite value
+    # measured at or before t_{k-1}, else the baseline value
+    L = np.repeat(L0[None, :, :d_time], K - 1, axis=0)
+    order = np.lexsort((mt, ms))  # by subject, then time; ties keep file order
+    subj, times = ms[order], mt[order]
+    values = ev.meas_values.reshape(ms.size, d_time)[order]
+    for j in range(d_time):
+        known = np.isfinite(values[:, j])
+        for k, t_lag in enumerate(windows_lo):
+            rows = np.flatnonzero(known & (times <= t_lag))
+            s = subj[rows]
+            latest = rows[np.diff(s, append=-1) != 0]
+            L[k, subj[latest], j] = values[latest, j]
+    A0 = ev.A0.astype(np.int8)
     A = np.repeat(A0[None], K - 1, axis=0)
 
-    panel = TrialPanel(L0=L0, Z0=Z0, A0=A0, Y=Y, D=D, C=C, L=L, A=A, Z=Z)
+    panel = TrialPanel(L0=L0, Z0=ev.Z0.astype(np.int8), A0=A0, Y=Y, D=D, C=C, L=L, A=A, Z=Z)
     validate_panel(panel)
     return panel
 
@@ -392,16 +444,32 @@ def _event_row_error(path, line: int, row: list[str], exc: Exception) -> DataErr
     return DataError(f"{where}: {exc}")
 
 
-def read_event_csv(path) -> list[EventRecord]:
-    """Load long-format event records.
+def _last_row(n: int, subjects: np.ndarray) -> np.ndarray:
+    """Per subject, the position of its last row in ``subjects``; -1 if none."""
+    last = np.full(n, -1)
+    np.maximum.at(last, subjects, np.arange(subjects.size))
+    return last
+
+
+def read_event_csv(path) -> EventTable:
+    """Load long-format event records into an EventTable.
 
     Rows are ``id,time,kind,v1,v2,...`` with kind one of baseline, event,
-    covariate, exposure_start, exposure_stop.  The baseline row carries
-    ``v1..vd`` = L0 followed by Z0 and A0; the event row has v1 = delta.  A
-    row that cannot be read raises DataError naming its line and field.
+    covariate, exposure_start, exposure_stop; empty value cells are skipped.
+    The baseline row carries ``v1..vd`` = L0 followed by Z0 and A0; the event
+    row has v1 = delta; a later baseline or event row replaces an earlier
+    one.  An exposure_start opens a run (replacing one already open) that the
+    next exposure_stop closes; a run left open lasts to the end of
+    follow-up.  A row that cannot be read raises DataError naming its line
+    and field.
     """
-    by_id: dict[str, dict] = {}
-    order: list[str] = []
+    index: dict[str, int] = {}                 # id -> subject, in order of first appearance
+    opened: dict[int, float] = {}              # subject -> start of its open exposure run
+    base_subject, base_width, base_values, base_z0, base_a0 = (
+        array("q"), array("q"), array("d"), array("d"), array("d"))
+    event_subject, event_time, event_delta = array("q"), array("d"), array("d")
+    meas_subject, meas_time, meas_width, meas_values = array("q"), array("d"), array("q"), array("d")
+    expo_subject, expo_start, expo_stop = array("q"), array("d"), array("d")
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd, None)
@@ -412,50 +480,65 @@ def read_event_csv(path) -> list[EventRecord]:
                 continue
             try:
                 sid, t, kind = row[0], float(row[1]), row[2]
-                vals = [x for x in row[3:] if x != ""]
-                if sid not in by_id:
-                    by_id[sid] = {"expo_open": None, "intervals": [], "covs": [],
-                                  "event": None, "base": None}
-                    order.append(sid)
-                rec = by_id[sid]
-                if kind == "baseline":
+                i = index.setdefault(sid, len(index))
+                if kind == "covariate":
+                    vals = [float(v) for v in row[3:] if v]
+                    meas_subject.append(i)
+                    meas_time.append(t)
+                    meas_width.append(len(vals))
+                    meas_values.extend(vals)
+                elif kind == "baseline":
+                    vals = [v for v in row[3:] if v]
                     if len(vals) < 3:
                         raise DataError(f"{path}: baseline row for {sid} needs L0..,Z0,A0")
-                    rec["base"] = (np.array([float(v) for v in vals[:-2]]),
-                                   int(float(vals[-2])), int(float(vals[-1])))
+                    base_values.extend([float(v) for v in vals[:-2]])
+                    base_z0.append(int(float(vals[-2])))
+                    base_a0.append(int(float(vals[-1])))
+                    base_subject.append(i)
+                    base_width.append(len(vals) - 2)
                 elif kind == "event":
-                    rec["event"] = (t, int(float(vals[0])))
-                elif kind == "covariate":
-                    rec["covs"].append((t, np.array([float(v) for v in vals])))
+                    vals = [v for v in row[3:] if v]
+                    event_delta.append(int(float(vals[0])))
+                    event_subject.append(i)
+                    event_time.append(t)
                 elif kind == "exposure_start":
-                    rec["expo_open"] = t
+                    opened[i] = t
                 elif kind == "exposure_stop":
-                    start = rec["expo_open"]
-                    if start is None:
+                    if i not in opened:
                         raise DataError(f"{path}: exposure_stop without start for {sid}")
-                    rec["intervals"].append((start, t))
-                    rec["expo_open"] = None
+                    expo_subject.append(i)
+                    expo_start.append(opened.pop(i))
+                    expo_stop.append(t)
                 else:
                     raise DataError(f"{path}: unknown kind '{kind}'")
             except DataError:
                 raise
             except (ValueError, IndexError, OverflowError) as exc:
                 raise _event_row_error(path, rd.line_num, row, exc) from None
-    records = []
-    for sid in order:
-        rec = by_id.pop(sid)  # the records take over its lists and arrays
-        if rec["base"] is None:
-            raise DataError(f"{path}: subject {sid} has no baseline row")
-        if rec["event"] is None:
-            raise DataError(f"{path}: subject {sid} has no event row")
-        if rec["expo_open"] is not None:
-            # open-ended exposure runs to the end of follow-up
-            rec["intervals"].append((rec["expo_open"], float("inf")))
-        L0, Z0, A0 = rec["base"]
-        t, delta = rec["event"]
-        records.append(EventRecord(
-            subject_id=sid, t_tilde=t, delta_tilde=delta, L0=L0, Z0=Z0, A0=A0,
-            exposure_intervals=rec["intervals"],
-            covariate_measurements=rec["covs"],
-        ))
-    return records
+    n = len(index)
+    ids = list(index)
+    base_row, event_row = (_last_row(n, np.frombuffer(s, dtype=np.int64))
+                           for s in (base_subject, event_subject))
+    missing = (base_row < 0) | (event_row < 0)
+    if missing.any():
+        i = int(np.argmax(missing))
+        what = "baseline" if base_row[i] < 0 else "event"
+        raise DataError(f"{path}: subject {ids[i]} has no {what} row")
+    for i, start in opened.items():  # open-ended exposure runs to the end of follow-up
+        expo_subject.append(i)
+        expo_start.append(start)
+        expo_stop.append(float("inf"))
+    widths = np.frombuffer(base_width, dtype=np.int64)
+    offsets = np.cumsum(widths) - widths
+    width = widths[base_row]
+    columns = np.arange(width.max(initial=0))
+    inside = columns < width[:, None]
+    L0 = np.full(inside.shape, np.nan)
+    L0[inside] = np.frombuffer(base_values)[(offsets[base_row][:, None] + columns)[inside]]
+    return EventTable(
+        ids=ids, t_tilde=np.frombuffer(event_time)[event_row],
+        delta=np.frombuffer(event_delta)[event_row], L0=L0, L0_width=width,
+        Z0=np.frombuffer(base_z0)[base_row], A0=np.frombuffer(base_a0)[base_row],
+        meas_subject=meas_subject, meas_time=meas_time, meas_width=meas_width,
+        meas_values=meas_values, expo_subject=expo_subject, expo_start=expo_start,
+        expo_stop=expo_stop)

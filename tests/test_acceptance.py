@@ -223,11 +223,11 @@ def test_leader_shaped_pipeline():
     # 9,340 subjects, 8 visits, three time-varying covariates
     rng = np.random.default_rng(7)
     n, K, d = 9340, 8, 3
-    from dropintmle.panel import EventRecord, ingest_long_events, at_risk_mask
+    from dropintmle.panel import EventTable, ingest_long_events, at_risk_mask
     from dropintmle.panel import validate_panel
 
     grid = [6.0 * k for k in range(K + 1)]
-    records = []
+    subjects, expo, meas = [], [], []
     for i in range(n):
         base = rng.standard_normal(d)
         u = rng.random()
@@ -242,11 +242,17 @@ def test_leader_shaped_pipeline():
         expos = [(rng.uniform(0, 40), rng.uniform(40, 60))] if rng.random() < 0.4 else []
         covs = [(6.0 * j + rng.uniform(-1, 1), base + rng.standard_normal(d) * 0.3)
                 for j in range(0, K, 2)]
-        records.append(EventRecord(
-            subject_id=f"s{i}", t_tilde=t, delta_tilde=delta, L0=base,
-            Z0=int(rng.random() < 0.3), A0=int(rng.random() < 0.5),
-            exposure_intervals=expos, covariate_measurements=covs))
-    panel = ingest_long_events(records, grid)
+        subjects.append((t, delta, base, int(rng.random() < 0.3), int(rng.random() < 0.5)))
+        expo += [(i, a, b) for a, b in expos]
+        meas += [(i, t_m, v) for t_m, v in covs]
+    t, delta, base, Z0, A0 = zip(*subjects)
+    events = EventTable(
+        ids=[f"s{i}" for i in range(n)], t_tilde=t, delta=delta, L0=base, L0_width=[d] * n,
+        Z0=Z0, A0=A0, meas_subject=[m[0] for m in meas], meas_time=[m[1] for m in meas],
+        meas_width=[d] * len(meas), meas_values=np.concatenate([m[2] for m in meas]),
+        expo_subject=[x[0] for x in expo], expo_start=[x[1] for x in expo],
+        expo_stop=[x[2] for x in expo])
+    panel = ingest_long_events(events, grid)
     assert panel.n == n and panel.K == K and panel.d_time == d
     validate_panel(panel)
     assert at_risk_mask(panel, K).sum() > 1000

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dropintmle.cli import cli_main
+from dropintmle.harness import TABLE_COLUMNS
 from dropintmle.panel import read_panel_csv
 
 
@@ -314,6 +315,45 @@ def test_ingest_bad_grid_option_is_usage_error(tmp_path, capsys, opts, named):
     assert run(["ingest", "--events", str(events), "--out", str(out)] + opts) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ingest_overflowing_spaced_grid_is_usage_error_before_reading(tmp_path, capsys):
+    # the events file does not exist: the grid is refused before it is read
+    out = tmp_path / "panel.csv"
+    assert run(["ingest", "--events", str(tmp_path / "missing.csv"), "--visits", "8",
+                "--spacing", "1e308", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--visits 8 --spacing 1e+308: visit grid times must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("baseline, named", [
+    ("p1,0,baseline,0.5,300,1", "subject p1: Z0 holds 300.0, not an integer in -128..127"),
+    ("p1,0,baseline,0.5,0,-129", "subject p1: A0 holds -129.0, not an integer in -128..127"),
+], ids=["z0-300", "a0-minus129"])
+def test_ingest_indicator_outside_int8_is_data_error(tmp_path, capsys, baseline, named):
+    events = tmp_path / "events.csv"
+    events.write_text(f"id,time,kind,v1,v2,v3\n{baseline}\np1,4.2,event,1,,\n")
+    out = tmp_path / "panel.csv"
+    assert run(["ingest", "--events", str(events), "--grid", "0,3,6",
+                "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replicate_json_counts_failure_reasons(tmp_path):
+    common = ["replicate", "--scenario", "scenario1", "--n", "600", "--reps", "2",
+              "--horizon", "4", "--nmc", "20000", "--seed", "5", "--workers", "1"]
+    out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+    assert run(common + ["--format", "json", "--out", str(out_json)]) == 0
+    rows = {r["policy"]: r for r in json.loads(out_json.read_text())["rows"]}
+    assert rows["static1"]["failures"] == 1
+    assert rows["static1"]["failure_reasons"] == {
+        "EstimationError: fluctuation did not converge": 1}
+    for r in rows.values():
+        assert sum(r["failure_reasons"].values()) == r["failures"]
+    assert run(common + ["--out", str(out_csv)]) == 0
+    assert out_csv.read_text().splitlines()[0] == ",".join(TABLE_COLUMNS)
 
 
 def test_ingest_malformed_event_row_is_data_error(tmp_path, capsys):

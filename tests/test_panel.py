@@ -1,6 +1,10 @@
 import csv
 import dataclasses
+import importlib.util
+import tempfile
 import warnings
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +14,11 @@ from hypothesis import strategies as st
 from dropintmle import panel as panel_mod
 from dropintmle.panel import (
     DataError,
-    EventRecord,
+    EventTable,
     TrialPanel,
+    _event_row_error,
     at_risk_mask,
+    check_visit_grid,
     ingest_long_events,
     make_panel,
     panel_columns,
@@ -96,38 +102,59 @@ def rec(sid="s", t=100.0, delta=1, L0=(0.5,), Z0=0, A0=1, expos=(), covs=()):
                        covariate_measurements=[(t_, np.array(v)) for t_, v in covs])
 
 
+def events(*records: "EventRecord") -> EventTable:
+    """The EventTable of ``records``, in order: the columns of the
+    per-subject records that the reference loops below take."""
+    widths = [np.size(r.L0) for r in records]
+    L0 = np.full((len(records), max(widths, default=0)), np.nan)
+    for i, r in enumerate(records):
+        L0[i, : widths[i]] = np.ravel(r.L0)
+    meas = [(i, t, np.ravel(np.asarray(v, dtype=float)))
+            for i, r in enumerate(records) for t, v in r.covariate_measurements]
+    expo = [(i, a, b) for i, r in enumerate(records) for a, b in r.exposure_intervals]
+    return EventTable(
+        ids=[r.subject_id for r in records], t_tilde=[r.t_tilde for r in records],
+        delta=[r.delta_tilde for r in records], L0=L0, L0_width=widths,
+        Z0=[r.Z0 for r in records], A0=[r.A0 for r in records],
+        meas_subject=[m[0] for m in meas], meas_time=[m[1] for m in meas],
+        meas_width=[m[2].size for m in meas],
+        meas_values=np.concatenate([m[2] for m in meas] + [np.zeros(0)]),
+        expo_subject=[x[0] for x in expo], expo_start=[x[1] for x in expo],
+        expo_stop=[x[2] for x in expo])
+
+
 GRID = [0.0, 3.0, 6.0, 9.0, 12.0]
 
 
 def test_event_lands_in_right_closed_window():
     # endpoint at 4.2 months on a 3-month grid: visit 2 carries the event
-    p = ingest_long_events([rec(t=4.2, delta=1)], GRID)
+    p = ingest_long_events(events(rec(t=4.2, delta=1)), GRID)
     assert p.y_at(1)[0] == 0 and p.y_at(2)[0] == 1 and p.y_at(4)[0] == 1
     # exactly on a visit time belongs to that visit
-    p = ingest_long_events([rec(t=6.0, delta=2)], GRID)
+    p = ingest_long_events(events(rec(t=6.0, delta=2)), GRID)
     assert p.d_at(1)[0] == 0 and p.d_at(2)[0] == 1
 
 
 def test_censoring_and_death_channels():
-    p = ingest_long_events([rec(t=7.0, delta=0)], GRID)
+    p = ingest_long_events(events(rec(t=7.0, delta=0)), GRID)
     assert p.c_at(3)[0] == 1 and p.y_at(3)[0] == 0 and p.d_at(3)[0] == 0
     validate_panel(p)
 
 
 def test_exposure_any_overlap_rule():
     # interval (3.1, 5.0): not exposed in (0,3], exposed in (3,6]
-    p = ingest_long_events([rec(expos=[(3.1, 5.0)])], GRID)
+    p = ingest_long_events(events(rec(expos=[(3.1, 5.0)])), GRID)
     assert p.z_at(1)[0] == 0 and p.z_at(2)[0] == 1 and p.z_at(3)[0] == 0
 
 
 def test_exposure_stop_on_boundary_not_carried():
-    p = ingest_long_events([rec(expos=[(1.0, 3.0)])], GRID)
+    p = ingest_long_events(events(rec(expos=[(1.0, 3.0)])), GRID)
     assert p.z_at(1)[0] == 1 and p.z_at(2)[0] == 0
 
 
 def test_covariate_lagged_one_visit_with_locf():
     covs = [(0.0, (1.0,)), (5.9, (2.0,))]
-    p = ingest_long_events([rec(covs=covs)], GRID)
+    p = ingest_long_events(events(rec(covs=covs)), GRID)
     # L_k reflects the last measurement at or before visit k-1
     assert p.l_at(1)[0, 0] == 1.0   # measurement at 5.9 not yet seen at t_0
     assert p.l_at(2)[0, 0] == 1.0   # at t_1 = 3 the 5.9 draw is still future
@@ -135,18 +162,18 @@ def test_covariate_lagged_one_visit_with_locf():
 
 
 def test_baseline_only_covariate_locf_everywhere():
-    p = ingest_long_events([rec(L0=(0.7,))], GRID)
+    p = ingest_long_events(events(rec(L0=(0.7,))), GRID)
     assert np.all(p.L[:, 0, 0] == 0.7)
 
 
 def test_missing_baseline_rejected():
     with pytest.raises(DataError):
-        ingest_long_events([rec(L0=(np.nan,))], GRID)
+        ingest_long_events(events(rec(L0=(np.nan,))), GRID)
 
 
 def test_empty_grid_rejected():
     with pytest.raises(DataError):
-        ingest_long_events([rec()], [0.0])
+        ingest_long_events(events(rec()), [0.0])
 
 
 @pytest.mark.parametrize("grid", [[0.0, np.nan, 6.0], [0.0, 3.0, np.inf], [np.nan, 3.0]],
@@ -154,17 +181,17 @@ def test_empty_grid_rejected():
 def test_non_finite_grid_rejected(grid):
     # NaN passes the strictly-increasing check (every comparison is False)
     with pytest.raises(DataError, match="visit grid times must be finite"):
-        ingest_long_events([rec()], grid)
+        ingest_long_events(events(rec()), grid)
 
 
 def test_measurement_after_last_visit_warns():
     with pytest.warns(UserWarning):
-        ingest_long_events([rec(covs=[(99.0, (1.0,))])], GRID)
+        ingest_long_events(events(rec(covs=[(99.0, (1.0,))])), GRID)
 
 
 def test_event_at_time_zero_warns_and_maps_to_visit_one():
     with pytest.warns(UserWarning):
-        p = ingest_long_events([rec(t=0.0, delta=1)], GRID)
+        p = ingest_long_events(events(rec(t=0.0, delta=1)), GRID)
     assert p.y_at(1)[0] == 1
 
 
@@ -176,7 +203,7 @@ def test_ingest_discretization_idempotent():
         rec("c", t=100.0, delta=1, expos=[(8.0, 9.0)]),
         rec("d", t=11.9, delta=0),
     ]
-    p1 = ingest_long_events(records, GRID)
+    p1 = ingest_long_events(events(*records), GRID)
     rows = []
     for i, r in enumerate(records):
         status = np.concatenate([[0], np.maximum.reduce([p1.Y[:, i], 2 * p1.D[:, i], 3 * p1.C[:, i]])])
@@ -190,7 +217,7 @@ def test_ingest_discretization_idempotent():
         # shift starts off the boundary: window (t_{k-1}, t_k] is open on the left
         expos = [(a + 1e-9, b) for a, b in expos]
         rows.append(rec(r.subject_id, t=t2, delta=d2, expos=expos))
-    p2 = ingest_long_events(rows, GRID)
+    p2 = ingest_long_events(events(*rows), GRID)
     assert np.array_equal(p1.Y, p2.Y)
     assert np.array_equal(p1.D, p2.D)
     assert np.array_equal(p1.C, p2.C)
@@ -203,7 +230,7 @@ def test_exposure_coding_matches_pointwise_probe(start, width):
     # brute-force oracle: exposed in window k iff some probe point of the
     # closed interval lies in (t_{k-1}, t_k]
     stop = start + width
-    p = ingest_long_events([rec(expos=[(start, stop)])], GRID)
+    p = ingest_long_events(events(rec(expos=[(start, stop)])), GRID)
     probes = np.linspace(start, stop, 2001)
     for k in range(1, len(GRID) - 1):
         lo, hi = GRID[k - 1], GRID[k]
@@ -239,12 +266,12 @@ def test_panel_immutable(scenario1_panel):
 def test_measurement_width_checked_after_last_lagged_visit():
     # t = 7 lies after t_{K-2} = 6, so no L_k takes it; it is still checked
     with pytest.raises(DataError, match="covariate width differs at t=7"):
-        ingest_long_events([rec(covs=[(1.0, (0.2,)), (7.0, (1.0, 2.0))])], GRID)
+        ingest_long_events(events(rec(covs=[(1.0, (0.2,)), (7.0, (1.0, 2.0))])), GRID)
 
 
 def test_measurement_at_nan_time_rejected():
     with pytest.raises(DataError, match="t=nan"):
-        ingest_long_events([rec(covs=[(1.0, (0.2,)), (np.nan, (1.0,))])], GRID)
+        ingest_long_events(events(rec(covs=[(1.0, (0.2,)), (np.nan, (1.0,))])), GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +345,57 @@ def test_malformed_event_row_is_data_error_naming_line_and_field(tmp_path, row, 
     assert str(info.value) == f"{path}: {message}"
 
 
+def test_event_table_holds_the_rows_as_the_reader_keeps_them(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("id,time,kind,v1,v2,v3\n"
+                    "b,2,exposure_start\n"
+                    "a,0,baseline,0.5,0,1\n"
+                    "a,0,baseline,0.25,,1,0\n"       # replaces the first; the empty cell is skipped
+                    "a,3,event,1\n"
+                    "a,4,event,2,,\n"                # replaces the first
+                    "a,1,exposure_start\n"
+                    "a,2,exposure_start\n"           # replaces the open start at 1
+                    "a,5,exposure_stop\n"
+                    "a,7,exposure_start\n"           # open: runs to the end of follow-up
+                    "\n"
+                    'b,0,baseline,"-1.5",0.75,0,0\n'
+                    "b,9,event,0\n"
+                    "b,1,covariate,,0.3\n"
+                    "b,4,exposure_stop\n")
+    tab = read_event_csv(path)
+    assert tab.ids.tolist() == ["b", "a"] and tab.n == 2
+    assert tab.t_tilde.tolist() == [9.0, 4.0] and tab.delta.tolist() == [0.0, 2.0]
+    assert tab.L0_width.tolist() == [2, 1]
+    assert np.array_equal(tab.L0, [[-1.5, 0.75], [0.25, np.nan]], equal_nan=True)
+    assert tab.Z0.tolist() == [0.0, 1.0] and tab.A0.tolist() == [0.0, 0.0]
+    assert (tab.meas_subject.tolist(), tab.meas_time.tolist(), tab.meas_width.tolist(),
+            tab.meas_values.tolist()) == ([0], [1.0], [1], [0.3])
+    intervals = sorted(zip(tab.expo_subject.tolist(), tab.expo_start.tolist(),
+                           tab.expo_stop.tolist()))
+    assert intervals == [(0, 2.0, 4.0), (1, 2.0, 5.0), (1, 7.0, np.inf)]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("p2,0,baseline,0.1,300,0\np2,5,event,0", "subject p2: Z0 holds 300.0, not an integer"),
+    ("p2,0,baseline,0.1,0,1e300\np2,5,event,0", "subject p2: A0 holds 1e+300, not an integer"),
+    ("p2,0,baseline,0.1,1,0\np2,nan,event,0", "subject p2: endpoint time is nan"),
+    ("p2,0,baseline,0.1,1,0\np2,5,event,0\np2,nan,exposure_start",
+     "subject p2: exposure at t=nan"),
+    ("p2,0,baseline,0.1,1,0\np2,5,event,0\np2,1,exposure_start\np2,nan,exposure_stop",
+     "subject p2: exposure at t=nan"),
+], ids=["z0-300", "a0-1e300", "nan-endpoint", "nan-start", "nan-stop"])
+def test_unreadable_subject_values_are_data_errors(tmp_path, rows, message):
+    path = tmp_path / "events.csv"
+    path.write_text(EVENTS + rows + "\n")
+    with pytest.raises(DataError) as info:
+        ingest_long_events(read_event_csv(path), GRID)
+    assert str(info.value).startswith(message)
+
+
 # ---------------------------------------------------------------------------
-# The columnar writer, reader and ingest against the row loops they replaced,
-# kept verbatim below as references
+# The columnar writer, readers and ingest against the row loops they replaced,
+# kept verbatim below as references: the event path as one row loop reading
+# per-subject records and one per-subject ingest loop
 
 
 def ref_write_panel_csv(panel: TrialPanel, path) -> None:
@@ -391,6 +466,33 @@ def ref_read_panel_csv(path) -> TrialPanel:
     )
 
 
+@dataclass
+class EventRecord:
+    """One subject's continuous-time record before discretization."""
+
+    subject_id: str
+    t_tilde: float
+    delta_tilde: int            # 0 censored, 1 primary event, 2 competing death
+    L0: np.ndarray
+    Z0: int
+    A0: int
+    exposure_intervals: list[tuple[float, float]] = field(default_factory=list)
+    covariate_measurements: list[tuple[float, np.ndarray]] = field(default_factory=list)
+
+    def normalized_intervals(self) -> list[tuple[float, float]]:
+        """Exposure intervals sorted and merged so they do not overlap."""
+        ivs = sorted((float(a), float(b)) for a, b in self.exposure_intervals)
+        merged: list[list[float]] = []
+        for a, b in ivs:
+            if b < a:
+                raise DataError(f"subject {self.subject_id}: interval ({a}, {b}) reversed")
+            if merged and a <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], b)
+            else:
+                merged.append([a, b])
+        return [(a, b) for a, b in merged]
+
+
 def ref_ingest_long_events(records: list[EventRecord], visit_times) -> TrialPanel:
     """Discretize continuous-time records onto the visit grid.
 
@@ -400,38 +502,26 @@ def ref_ingest_long_events(records: list[EventRecord], visit_times) -> TrialPane
     (L_k is the last measurement at or before t_{k-1}) with LOCF for gaps.
     Records with no A information carry the randomized arm forward (A_k = A0).
     """
-    visit_times = np.asarray(visit_times, dtype=float)
-    if visit_times.size < 2:
-        raise DataError("visit grid must contain at least t_0 and t_1")
-    if np.any(np.diff(visit_times) <= 0):
-        raise DataError("visit grid must be strictly increasing")
+    visit_times = check_visit_grid(visit_times)
     if not records:
         raise DataError("no records to ingest")
     K = visit_times.size - 1
     n = len(records)
 
     d = np.asarray(records[0].L0, dtype=float).size
-    d_time = None
-    for r in records:
-        for _, vec in r.covariate_measurements:
-            d_time = np.asarray(vec, dtype=float).size
-            break
-        if d_time is not None:
-            break
-    if d_time is None:
-        d_time = d
+    d_time, first = next(((np.asarray(vec, dtype=float).size, r.subject_id)
+                          for r in records for _, vec in r.covariate_measurements), (d, None))
+    if d_time > d:  # L_0 is the first d_time baseline columns
+        raise DataError(f"subject {first}: covariate rows have {d_time} components but "
+                        f"the baseline block has {d}")
 
-    L0 = np.zeros((n, d))
-    Z0 = np.zeros(n, dtype=np.int8)
-    A0 = np.zeros(n, dtype=np.int8)
-    Y = np.zeros((K, n), dtype=np.int8)
-    D = np.zeros((K, n), dtype=np.int8)
-    C = np.zeros((K, n), dtype=np.int8)
-    L = np.zeros((K - 1, n, d_time))
-    A = np.zeros((K - 1, n), dtype=np.int8)
+    L0, L = np.zeros((n, d)), np.zeros((K - 1, n, d_time))
+    Z0, A0 = (np.zeros(n, dtype=np.int8) for _ in range(2))
+    Y, D, C = (np.zeros((K, n), dtype=np.int8) for _ in range(3))
     Z = np.zeros((K - 1, n), dtype=np.int8)
 
     t_last = visit_times[-1]
+    windows = list(zip(visit_times[:-2].tolist(), visit_times[1:-1].tolist()))
     for i, rec in enumerate(records):
         base = np.asarray(rec.L0, dtype=float).reshape(-1)
         if base.size != d:
@@ -448,9 +538,8 @@ def ref_ingest_long_events(records: list[EventRecord], visit_times) -> TrialPane
 
         t_ev = rec.t_tilde
         if t_ev <= visit_times[0]:
-            warnings.warn(
-                f"subject {rec.subject_id}: endpoint at or before t_0; assigned to visit 1"
-            )
+            warnings.warn(f"subject {rec.subject_id}: endpoint at or before t_0; "
+                          "assigned to visit 1")
             k_ev = 1
         elif t_ev > t_last:
             k_ev = None  # event-free over the panel window
@@ -460,37 +549,102 @@ def ref_ingest_long_events(records: list[EventRecord], visit_times) -> TrialPane
             target = {1: Y, 2: D, 0: C}[rec.delta_tilde]
             target[k_ev - 1:, i] = 1
 
+        if any(t_m != t_m for t_m, _ in rec.covariate_measurements):
+            raise DataError(f"subject {rec.subject_id}: covariate measured at t=nan")
         meas = sorted(rec.covariate_measurements, key=lambda m: m[0])
         for t_m, _ in meas:
             if t_m > t_last:
-                warnings.warn(
-                    f"subject {rec.subject_id}: covariate measured after last visit; truncated"
-                )
+                warnings.warn(f"subject {rec.subject_id}: covariate measured after last "
+                              "visit; truncated")
+        vecs = [np.asarray(vec, dtype=float).reshape(-1) for _, vec in meas]
+        for (t_m, _), v in zip(meas, vecs):
+            if v.size != d_time:
+                raise DataError(f"subject {rec.subject_id}: covariate width differs at t={t_m}")
         intervals = rec.normalized_intervals()
-        current = base[:d_time].copy()
-        for k in range(1, K):
-            # lag rule: L_k reflects what was known at visit k-1
-            for t_m, vec in meas:
-                if t_m <= visit_times[k - 1]:
-                    v = np.asarray(vec, dtype=float).reshape(-1)
-                    if v.size != d_time:
-                        raise DataError(
-                            f"subject {rec.subject_id}: covariate width differs at t={t_m}"
-                        )
-                    finite = np.isfinite(v)
-                    current[finite] = v[finite]  # LOCF for missing components
-            L[k - 1, i] = current
-            lo, hi = visit_times[k - 1], visit_times[k]
-            exposed = any(a <= hi and b > lo for a, b in intervals)
-            Z[k - 1, i] = 1 if exposed else 0
-            A[k - 1, i] = A0[i]
+        # lag rule: L_k reflects what was known at visit k-1; the measurements
+        # are sorted, so each visit applies only the ones new since the last
+        current, rows, m = base[:d_time], [], 0
+        for t_lag, _ in windows:
+            while m < len(meas) and meas[m][0] <= t_lag:
+                current = np.where(np.isfinite(vecs[m]), vecs[m], current)  # LOCF
+                m += 1
+            rows.append(current)
+        L[:, i] = np.reshape(rows, (K - 1, d_time))  # no rows when K = 1
+        Z[:, i] = [any(a <= hi and b > lo for a, b in intervals) for lo, hi in windows]
+    A = np.repeat(A0[None], K - 1, axis=0)
 
-    panel = TrialPanel(
-        L0=L0, Z0=Z0, A0=A0,
-        Y=Y, D=D, C=C, L=L, A=A, Z=Z,
-    )
+    panel = TrialPanel(L0=L0, Z0=Z0, A0=A0, Y=Y, D=D, C=C, L=L, A=A, Z=Z)
     validate_panel(panel)
     return panel
+
+
+def ref_read_event_csv(path) -> list[EventRecord]:
+    """Load long-format event records.
+
+    Rows are ``id,time,kind,v1,v2,...`` with kind one of baseline, event,
+    covariate, exposure_start, exposure_stop.  The baseline row carries
+    ``v1..vd`` = L0 followed by Z0 and A0; the event row has v1 = delta.  A
+    row that cannot be read raises DataError naming its line and field.
+    """
+    by_id: dict[str, dict] = {}
+    order: list[str] = []
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        header = next(rd, None)
+        if header is None or header[:3] != ["id", "time", "kind"]:
+            raise DataError(f"{path}: expected header id,time,kind,...")
+        for row in rd:
+            if not row:
+                continue
+            try:
+                sid, t, kind = row[0], float(row[1]), row[2]
+                vals = [x for x in row[3:] if x != ""]
+                if sid not in by_id:
+                    by_id[sid] = {"expo_open": None, "intervals": [], "covs": [],
+                                  "event": None, "base": None}
+                    order.append(sid)
+                rec = by_id[sid]
+                if kind == "baseline":
+                    if len(vals) < 3:
+                        raise DataError(f"{path}: baseline row for {sid} needs L0..,Z0,A0")
+                    rec["base"] = (np.array([float(v) for v in vals[:-2]]),
+                                   int(float(vals[-2])), int(float(vals[-1])))
+                elif kind == "event":
+                    rec["event"] = (t, int(float(vals[0])))
+                elif kind == "covariate":
+                    rec["covs"].append((t, np.array([float(v) for v in vals])))
+                elif kind == "exposure_start":
+                    rec["expo_open"] = t
+                elif kind == "exposure_stop":
+                    start = rec["expo_open"]
+                    if start is None:
+                        raise DataError(f"{path}: exposure_stop without start for {sid}")
+                    rec["intervals"].append((start, t))
+                    rec["expo_open"] = None
+                else:
+                    raise DataError(f"{path}: unknown kind '{kind}'")
+            except DataError:
+                raise
+            except (ValueError, IndexError, OverflowError) as exc:
+                raise _event_row_error(path, rd.line_num, row, exc) from None
+    records = []
+    for sid in order:
+        rec = by_id.pop(sid)  # the records take over its lists and arrays
+        if rec["base"] is None:
+            raise DataError(f"{path}: subject {sid} has no baseline row")
+        if rec["event"] is None:
+            raise DataError(f"{path}: subject {sid} has no event row")
+        if rec["expo_open"] is not None:
+            # open-ended exposure runs to the end of follow-up
+            rec["intervals"].append((rec["expo_open"], float("inf")))
+        L0, Z0, A0 = rec["base"]
+        t, delta = rec["event"]
+        records.append(EventRecord(
+            subject_id=sid, t_tilde=t, delta_tilde=delta, L0=L0, Z0=Z0, A0=A0,
+            exposure_intervals=rec["intervals"],
+            covariate_measurements=rec["covs"],
+        ))
+    return records
 
 
 FIELDS = ("L0", "Z0", "A0", "Y", "D", "C", "L", "A", "Z")
@@ -628,9 +782,14 @@ def leader_records(n, grid, seed):
 
 
 def recorded(fn, *args):
+    """What ``fn(*args)`` returns, or the text of the DataError it raises,
+    and the (category, message) of every warning it issued."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = fn(*args)
+        try:
+            out = fn(*args)
+        except DataError as exc:
+            out = str(exc)
     return out, [(w.category, str(w.message)) for w in caught]
 
 
@@ -638,8 +797,8 @@ def recorded(fn, *args):
                                   [6.0 * k for k in range(9)]], ids=["K1", "K2", "K8"])
 def test_ingest_matches_row_loop(grid):
     records = leader_records(300, grid, seed=len(grid))
-    (new, new_warn), (ref, ref_warn) = (recorded(f, records, grid)
-                                        for f in (ingest_long_events, ref_ingest_long_events))
+    new, new_warn = recorded(ingest_long_events, events(*records), grid)
+    ref, ref_warn = recorded(ref_ingest_long_events, records, grid)
     assert_same_panel(new, ref)
     assert new_warn == ref_warn and new_warn
 
@@ -647,6 +806,124 @@ def test_ingest_matches_row_loop(grid):
 def test_ingest_errors_match_row_loop():
     bad = leader_records(20, GRID, seed=4)
     bad[7].covariate_measurements.append((1.0, np.zeros(3)))   # wrong width, lagged in
-    for fn in (ingest_long_events, ref_ingest_long_events):
-        with pytest.raises(DataError, match="S0007: covariate width differs at t=1.0"):
-            recorded(fn, bad, GRID)
+    for fn, given in ((ingest_long_events, events(*bad)), (ref_ingest_long_events, bad)):
+        error, _ = recorded(fn, given, GRID)
+        assert error == "subject S0007: covariate width differs at t=1.0"
+
+
+# ---------------------------------------------------------------------------
+# Messy event files, each with at most one fault: the columnar reader and
+# ingest against the row loops above, for panels, warnings and errors alike
+
+def load_script(stem):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+messy = load_script("compare_outputs")  # its messy-file generator
+
+
+def _last_row(rows, kind, rng):
+    """Index of the last ``kind`` row of a randomly chosen subject that has one."""
+    last = {r[0]: j for j, r in enumerate(rows) if r[2] == kind}
+    return last[sorted(last)[int(rng.integers(0, len(last)))]] if last else None
+
+
+def _any_row(rows, rng, *kinds):
+    """Index of a random row of one of ``kinds`` that has a value cell."""
+    hits = [j for j, r in enumerate(rows) if r[2] in kinds and len(r) > 3]
+    return hits[int(rng.integers(0, len(hits)))] if hits else None
+
+
+def _edit(pick, change):
+    """A fault that applies ``change`` to the row ``pick`` chooses (if any)."""
+    def fault(rows, rng):
+        j = pick(rows, rng)
+        if j is not None:
+            rows[j] = change(list(rows[j]))
+        return rows
+    return fault
+
+
+def _drop(kind):
+    def fault(rows, rng):
+        sid = rows[int(rng.integers(0, len(rows)))][0]
+        return [r for r in rows if not (r[0] == sid and r[2] == kind)]
+    return fault
+
+
+def _random_row(rows, rng):
+    return int(rng.integers(0, len(rows)))
+
+
+FAULTS = {
+    "stop_without_start": lambda rows, rng: [[rows[0][0], "1.0", "exposure_stop"]] + rows,
+    "no_baseline": _drop("baseline"),
+    "no_event": _drop("event"),
+    "reversed_run": lambda rows, rng: rows + [[rows[0][0], "5.0", "exposure_start"],
+                                              [rows[0][0], "2.0", "exposure_stop"]],
+    "bad_time": _edit(_random_row, lambda r: r[:1] + ["soon"] + r[2:]),
+    "short_row": _edit(_random_row, lambda r: r[:2]),
+    "unknown_kind": _edit(_random_row, lambda r: r[:2] + ["visit"] + r[3:]),
+    "bad_value": _edit(lambda rows, rng: _any_row(rows, rng, "covariate", "baseline"),
+                       lambda r: r[:3] + ["x"] + r[4:]),
+    "no_delta": _edit(lambda rows, rng: _any_row(rows, rng, "event"), lambda r: r[:3]),
+    "nan_delta": _edit(lambda rows, rng: _any_row(rows, rng, "event"),
+                       lambda r: r[:3] + ["nan"]),
+    "short_baseline": _edit(lambda rows, rng: _any_row(rows, rng, "baseline"),
+                            lambda r: r[:3] + r[-2:]),
+    "negative_endpoint": _edit(lambda rows, rng: _last_row(rows, "event", rng),
+                               lambda r: r[:1] + ["-1.5"] + r[2:]),
+    "bad_delta": _edit(lambda rows, rng: _last_row(rows, "event", rng),
+                       lambda r: r[:3] + ["3"]),
+    "nan_baseline": _edit(lambda rows, rng: _last_row(rows, "baseline", rng),
+                          lambda r: r[:3] + ["nan"] + r[4:]),
+    "wide_baseline": _edit(lambda rows, rng: _last_row(rows, "baseline", rng),
+                           lambda r: r[:3] + ["0.5"] + r[3:]),
+    "non_binary_z0": _edit(lambda rows, rng: _last_row(rows, "baseline", rng),
+                           lambda r: r[:-2] + ["2"] + r[-1:]),
+    "wide_measurement": _edit(lambda rows, rng: _any_row(rows, rng, "covariate"),
+                              lambda r: r + ["0.5"]),
+    "nan_measurement_time": _edit(lambda rows, rng: _any_row(rows, rng, "covariate"),
+                                  lambda r: r[:1] + ["nan"] + r[2:]),
+}
+MESSY_GRIDS = [(0.0, 3.0, 6.0, 9.0, 12.0), (1.0, 4.0, 7.0, 10.0, 13.0), (0.5, 6.5),
+               (0.0, 6.0, 12.0)]
+
+
+def assert_paths_agree(rows, rng, grid, eol):
+    """Write ``rows`` as an event file; both paths give the same panel or
+    error text and the same warnings."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        path.write_text(messy.event_text(rows, rng, eol), newline="")
+        (new, new_warn), (ref, ref_warn) = (
+            recorded(lambda p: ingest(read(p), grid), path) for read, ingest in (
+                (read_event_csv, ingest_long_events), (ref_read_event_csv, ref_ingest_long_events)))
+    assert new_warn == ref_warn
+    if isinstance(ref, str):
+        assert new == ref
+    else:
+        assert_same_panel(new, ref)
+
+
+MESSY = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+             grid=st.sampled_from(MESSY_GRIDS), eol=st.sampled_from(["\n", "\r\n"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**MESSY)
+def test_messy_event_files_match_row_loops(seed, n, grid, eol):
+    rng = np.random.default_rng(seed)
+    assert_paths_agree(messy.messy_event_rows(rng, n, grid), rng, grid, eol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**MESSY, fault=st.sampled_from(sorted(FAULTS)))
+def test_messy_event_files_with_one_fault_match_row_loops(seed, n, grid, eol, fault):
+    rng = np.random.default_rng(seed)
+    rows = FAULTS[fault](messy.messy_event_rows(rng, n, grid), rng)
+    assert_paths_agree(rows, rng, grid, eol)
