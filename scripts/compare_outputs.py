@@ -9,9 +9,9 @@ working tree.  Each side imports its own ``src`` and ``perfbench``, runs with
 ``OPENBLAS_NUM_THREADS=1`` and writes to the same relative paths of its own
 scratch directory; the standard output of command i is kept as
 ``NN_<name>.stdout``.  Every file is then compared byte for byte.  The
-script exits 1 naming the first file that differs (or exists on one side
-only), or the command that failed and its side, and 0 with the file count
-when every output is byte-identical.
+script exits 1 naming every file that differs (or exists on one side only),
+or the command that failed and its side, and 0 with the file count when
+every output is byte-identical.
 """
 
 from __future__ import annotations
@@ -239,14 +239,13 @@ def files(root: Path) -> set[str]:
     return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
 
-def first_difference(base: Path, change: Path) -> str | None:
-    """The first file, by relative path, that differs between two directories
-    or exists in only one of them; None when every file is byte-identical."""
-    for name in sorted(files(base) | files(change)):
+def differences(base: Path, change: Path) -> list[str]:
+    """Every file, by relative path, that differs between two directories or
+    exists in only one of them; empty when every file is byte-identical."""
+    def same(name):
         a, b = base / name, change / name
-        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
-            return name
-    return None
+        return a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
+    return [name for name in sorted(files(base) | files(change)) if not same(name)]
 
 
 def main(argv=None) -> int:
@@ -262,10 +261,11 @@ def main(argv=None) -> int:
             if failure:
                 print(f"{side} side: {failure}", file=sys.stderr)
                 return 1
-        differs = first_difference(outs["base"], outs["change"])
+        differs = differences(outs["base"], outs["change"])
         count = len(files(outs["change"]))
+    for name in differs:
+        print(f"differs: {name}", file=sys.stderr)
     if differs:
-        print(f"differs: {differs}", file=sys.stderr)
         return 1
     print(f"{count} files byte-identical between {args.ref} and the working tree")
     return 0

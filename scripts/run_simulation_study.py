@@ -17,6 +17,7 @@ import pathlib
 import sys
 import time
 
+from dropintmle.cli import _at_least
 from dropintmle.harness import POLICY_NAMES, emit_report, run_replications
 from dropintmle.sim import drop_in_trajectory, scenario_presets, simulate_trial
 
@@ -24,11 +25,11 @@ from dropintmle.sim import drop_in_trajectory, scenario_presets, simulate_trial
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results")
-    ap.add_argument("--reps", type=int, default=2000)
-    ap.add_argument("--n", type=int, default=9340)
-    ap.add_argument("--nmc", type=int, default=1_000_000)
+    ap.add_argument("--reps", type=_at_least(1), default=2000)
+    ap.add_argument("--n", type=_at_least(1), default=9340)
+    ap.add_argument("--nmc", type=_at_least(1), default=1_000_000)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workers", type=int, default=None)
+    ap.add_argument("--workers", type=_at_least(1), default=None)
     ap.add_argument("--scenarios", default="scenario1,scenario2,scenario3")
     args = ap.parse_args(argv)
     presets = scenario_presets()

@@ -213,7 +213,7 @@ def cmd_estimate(args) -> int:
         p1, p0 = arm_pair(specs[name])
         e1, e0 = (tmle_arm(gfit, p, top, weight_cap=args.weight_cap) for p in (p1, p0))
         rep = contrast(e1, e0, name)
-        out["policies"][name] = rep.to_dict()
+        out["policies"][name] = dataclasses.asdict(rep)
     if args.out:
         emit_report(out, args.out)
         print(f"wrote estimates to {args.out}")

@@ -27,7 +27,7 @@ this coincides with the lagged product.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -56,28 +56,20 @@ class EstimationError(RuntimeError):
 
 @dataclass
 class _Mech:
-    """One fitted treatment/censoring mechanism.
+    """One fitted treatment/censoring mechanism.  ``model`` None means the
+    randomized arm is carried forward deterministically (adherence); a
+    constant model (the randomized 1/2, a degenerate response) is returned
+    exactly.  Only fitted, non-constant models are floored."""
 
-    kind: ``randomized`` (known constant 1/2), ``adherence`` (the randomized
-    arm is carried forward deterministically), ``const`` (degenerate
-    response) or ``glm``.  Only glm predictions are floored.
-    """
-
-    kind: str
-    prob_const: float = 0.5
-    model: FittedModel | None = None
+    model: FittedModel | None
     features: str | None = None
 
     def prob1(self, panel: TrialPanel, node: str, k: int) -> np.ndarray:
-        n = panel.n
-        if self.kind == "randomized":
-            return np.full(n, 0.5)
-        if self.kind == "adherence":
+        if self.model is None:
             return panel.A0.astype(float)
-        if self.kind == "const":
-            return np.full(n, self.prob_const)
-        design = mechanism_design(panel, self.features, node, k)
-        return self.model.predict(design)
+        if self.model.constant is not None:
+            return np.full(panel.n, self.model.constant)
+        return self.model.predict(mechanism_design(panel, self.features, node, k))
 
 
 @dataclass(frozen=True)
@@ -91,13 +83,13 @@ class GFit:
 
     def floored_prob(self, panel, node, k, used_mask) -> tuple[np.ndarray, int]:
         """Floored probability of the observed A_k / Z_k, or of C_k = 0, full
-        length, and how many ``used_mask`` rows hit the floor.  Only glm
-        predictions are floored."""
+        length, and how many ``used_mask`` rows hit the floor.  Only fitted,
+        non-constant models are floored."""
         mech = self.c_mechs[k - 1] if node == "C" else \
             (self.a_mechs if node == "A" else self.z_mechs)[k]
         p1 = mech.prob1(panel, node, k)
         n_floored = 0
-        if mech.kind == "glm":
+        if mech.model is not None and mech.model.constant is None:
             clipped = np.clip(p1, self.g_floor, 1.0 - self.g_floor)
             n_floored = int(np.sum((clipped != p1) & used_mask))
             p1 = clipped
@@ -123,11 +115,8 @@ def _fit_learner(learner, design, y, seed, n_folds):
 
 def _fit_mech(panel, node, k, mask, learner, seed, n_folds) -> _Mech:
     y = {"A": panel.a_at, "Z": panel.z_at, "C": panel.c_at}[node](k)[mask].astype(float)
-    model, feats = _fit_learner(
-        learner, lambda f: mechanism_design(panel, f, node, k)[mask], y, seed, n_folds)
-    if model.constant is not None:
-        return _Mech(kind="const", prob_const=model.constant)
-    return _Mech(kind="glm", model=model, features=feats)
+    return _Mech(*_fit_learner(
+        learner, lambda f: mechanism_design(panel, f, node, k)[mask], y, seed, n_folds))
 
 
 def check_options(g_floor: float = 1e-3, weight_cap: float | None = None) -> None:
@@ -162,11 +151,11 @@ def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
         if not mask.any():
             raise EstimationError(f"no at-risk subjects carry treatment at visit {k}")
         if k == 0 and randomized:
-            a_mechs.append(_Mech(kind="randomized"))
+            a_mechs.append(_Mech(fit_constant(np.full(1, 0.5))))
         else:
             a_obs = panel.a_at(k)[mask]
             if k >= 1 and np.array_equal(a_obs, panel.A0[mask]):
-                a_mechs.append(_Mech(kind="adherence"))
+                a_mechs.append(_Mech(None))
             else:
                 a_mechs.append(_fit_mech(panel, "A", k, mask, learner, seed, n_folds))
         z_mechs.append(_fit_mech(panel, "Z", k, mask, learner, seed, n_folds))
@@ -444,10 +433,6 @@ class EstimateReport:
     ci_high: float | None
     targeted: bool
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """Full-precision fields; the JSON writer rounds them."""
-        return asdict(self)
 
 
 def contrast(active: ArmEstimate, control: ArmEstimate, policy: str = "") -> EstimateReport:

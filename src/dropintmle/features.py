@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .panel import TrialPanel
+from .panel import DataError, TrialPanel
 
 FEATURE_NAMES = ("intercept", "main", "interactions", "running_avg", "saturated")
 
@@ -118,7 +118,7 @@ def history_design(
     if features == "saturated":
         vals = np.column_stack(cols)
         if not np.all((vals == 0) | (vals == 1)):
-            raise ValueError("saturated features require binary history columns")
+            raise DataError("saturated features require binary history columns")
         codes = np.zeros(n, dtype=np.int64)
         for j in range(vals.shape[1]):
             codes = codes * 2 + vals[:, j].astype(np.int64)
@@ -145,10 +145,8 @@ def mechanism_design(panel: TrialPanel, features: str, node: str, k: int,
     node precedes the visit-k covariates and sees history through k-1 only.
     """
     if node in ("A", "Z"):
-        if k == 0:
-            return np.column_stack(
-                [np.ones(panel.n)] + [panel.L0[:, j] for j in range(panel.d_baseline)]
-            )
+        if k == 0:   # the baseline block [1, L0], as the balancing law at visit 0
+            return gstar_design(panel, 0)
         return history_design(panel, features, treat_upto=k - 1, cov_upto=k)
     if node == "C":
         return history_design(panel, features, treat_upto=k - 1)

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -122,8 +124,8 @@ class PolicyRun:
     failure: str | None = None
 
 
-def _replication_worker(args):
-    cfg, policy_names, n, horizon, seed_r, g_floor, weight_cap, q_learner, include_gcomp = args
+def _replication_worker(cfg, policy_names, n, horizon, g_floor, weight_cap, q_learner,
+                        include_gcomp, seed_r):
     panel = simulate_trial(cfg, n, seed_r)
     try:
         gfit = fit_g(panel, g_floor=g_floor)
@@ -201,38 +203,29 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
     if truths is None:
         truths = compute_truths(cfg, policy_names, horizon, n_mc, seed)
 
-    tasks = [(cfg, policy_names, n, horizon, seed + r, g_floor, weight_cap,
-              q_learner, include_gcomp) for r in range(1, reps + 1)]
+    worker = partial(_replication_worker, cfg, policy_names, n, horizon, g_floor,
+                     weight_cap, q_learner, include_gcomp)
+    seeds = range(seed + 1, seed + reps + 1)
     if workers > 1 and reps > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication_worker, tasks, chunksize=4))
+            results = list(pool.map(worker, seeds, chunksize=4))
     else:
-        results = [_replication_worker(t) for t in tasks]
+        results = [worker(s) for s in seeds]
 
     table = ReplicationTable(scenario=name, n=n, reps=reps, horizon=horizon,
                              seed=seed, n_mc=n_mc)
     for pol in policy_names:
         truth, truth_se = truths[pol][0], truths[pol][1]
-        est, ses, covers, lens, maxw, eics, gests = [], [], [], [], [], [], []
-        reasons: dict[str, int] = {}
-        for res in results:
-            run = res[pol]
-            if run.failure is not None:
-                reasons[run.failure] = reasons.get(run.failure, 0) + 1
-                continue
-            est.append(run.psi)
-            ses.append(run.se)
-            covers.append(run.ci_low <= truth <= run.ci_high)
-            lens.append(run.ci_high - run.ci_low)
-            maxw.append(run.max_weight)
-            eics.append(run.mean_eic)
-            if run.gcomp_psi is not None:
-                gests.append(run.gcomp_psi)
+        runs = [res[pol] for res in results]
+        ok = [run for run in runs if run.failure is None]
+        psi, se, lo, hi, maxw, eics = (np.array([getattr(run, f) for run in ok]) for f in (
+            "psi", "se", "ci_low", "ci_high", "max_weight", "mean_eic"))
+        gests = [run.gcomp_psi for run in ok if run.gcomp_psi is not None]
+        reasons = dict(Counter(run.failure for run in runs if run.failure is not None))
         table.policies[pol] = PolicyReplication(
-            policy=pol, truth=truth, truth_mc_se=truth_se,
-            estimates=np.array(est), ses=np.array(ses),
-            covers=np.array(covers, dtype=bool), ci_lens=np.array(lens),
-            max_weights=np.array(maxw), mean_eics=np.array(eics),
+            policy=pol, truth=truth, truth_mc_se=truth_se, estimates=psi, ses=se,
+            covers=(lo <= truth) & (truth <= hi), ci_lens=hi - lo,
+            max_weights=maxw, mean_eics=eics,
             gcomp_estimates=np.array(gests) if gests else None,
             failures=sum(reasons.values()), failure_reasons=reasons,
         )
@@ -267,7 +260,7 @@ def emit_report(obj, path, fmt: str = "csv") -> None:
         obj = {"scenario": obj.scenario, "n": obj.n, "reps": obj.reps,
                "horizon": obj.horizon, "seed": obj.seed, "rows": rows}
     elif isinstance(obj, EstimateReport):
-        obj = obj.to_dict()
+        obj = asdict(obj)
     if isinstance(obj, ReplicationTable):
         cols, rows = TABLE_COLUMNS, obj.rows()
     elif isinstance(obj, dict) and "visit" in obj:

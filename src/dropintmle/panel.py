@@ -85,10 +85,9 @@ class TrialPanel:
         return self.Z0 if k == 0 else self.Z[k - 1]
 
     def l_at(self, k: int) -> np.ndarray:
-        """Time-varying covariate block at visit k (baseline columns at k=0)."""
-        if k == 0:
-            return self.L0[:, : self.d_time] if self.d_time else self.L0
-        return self.L[k - 1]
+        """Time-varying covariate block at visit k (at k = 0, the first d_time
+        baseline columns)."""
+        return self.L0[:, : self.d_time] if k == 0 else self.L[k - 1]
 
 
 def make_panel(L0, Z0, A0, Y, D, C, L=None, A=None, Z=None) -> TrialPanel:
@@ -168,7 +167,7 @@ class EventTable:
     endpoint time ``t_tilde`` and code ``delta`` (0 censored, 1 primary
     event, 2 competing death), the baseline block ``L0`` (row i holds
     ``L0_width[i]`` values, NaN past them), and ``Z0``/``A0`` as read (float,
-    so that an out-of-range value can be reported).  Covariate measurements,
+    so that a non-binary value can be reported).  Covariate measurements,
     in file order: owner ``meas_subject``, time ``meas_time``, component
     count ``meas_width``, and ``meas_values``, every measurement's components
     one after another.  Exposure intervals: owner ``expo_subject``,
@@ -262,9 +261,6 @@ def ingest_long_events(events: EventTable, visit_times) -> TrialPanel:
                                              xs.tolist()) if s == i and b < a)
         return f"interval ({a}, {b}) reversed"
 
-    def outside_int8(v):  # an indicator is read as int(value) into int8
-        return ~((v > -129) & (v < 128))
-
     # the per-subject checks, in the order they apply to a subject
     checks = [
         (ev.L0_width != d, "baseline covariate width differs"),
@@ -272,8 +268,8 @@ def ingest_long_events(events: EventTable, visit_times) -> TrialPanel:
         (t < 0, "negative endpoint time"),
         (np.isnan(t), "endpoint time is nan"),
         (~np.isin(ev.delta, (0, 1, 2)), "delta must be 0, 1 or 2"),
-        (outside_int8(ev.Z0), lambda i: f"Z0 holds {ev.Z0[i]}, not an integer in -128..127"),
-        (outside_int8(ev.A0), lambda i: f"A0 holds {ev.A0[i]}, not an integer in -128..127"),
+        (~np.isin(ev.Z0, (0, 1)), lambda i: f"Z0 holds {ev.Z0[i]}, not 0 or 1"),
+        (~np.isin(ev.A0, (0, 1)), lambda i: f"A0 holds {ev.A0[i]}, not 0 or 1"),
     ]
     warn_endpoint = len(checks)  # the endpoint warning follows these checks
     checks.append((_owners(n, ms[np.isnan(mt)]), "covariate measured at t=nan"))

@@ -98,27 +98,6 @@ def _normals(seed, visit, node, n):
     return _stream(seed, visit, node).standard_normal(n)
 
 
-class _RunningAverages:
-    """Incrementally maintained (optionally discounted) running averages of Z and L."""
-
-    def __init__(self, z0, l0, decay):
-        self.decay = decay
-        self.z = z0.astype(float).copy()
-        self.l = l0.astype(float).copy()
-        self._z_sum = z0.astype(float).copy()
-        self._l_sum = l0.astype(float).copy()
-        self._wsum = 1.0
-
-    def push(self, z, l):
-        lam = 1.0 if self.decay is None else self.decay   # 1.0 * x == x: plain sums
-        for total, x in ((self._z_sum, z), (self._l_sum, l)):
-            total *= lam
-            total += x
-        self._wsum = lam * self._wsum + 1.0
-        self.z = self._z_sum / self._wsum
-        self.l = self._l_sum / self._wsum
-
-
 def _sample_z(policy_spec, k, u, l_curr, z_prev, l0, z0, config):
     """Draw the visit-k concomitant status under an intervention form.
 
@@ -159,7 +138,9 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
     z0 = _sample_z(z_spec, 0, _uniforms(seed, 0, _NODE_Z0, n), None, None, l0, None, config)
 
     a_avg = a0.astype(float)  # full adherence: A_k = A_0
-    avg = _RunningAverages(z0, l0, config.avg_decay)
+    # (optionally discounted) running sums of Z and L, updated in place
+    lam = 1.0 if config.avg_decay is None else config.avg_decay   # 1.0 * x == x: plain sums
+    z_sum, l_sum, w_sum = z0.astype(float), l0.copy(), 1.0
     y_abs = np.zeros(n, dtype=bool)
     d_abs = np.zeros(n, dtype=bool)
     c_abs = np.zeros(n, dtype=bool)
@@ -176,6 +157,7 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
 
     for k in range(1, K + 1):
         at_risk = ~(y_abs | d_abs | c_abs)
+        z_avg, l_avg = z_sum / w_sum, l_sum / w_sum
 
         if keep_panel and config.censor_hazard > 0:
             u = _uniforms(seed, k, _NODE_C, n)
@@ -192,7 +174,7 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
         alive = alive & ~newly_d
 
         hazard = expit(config.outcome_slope
-                       * (avg.l - a_avg - config.p_zy * avg.z)
+                       * (l_avg - a_avg - config.p_zy * z_avg)
                        + config.outcome_intercept)
         u = _uniforms(seed, k, _NODE_Y, n)
         newly_y = alive & (u < hazard)
@@ -207,7 +189,7 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
 
         if k <= K - 1:
             survivors = ~(y_abs | d_abs | c_abs)
-            mean_l = l_prev - config.covariate_drift_coef * (a_avg + config.p_z * avg.z)
+            mean_l = l_prev - config.covariate_drift_coef * (a_avg + config.p_z * z_avg)
             draw_l = mean_l + config.covariate_noise_sd * _normals(seed, k, _NODE_L, n)
             l_curr = np.where(survivors, draw_l, l_prev)
             u = _uniforms(seed, k, _NODE_Z, n)
@@ -217,7 +199,11 @@ def _simulate(config: ScenarioConfig, n: int, seed: int,
                 L[k - 1, :, 0] = l_curr
                 A[k - 1] = a0
                 Z[k - 1] = z_curr
-            avg.push(z_curr.astype(float), l_curr)
+            z_sum *= lam
+            z_sum += z_curr
+            l_sum *= lam
+            l_sum += l_curr
+            w_sum = lam * w_sum + 1.0
             l_prev, z_prev = l_curr, z_curr
         if not keep_panel and k == horizon:
             return y_abs.astype(np.int8)

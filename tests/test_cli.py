@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from dropintmle.cli import cli_main
 from dropintmle.harness import TABLE_COLUMNS
-from dropintmle.panel import read_panel_csv
+from dropintmle.panel import read_panel_csv, write_panel_csv
+from dropintmle.sim import scenario_presets, simulate_trial
 
 
 def run(argv):
@@ -77,6 +80,33 @@ def test_estimate_non_binary_treatment_is_data_error_naming_column_and_visit(tmp
     capsys.readouterr()
     assert run(["estimate", "--panel", str(panel_path), "--policies", "static0"]) == 2
     assert "Z has a non-binary value at visit 2 (subject 0)" in capsys.readouterr().err
+
+
+def test_estimate_panel_without_time_varying_covariates(tmp_path, capsys):
+    # K = 5 and no L{k}_* columns: the running averages carry no covariate block
+    sim = simulate_trial(scenario_presets()["scenario1"], 400, 3)
+    panel_path = tmp_path / "panel.csv"
+    write_panel_csv(dataclasses.replace(sim, L=np.zeros((sim.K - 1, sim.n, 0))), panel_path)
+    assert not any(c.startswith("L1_") for c in panel_path.read_text().split("\n")[0].split(","))
+    out = tmp_path / "est.json"
+    assert run(["estimate", "--panel", str(panel_path), "--policies", "static0,ignore",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    for rep in json.loads(out.read_text())["policies"].values():
+        assert rep["ci_low"] < rep["psi"] < rep["ci_high"]
+
+
+def test_estimate_saturated_learner_on_continuous_history_is_data_error(tmp_path, capsys):
+    panel_path = tmp_path / "panel.csv"
+    assert run(["simulate", "--scenario", "scenario1", "--n", "300",
+                "--seed", "3", "--out", str(panel_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "est.json"
+    assert run(["estimate", "--panel", str(panel_path), "--learner", "saturated",
+                "--out", str(out)]) == 2
+    assert ("data error: saturated features require binary history columns"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_estimate_missing_file_is_data_error(tmp_path, capsys):
@@ -328,9 +358,10 @@ def test_ingest_overflowing_spaced_grid_is_usage_error_before_reading(tmp_path, 
 
 
 @pytest.mark.parametrize("baseline, named", [
-    ("p1,0,baseline,0.5,300,1", "subject p1: Z0 holds 300.0, not an integer in -128..127"),
-    ("p1,0,baseline,0.5,0,-129", "subject p1: A0 holds -129.0, not an integer in -128..127"),
-], ids=["z0-300", "a0-minus129"])
+    ("p1,0,baseline,0.5,300,1", "subject p1: Z0 holds 300.0, not 0 or 1"),
+    ("p1,0,baseline,0.5,0,-129", "subject p1: A0 holds -129.0, not 0 or 1"),
+    ("p1,0,baseline,0.5,2,1", "subject p1: Z0 holds 2.0, not 0 or 1"),
+], ids=["z0-300", "a0-minus129", "z0-2"])
 def test_ingest_indicator_outside_int8_is_data_error(tmp_path, capsys, baseline, named):
     events = tmp_path / "events.csv"
     events.write_text(f"id,time,kind,v1,v2,v3\n{baseline}\np1,4.2,event,1,,\n")

@@ -175,6 +175,7 @@ def test_clever_weight_hand_value():
     # g_Z(0|.) = 0.8, censoring and adherence degenerate: 1/0.64 at the
     # third step (on top of the arm factor 2 from randomization)
     from dropintmle.engine import GFit, _Mech
+    from dropintmle.learners import fit_constant
 
     n, K = 3, 3
     panel = make_panel(
@@ -183,9 +184,9 @@ def test_clever_weight_hand_value():
         L=np.zeros((K - 1, n, 1)), A=[[1, 0, 1]] * (K - 1), Z=np.zeros((K - 1, n)),
     )
     gfit = GFit(
-        a_mechs=[_Mech(kind="adherence")] * K,               # obs. prob always 1
-        z_mechs=[_Mech(kind="const", prob_const=0.2)] * K,   # P(Z=0) = 0.8
-        c_mechs=[_Mech(kind="const", prob_const=0.0)] * K, g_floor=1e-3,
+        a_mechs=[_Mech(None)] * K,                                  # obs. prob always 1
+        z_mechs=[_Mech(fit_constant(np.array([0.2])))] * K,         # P(Z=0) = 0.8
+        c_mechs=[_Mech(fit_constant(np.array([0.0])))] * K, g_floor=1e-3,
     )
     policy = ArmPolicy(a_value=1, z_spec=static_z(0))
     h3 = clever_weight_path(panel, gfit, policy, 3)[0][2]
@@ -410,14 +411,14 @@ def test_replication_makes_no_duplicate_fit(monkeypatch):
 def test_fit_g_randomization_constant():
     panel = simulate_trial(scenario_presets()["scenario1"], 1000, 37)
     gfit = fit_g(panel, randomized=True)
-    assert gfit.a_mechs[0].kind == "randomized"
+    assert gfit.a_mechs[0].model.constant == 0.5
     assert np.all(gfit.floored_prob(panel, "A", 0, np.ones(panel.n, bool))[0] == 0.5)
 
 
 def test_fit_g_degenerate_censoring_shortcut():
     panel = simulate_trial(scenario_presets()["scenario1"], 1000, 41)
     gfit = fit_g(panel)
-    assert all(m.kind == "const" for m in gfit.c_mechs)
+    assert all(m.model.constant == 0.0 for m in gfit.c_mechs)
     p_unc = gfit.floored_prob(panel, "C", 1, np.ones(panel.n, bool))[0]
     assert np.all(p_unc == 1.0)
 
@@ -425,7 +426,7 @@ def test_fit_g_degenerate_censoring_shortcut():
 def test_fit_g_adherence_shortcut():
     panel = simulate_trial(scenario_presets()["scenario1"], 1000, 43)
     gfit = fit_g(panel)
-    assert all(m.kind == "adherence" for m in gfit.a_mechs[1:])
+    assert all(m.model is None for m in gfit.a_mechs[1:])
     assert np.all(gfit.floored_prob(panel, "A", 2, np.ones(panel.n, bool))[0] == 1.0)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 from pathlib import Path
 
@@ -34,8 +35,43 @@ def test_output_comparison_names_the_first_differing_file(tmp_path):
         (root / "sub").mkdir(parents=True)
         (root / "a.csv").write_bytes(b"x,y\r\n1,2\r\n")
         (root / "sub" / "b.json").write_bytes(b'{"psi": 0.125}\n')
-    assert compare.first_difference(base, change) is None
+    assert compare.differences(base, change) == []
     (change / "sub" / "b.json").write_bytes(b'{"psi": 0.135}\n')    # one byte changed
-    assert compare.first_difference(base, change) == "sub/b.json"
+    assert compare.differences(base, change) == ["sub/b.json"]
     (base / "only_base.txt").write_text("x")
-    assert compare.first_difference(base, change) == "only_base.txt"
+    assert compare.differences(base, change) == ["only_base.txt", "sub/b.json"]
+    (change / "a.csv").write_bytes(b"x,y\n1,2\n")                  # a second differing file
+    assert compare.differences(base, change) == ["a.csv", "only_base.txt", "sub/b.json"]
+
+
+def test_output_comparison_lists_every_differing_file(tmp_path, monkeypatch, capsys):
+    outputs = {"base": {"a.csv": "1", "b.json": "2", "c.txt": "3"},
+               "change": {"a.csv": "1", "b.json": "20", "c.txt": "30"}}
+
+    def run_commands(tree, out):
+        for name, text in outputs["change" if tree == compare.ROOT else "base"].items():
+            (out / name).write_text(text)
+
+    @contextlib.contextmanager
+    def ref_tree(ref, prefix):
+        yield tmp_path
+
+    monkeypatch.setattr(compare, "run_commands", run_commands)
+    monkeypatch.setattr(compare, "ref_tree", ref_tree)
+    assert compare.main(["--ref", "parent"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["differs: b.json", "differs: c.txt"]
+    outputs["change"] = outputs["base"]
+    assert compare.main(["--ref", "parent"]) == 0
+    assert "3 files byte-identical between parent" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option", ["--reps", "--n", "--nmc", "--workers"])
+def test_study_count_below_one_is_an_argument_error(tmp_path, capsys, option):
+    out = tmp_path / "results"
+    argv = {"--reps": "1", "--n": "200", "--nmc": "1000", "--workers": "1"} | {option: "0"}
+    with pytest.raises(SystemExit) as info:
+        study.main(["--scenarios", "scenario1", "--out", str(out)]
+                   + [a for pair in argv.items() for a in pair])
+    assert info.value.code == 2
+    assert f"{option}: 0 is below 1" in capsys.readouterr().err
+    assert not out.exists()
