@@ -2,13 +2,14 @@
 
     python3 scripts/bench_pairs.py --ref HEAD --pairs 10 --seed 7 --tag mychange
 
-Runs ``perfbench/run.py --trace 0`` as it stands in each tree: the base side
-from the committed files of ``--ref`` (extracted with ``git archive`` into a
-temporary directory that is removed afterwards), the change side from the
-working tree.  Each pair runs both sides once per workload with the same
-seed and the ``run_seconds`` of BENCHMARK.json, alternating which side goes
-first.  Every result
-line and machine record is written to ``BENCH_<tag>.json`` at the repository
+Runs ``perfbench/run.py --trace 0`` as it stands in each tree.  Both trees
+are sibling directories under one temporary directory, removed afterwards,
+so both sides read and write alike: the base tree holds the committed files
+of ``--ref`` (extracted with ``git archive``), the change tree a copy of the
+working tree's tracked and untracked, non-ignored files.  Each pair runs
+both sides once per workload with the same seed and the ``run_seconds`` of
+BENCHMARK.json, alternating which side goes first.  Every result line and
+machine record is written to ``BENCH_<tag>.json`` at the repository
 root; the summary printed per workload and metric gives each side's median
 and quartiles and the share of pairs the change won (ties count for
 neither side).  A run that reports ``correct: false`` or failed operations
@@ -20,16 +21,30 @@ otherwise idle machine.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from reftree import ROOT, ref_tree  # noqa: E402  (the helper beside this script)
+from reftree import ROOT, copy_working_tree, extract_ref  # noqa: E402  (beside this script)
 
 WORKLOADS = ("replicate-sc1", "estimate-100k", "leader-k8")
+
+
+@contextlib.contextmanager
+def bench_trees(ref: str, root: Path = ROOT):
+    """Yield ``{"base": tree, "change": tree}``: the committed files of ``ref``
+    and a copy of the working tree of ``root``, side by side in one
+    temporary directory that is removed afterwards."""
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        extract_ref(ref, trees["base"], root)
+        copy_working_tree(trees["change"], root)
+        yield trees
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -124,8 +139,7 @@ def main(argv=None) -> int:
               "seconds": seconds, "pairs": args.pairs, "workloads": list(WORKLOADS),
               "runs": []}
 
-    with ref_tree(ref, "bench-base-") as base_tree:
-        trees = {"base": base_tree, "change": ROOT}
+    with bench_trees(ref) as trees:
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for workload in WORKLOADS:

@@ -66,6 +66,47 @@ with open("arms.txt", "w") as out:
                     print(path, name, a, targeted, repr(est.psi), eic, diag, file=out)
             print(path, name, "se", repr(contrast(arms[1, True], arms[0, True]).se), file=out)
 """
+#: oracle truths at full precision: the repr of every OracleContrast field of
+#: all five policies from the one-pass oracle and from ``oracle_risk_difference``,
+#: on scenario 1 with discounted averages and death, scenario 2 and the
+#: LEADER-shaped scenario (also below K), at a draw count spanning several
+#: subject blocks; one natural-course risk (A drawn) and the SHA-256 of a
+#: panel spanning several blocks
+TRUTHS = """
+import dataclasses, hashlib
+from dropintmle import ArmPolicy, scenario_presets, simulate_counterfactual_mean, simulate_trial
+from dropintmle.interventions import standard_policies
+from dropintmle.sim import fit_reference_gstar, oracle_risk_difference
+from perfbench import inputs
+try:
+    from dropintmle.sim import oracle_risk_differences
+except ImportError:  # a tree without the one-pass oracle: one policy at a time
+    def oracle_risk_differences(config, specs, horizon, n_mc, seed):
+        return {name: oracle_risk_difference(config, spec, horizon, n_mc, seed)
+                for name, spec in specs.items()}
+N_MC = 3 * 2 ** 14 + 1001
+sc1, sc2 = scenario_presets()["scenario1"], scenario_presets()["scenario2"]
+leader = inputs.load_scenario()
+CASES = (("sc1_decay_death", dataclasses.replace(sc1, avg_decay=0.5, death_hazard=0.03), 5),
+         ("sc2", sc2, 5), ("leader", leader, 8), ("leader", leader, 3))
+with open("truths.txt", "w") as out:
+    for label, cfg, horizon in CASES:
+        specs = standard_policies(fit_reference_gstar(cfg, 20_000, 3))
+        for source, truths in (
+                ("one-pass", oracle_risk_differences(cfg, specs, horizon, N_MC, 11)),
+                ("per-policy", {name: oracle_risk_difference(cfg, spec, horizon, N_MC, 11)
+                                for name, spec in specs.items()})):
+            for name, oc in truths.items():
+                print(label, horizon, source, name, *(repr(getattr(oc, f.name))
+                      for f in dataclasses.fields(oc)), file=out)
+    natural = simulate_counterfactual_mean(leader, ArmPolicy(None, specs["ignore"]), 8, N_MC, 12)
+    print("natural", repr(natural), file=out)
+    panel = simulate_trial(leader, N_MC, 13)
+    digest = hashlib.sha256()
+    for f in dataclasses.fields(panel):
+        digest.update(getattr(panel, f.name).tobytes())
+    print("panel", digest.hexdigest(), file=out)
+"""
 MESSY_GRID = "1,4,7,10,13"
 #: a messy events file (see ``messy_event_rows``) from a fixed seed, written
 #: by this script's own generator on both sides
@@ -113,6 +154,7 @@ COMMANDS = [
                              "--out", "leader_spaced.csv"]),
     ("replicate_csv", REPLICATE + ["--out", "replicate.csv"]),
     ("replicate_json", REPLICATE + ["--format", "json", "--out", "replicate.json"]),
+    ("truths", ["-c", TRUTHS]),
     ("oracle", CLI + ["oracle", "--scenario", "scenario1", "--policy", "stochastic_a1",
                       "--nmc", "50000", "--nfit", "50000", "--out", "oracle.json"]),
     ("trajectory", CLI + ["trajectory", "--scenario", "scenario1", "--n", "2000", "--seed", "6",

@@ -52,6 +52,7 @@ from .sim import (
     drop_in_trajectory,
     fit_reference_gstar,
     oracle_risk_difference,
+    oracle_risk_differences,
     resolve_scenario,
     scenario_presets,
     simulate_counterfactual_mean,

@@ -28,7 +28,7 @@ from .interventions import arm_pair, fit_stochastic_gstar, standard_policies
 from .sim import (
     ScenarioConfig,
     fit_reference_gstar,
-    oracle_risk_difference,
+    oracle_risk_differences,
     resolve_scenario,
     simulate_trial,
 )
@@ -163,14 +163,13 @@ def _replication_worker(cfg, policy_names, n, horizon, g_floor, weight_cap, q_le
 
 def compute_truths(cfg: ScenarioConfig, policy_names, horizon, n_mc, seed,
                    n_fit: int = 1_000_000):
-    """Oracle risk-difference truths per policy (paired hypothetical arms)."""
+    """Oracle risk-difference truths per policy (paired hypothetical arms),
+    every policy in one oracle pass."""
     gstar_ref = fit_reference_gstar(cfg, n_fit, seed) if "stochastic" in policy_names else None
     specs = standard_policies(gstar_ref)
-    truths = {}
-    for name in policy_names:
-        oc = oracle_risk_difference(cfg, specs[name], horizon, n_mc, seed + 700_001)
-        truths[name] = (oc.psi, oc.mc_se, oc.risk1, oc.risk0)
-    return truths
+    contrasts = oracle_risk_differences(cfg, {name: specs[name] for name in policy_names},
+                                        horizon, n_mc, seed + 700_001)
+    return {name: (oc.psi, oc.mc_se, oc.risk1, oc.risk0) for name, oc in contrasts.items()}
 
 
 def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
@@ -199,6 +198,8 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
     if not policy_names:
         raise ValueError("no policies to estimate")
     workers = n_workers() if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
     if truths is None:
         truths = compute_truths(cfg, policy_names, horizon, n_mc, seed)

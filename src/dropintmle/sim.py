@@ -11,7 +11,11 @@ Competing-death and censoring hazards default to zero but can be switched on.
 Randomness is organized as one counter-based stream per (seed, visit, node),
 with subject i always reading draw i; panels are bit-identical for identical
 (config, n, seed) regardless of worker count, and factual/counterfactual runs
-share all non-intervened randomness, so arm contrasts are paired.
+share all non-intervened randomness, so arm contrasts are paired.  Subjects
+are simulated in consecutive blocks, each stream read block by block, which
+leaves every draw where it was.  The oracle makes one pass: each stream is
+read once per block, and every arm of every policy advances over that block
+on those same draws.
 """
 
 from __future__ import annotations
@@ -85,17 +89,41 @@ def resolve_scenario(name_or_config) -> ScenarioConfig:
     return presets[name_or_config]
 
 
+#: subjects advanced together; every stream is read in consecutive blocks of
+#: this many draws, so subject i still reads draw i of each stream
+_BLOCK = 1 << 14
+
+
 def _stream(seed: int, visit: int, node: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=abs(int(seed)), spawn_key=(visit, node))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _uniforms(seed, visit, node, n):
-    return _stream(seed, visit, node).random(n)
+def _blocks(seed: int, n: int):
+    """Consecutive blocks of subjects: yields ``(rows, draw)`` per block, where
+    ``draw(visit, node)`` gives that block's slice of the (seed, visit, node)
+    stream (standard normal for the covariate nodes, uniform otherwise).  Each
+    slice is drawn once per block, from a generator kept across blocks, so
+    every caller within a block reads the same draws."""
+    streams: dict[tuple[int, int], np.random.Generator] = {}
+    for lo in range(0, n, _BLOCK):
+        rows = slice(lo, min(lo + _BLOCK, n))
+        drawn: dict[tuple[int, int], np.ndarray] = {}
 
+        def draw(visit, node, rows=rows, drawn=drawn):
+            key = (visit, node)
+            if key not in drawn:
+                if key not in streams:
+                    # a stream first read after block 0 would hand out its
+                    # first draws to the wrong subjects
+                    assert rows.start == 0, f"stream {key} first read past block 0"
+                    streams[key] = _stream(seed, visit, node)
+                size = rows.stop - rows.start
+                drawn[key] = (streams[key].standard_normal(size)
+                              if node in (_NODE_L0, _NODE_L) else streams[key].random(size))
+            return drawn[key]
 
-def _normals(seed, visit, node, n):
-    return _stream(seed, visit, node).standard_normal(n)
+        yield rows, draw
 
 
 def _sample_z(policy_spec, k, u, l_curr, z_prev, l0, z0, config):
@@ -111,109 +139,119 @@ def _sample_z(policy_spec, k, u, l_curr, z_prev, l0, z0, config):
     return (u < p).astype(np.int8)
 
 
-def _simulate(config: ScenarioConfig, n: int, seed: int,
-              a_value: int | None = None,
-              z_spec: InterventionSpec | None = None,
-              horizon: int | None = None):
-    """Shared core for factual and counterfactual simulation.
-
-    Returns a TrialPanel when ``horizon`` is None, else the event-status
-    vector at ``horizon`` of a censoring-free run.  Absorbed subjects carry
-    their last covariate/treatment values forward; those payloads are ignored
-    downstream.
-    """
+def _check_run(config: ScenarioConfig, n: int, horizon: int) -> None:
     if n < 1:
         raise ValueError("need at least one subject")
     K = config.n_visits
-    keep_panel = horizon is None
-    horizon = K if horizon is None else horizon
     if not 1 <= horizon <= K:
         raise ValueError(f"horizon {horizon} is outside 1..K; the scenario has K = {K}")
 
-    l0 = _normals(seed, 0, _NODE_L0, n)
+
+def _simulate(config: ScenarioConfig, draw, rows: slice, horizon: int,
+              a_value: int | None = None,
+              z_spec: InterventionSpec | None = None,
+              panel: dict | None = None) -> np.ndarray:
+    """Advance one arm over one block of subjects (``rows``), reading its
+    uniforms and normals through ``draw(visit, node)`` (see ``_blocks``).
+
+    Returns the block's event status at ``horizon``.  With ``panel``, a dict
+    of full-length panel arrays, the run is the observed-data one: censoring
+    is drawn too and every visit is written into the block's columns.  Absorbed subjects carry their last covariate/treatment values
+    forward; those payloads are ignored downstream.
+    """
+    n = rows.stop - rows.start
+    l0 = draw(0, _NODE_L0)
     if a_value is None:
-        a0 = (_uniforms(seed, 0, _NODE_A0, n) < 0.5).astype(np.int8)
+        a0 = (draw(0, _NODE_A0) < 0.5).astype(np.int8)
     else:
         a0 = np.full(n, a_value, dtype=np.int8)
-    z0 = _sample_z(z_spec, 0, _uniforms(seed, 0, _NODE_Z0, n), None, None, l0, None, config)
+    z0 = _sample_z(z_spec, 0, draw(0, _NODE_Z0), None, None, l0, None, config)
+    if panel is not None:
+        panel["L0"][rows, 0] = l0
+        panel["Z0"][rows] = z0
+        panel["A0"][rows] = a0
 
     a_avg = a0.astype(float)  # full adherence: A_k = A_0
     # (optionally discounted) running sums of Z and L, updated in place
-    lam = 1.0 if config.avg_decay is None else config.avg_decay   # 1.0 * x == x: plain sums
+    lam = config.avg_decay
     z_sum, l_sum, w_sum = z0.astype(float), l0.copy(), 1.0
+    alive = np.ones(n, dtype=bool)   # neither event, death nor censoring yet
     y_abs = np.zeros(n, dtype=bool)
     d_abs = np.zeros(n, dtype=bool)
     c_abs = np.zeros(n, dtype=bool)
-    l_prev = l0.copy()
-    z_prev = z0.copy()
+    l_prev = l0
+    z_prev = z0
 
-    if keep_panel:
-        Y = np.zeros((K, n), dtype=np.int8)
-        D = np.zeros((K, n), dtype=np.int8)
-        C = np.zeros((K, n), dtype=np.int8)
-        L = np.zeros((K - 1, n, 1))
-        A = np.zeros((K - 1, n), dtype=np.int8)
-        Z = np.zeros((K - 1, n), dtype=np.int8)
-
-    for k in range(1, K + 1):
-        at_risk = ~(y_abs | d_abs | c_abs)
+    for k in range(1, horizon + 1):
         z_avg, l_avg = z_sum / w_sum, l_sum / w_sum
 
-        if keep_panel and config.censor_hazard > 0:
-            u = _uniforms(seed, k, _NODE_C, n)
-            newly_c = at_risk & (u < config.censor_hazard)
-        else:
-            newly_c = np.zeros(n, dtype=bool)
-        alive = at_risk & ~newly_c
-
+        if panel is not None and config.censor_hazard > 0:
+            newly_c = alive & (draw(k, _NODE_C) < config.censor_hazard)
+            c_abs |= newly_c
+            alive &= ~newly_c
         if config.death_hazard > 0:
-            u = _uniforms(seed, k, _NODE_D, n)
-            newly_d = alive & (u < config.death_hazard)
-        else:
-            newly_d = np.zeros(n, dtype=bool)
-        alive = alive & ~newly_d
-
+            newly_d = alive & (draw(k, _NODE_D) < config.death_hazard)
+            d_abs |= newly_d
+            alive &= ~newly_d
         hazard = expit(config.outcome_slope
                        * (l_avg - a_avg - config.p_zy * z_avg)
                        + config.outcome_intercept)
-        u = _uniforms(seed, k, _NODE_Y, n)
-        newly_y = alive & (u < hazard)
-
-        c_abs |= newly_c
-        d_abs |= newly_d
+        newly_y = alive & (draw(k, _NODE_Y) < hazard)
         y_abs |= newly_y
-        if keep_panel:
-            C[k - 1] = c_abs
-            D[k - 1] = d_abs
-            Y[k - 1] = y_abs
+        alive &= ~newly_y
+        if panel is not None:
+            panel["C"][k - 1, rows] = c_abs
+            panel["D"][k - 1, rows] = d_abs
+            panel["Y"][k - 1, rows] = y_abs
 
-        if k <= K - 1:
-            survivors = ~(y_abs | d_abs | c_abs)
+        if k < horizon:  # the visit-k covariate and status act from visit k + 1 on
             mean_l = l_prev - config.covariate_drift_coef * (a_avg + config.p_z * z_avg)
-            draw_l = mean_l + config.covariate_noise_sd * _normals(seed, k, _NODE_L, n)
-            l_curr = np.where(survivors, draw_l, l_prev)
-            u = _uniforms(seed, k, _NODE_Z, n)
-            z_drawn = _sample_z(z_spec, k, u, l_curr, z_prev, l0, z0, config)
-            z_curr = np.where(survivors, z_drawn, z_prev).astype(np.int8)
-            if keep_panel:
-                L[k - 1, :, 0] = l_curr
-                A[k - 1] = a0
-                Z[k - 1] = z_curr
-            z_sum *= lam
+            draw_l = mean_l + config.covariate_noise_sd * draw(k, _NODE_L)
+            l_curr = np.where(alive, draw_l, l_prev)
+            z_drawn = _sample_z(z_spec, k, draw(k, _NODE_Z), l_curr, z_prev, l0, z0, config)
+            z_curr = np.where(alive, z_drawn, z_prev)
+            if panel is not None:
+                panel["L"][k - 1, rows, 0] = l_curr
+                panel["A"][k - 1, rows] = a0
+                panel["Z"][k - 1, rows] = z_curr
+            if lam is not None:
+                z_sum *= lam
+                l_sum *= lam
+                w_sum *= lam
             z_sum += z_curr
-            l_sum *= lam
             l_sum += l_curr
-            w_sum = lam * w_sum + 1.0
+            w_sum += 1.0
             l_prev, z_prev = l_curr, z_curr
-        if not keep_panel and k == horizon:
-            return y_abs.astype(np.int8)
-
-    return TrialPanel(L0=l0[:, None], Z0=z0, A0=a0, Y=Y, D=D, C=C, L=L, A=A, Z=Z)
+    return y_abs
 
 
 def simulate_trial(config: ScenarioConfig, n: int, seed: int) -> TrialPanel:
     """Draw an observed-data panel from the scenario's generating process."""
-    return _simulate(config, n, seed)
+    K = config.n_visits
+    _check_run(config, n, K)
+    panel = {"L0": np.zeros((n, 1)), "Z0": np.zeros(n, dtype=np.int8),
+             "A0": np.zeros(n, dtype=np.int8)}
+    for name in ("Y", "D", "C"):
+        panel[name] = np.zeros((K, n), dtype=np.int8)
+    panel["L"] = np.zeros((K - 1, n, 1))
+    panel["A"] = np.zeros((K - 1, n), dtype=np.int8)
+    panel["Z"] = np.zeros((K - 1, n), dtype=np.int8)
+    for rows, draw in _blocks(seed, n):
+        _simulate(config, draw, rows, K, panel=panel)
+    return TrialPanel(**panel)
+
+
+def _arm_outcomes(config: ScenarioConfig, arms, horizon: int, n_mc: int,
+                  seed: int) -> list[np.ndarray]:
+    """Event status at ``horizon`` (int8, one per subject) of each
+    ``(a_value, z_spec)`` arm.  One pass over blocks of subjects: every arm
+    advances over a block on the same draws before the next block is drawn."""
+    _check_run(config, n_mc, horizon)
+    ys = [np.empty(n_mc, dtype=np.int8) for _ in arms]
+    for rows, draw in _blocks(seed, n_mc):
+        for y, (a_value, z_spec) in zip(ys, arms):
+            y[rows] = _simulate(config, draw, rows, horizon, a_value, z_spec)
+    return ys
 
 
 @dataclass(frozen=True)
@@ -228,9 +266,9 @@ def simulate_counterfactual_mean(config: ScenarioConfig, policy: ArmPolicy,
                                  horizon: int, n_mc: int, seed: int,
                                  ) -> OracleResult:
     """Ground-truth event risk at ``horizon`` under an arm policy, by direct
-    sampling from the post-interventional distribution."""
-    y = _simulate(config, n_mc, seed, a_value=policy.a_value,
-                  z_spec=policy.z_spec, horizon=horizon)
+    sampling from the post-interventional distribution (``a_value`` None
+    draws the randomized arm as the trial does)."""
+    (y,) = _arm_outcomes(config, [(policy.a_value, policy.z_spec)], horizon, n_mc, seed)
     risk = float(np.mean(y))
     se = float(np.sqrt(max(risk * (1.0 - risk), 0.0) / n_mc))
     return OracleResult(risk=risk, mc_se=se, n_mc=n_mc, horizon=horizon)
@@ -246,17 +284,26 @@ class OracleContrast:
     horizon: int
 
 
+def oracle_risk_differences(config: ScenarioConfig, specs: dict[str, InterventionSpec],
+                            horizon: int, n_mc: int, seed: int) -> dict[str, OracleContrast]:
+    """Paired-arm oracle for every named intervention form in one pass: all
+    hypothetical arms reuse the same randomness, so the Monte-Carlo error of
+    each difference reflects the paired design."""
+    arms = [(a_value, spec) for spec in specs.values() for a_value in (1, 0)]
+    ys = iter(_arm_outcomes(config, arms, horizon, n_mc, seed))
+    out = {}
+    for name, y1, y0 in zip(specs, ys, ys):
+        diff = y1.astype(float) - y0.astype(float)
+        out[name] = OracleContrast(
+            psi=float(np.mean(diff)), mc_se=float(np.std(diff, ddof=1) / np.sqrt(n_mc)),
+            risk1=float(np.mean(y1)), risk0=float(np.mean(y0)), n_mc=n_mc, horizon=horizon)
+    return out
+
+
 def oracle_risk_difference(config: ScenarioConfig, z_spec: InterventionSpec,
                            horizon: int, n_mc: int, seed: int) -> OracleContrast:
-    """Paired-arm oracle: both hypothetical arms reuse the same randomness, so
-    the Monte-Carlo error of the difference reflects the paired design."""
-    y1 = _simulate(config, n_mc, seed, a_value=1, z_spec=z_spec, horizon=horizon)
-    y0 = _simulate(config, n_mc, seed, a_value=0, z_spec=z_spec, horizon=horizon)
-    diff = y1.astype(float) - y0.astype(float)
-    psi = float(np.mean(diff))
-    se = float(np.std(diff, ddof=1) / np.sqrt(n_mc))
-    return OracleContrast(psi=psi, mc_se=se, risk1=float(np.mean(y1)),
-                          risk0=float(np.mean(y0)), n_mc=n_mc, horizon=horizon)
+    """The paired-arm oracle (see ``oracle_risk_differences``) of one form."""
+    return oracle_risk_differences(config, {"": z_spec}, horizon, n_mc, seed)[""]
 
 
 def fit_reference_gstar(config: ScenarioConfig, n_fit: int, seed: int):

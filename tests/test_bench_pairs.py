@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -36,3 +37,34 @@ def test_failed_operations_stop_a_correct_run():
 def test_clean_run_is_a_sample():
     stdout = _stdout(True, 0).replace("FAILED", "ok")
     assert bench_pairs.run_failure(bench_pairs.parse_run(stdout), "estimate-100k", "base") is None
+
+
+def test_change_tree_holds_uncommitted_edits(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                        "-c", "commit.gpgsign=false", *args], cwd=repo, check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("out/\n")
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "gone.py").write_text("")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")   # uncommitted edit
+    (repo / "new.py").write_text("Y = 1\n")           # untracked
+    (repo / "out").mkdir()
+    (repo / "out" / "panel.csv").write_text("ignored\n")
+    (repo / "gone.py").unlink()
+    with bench_pairs.bench_trees("HEAD", root=repo) as trees:
+        base, change = trees["base"], trees["change"]
+        assert base.parent == change.parent
+        assert (base / "pkg" / "mod.py").read_text() == "X = 1\n"
+        assert (change / "pkg" / "mod.py").read_text() == "X = 2\n"
+        assert (change / "new.py").read_text() == "Y = 1\n"
+        assert (base / "gone.py").exists() and not (change / "gone.py").exists()
+        assert not (change / "out").exists()
+    assert not base.exists() and not change.exists()

@@ -71,7 +71,9 @@ def test_horizon_outside_scenario_rejected(horizon):
 @pytest.mark.parametrize("kwargs,match", [
     ({"weight_cap": -1.0}, "weight cap"), ({"weight_cap": float("nan")}, "weight cap"),
     ({"g_floor": 0.7}, "g floor"), ({"policies": []}, "no policies"),
-], ids=["cap-1", "capnan", "floor0.7", "no-policies"])
+    ({"workers": 0}, "workers must be at least 1, got 0"),
+    ({"workers": -2}, "workers must be at least 1, got -2"),
+], ids=["cap-1", "capnan", "floor0.7", "no-policies", "workers0", "workers-2"])
 def test_bad_setting_rejected_before_truths(monkeypatch, kwargs, match):
     def no_truths(*args, **kw):
         raise AssertionError("truths computed before the settings were checked")

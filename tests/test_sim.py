@@ -1,17 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from dropintmle import sim
 from dropintmle.interventions import (
     ArmPolicy,
     observational_z,
+    standard_policies,
     static_z,
 )
 from dropintmle.panel import at_risk_mask, validate_panel
 from dropintmle.sim import (
+    OracleContrast,
     ScenarioConfig,
     drop_in_trajectory,
+    fit_reference_gstar,
     oracle_risk_difference,
+    oracle_risk_differences,
     scenario_presets,
     simulate_counterfactual_mean,
     simulate_trial,
@@ -143,11 +150,63 @@ def test_degenerate_intercept_kills_risk():
 
 def test_paired_arm_oracle():
     oc = oracle_risk_difference(SC1, static_z(0), 5, 100_000, 19)
+    # pinned bit for bit: reading the streams in blocks must move no field
+    assert oc == OracleContrast(psi=-0.03507, mc_se=0.000581725308924539, risk1=0.07874,
+                                risk0=0.11381, n_mc=100_000, horizon=5)
     assert oc.risk1 < oc.risk0          # treatment is protective
     assert oc.psi == pytest.approx(oc.risk1 - oc.risk0, abs=1e-12)
     # pairing: the difference SE is far below the independent-arms bound
     indep = np.sqrt(oc.risk1 * (1 - oc.risk1) + oc.risk0 * (1 - oc.risk0)) / np.sqrt(100_000)
     assert oc.mc_se < indep
+
+
+#: death, censoring and discounted averages on, so every stream is read
+DECAY_DEATH = ScenarioConfig(c_z0=-1.5, c_z=-2.5, p_z=1, p_zy=1, avg_decay=0.5,
+                             death_hazard=0.05, censor_hazard=0.05)
+
+
+@pytest.fixture(scope="module")
+def decay_death_specs():
+    return standard_policies(fit_reference_gstar(DECAY_DEATH, 3000, 2))
+
+
+def test_one_pass_oracle_matches_one_policy_at_a_time(decay_death_specs):
+    both = oracle_risk_differences(DECAY_DEATH, decay_death_specs, 4, 3000, 23)
+    assert list(both) == list(decay_death_specs)
+    for name, spec in decay_death_specs.items():
+        assert both[name] == oracle_risk_difference(DECAY_DEATH, spec, 4, 3000, 23)
+
+
+@pytest.mark.parametrize("n", [1, 21, 22])   # one subject, 3 blocks of 7, and one more
+def test_results_do_not_depend_on_the_block_size(monkeypatch, decay_death_specs, n):
+    natural = ArmPolicy(a_value=None, z_spec=decay_death_specs["dynamic"])
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # std of one draw
+            truths = [oracle_risk_differences(DECAY_DEATH, decay_death_specs, h, n, 29)
+                      for h in (5, 2)]
+        panel = simulate_trial(DECAY_DEATH, n, 29)
+        return (repr(truths), repr(simulate_counterfactual_mean(DECAY_DEATH, natural, 5, n, 29)),
+                [getattr(panel, f).tobytes() for f in ("L0", "Z0", "A0", "Y", "D", "C",
+                                                       "L", "A", "Z")])
+
+    results = []
+    for block in (n, 1, 7):   # a block of n reads each stream whole
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        results.append(run())
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+@pytest.mark.parametrize("n_mc", [0, -3])
+def test_no_draws_refused(n_mc):
+    pol = ArmPolicy(a_value=0, z_spec=static_z(0))
+    for call in (lambda: oracle_risk_difference(SC1, static_z(0), 5, n_mc, 1),
+                 lambda: oracle_risk_differences(SC1, {"static0": static_z(0)}, 5, n_mc, 1),
+                 lambda: simulate_counterfactual_mean(SC1, pol, 5, n_mc, 1),
+                 lambda: simulate_trial(SC1, n_mc, 1)):
+        with pytest.raises(ValueError, match="need at least one subject"):
+            call()
 
 
 def test_horizon_bounds():
