@@ -168,8 +168,8 @@ def messy_event_rows(rng, n: int, grid) -> list[list[str]]:
     repeated baseline and event rows (the last wins), empty value cells, NaN
     and infinite covariate components, tied, on-visit, early and late
     measurement times, endpoints at or before t_0 and on visit times,
-    start-start-stop and open-ended exposure runs, indicators written as
-    floats, and ids holding a comma.  Each subject's rows keep their order;
+    start-start-stop and open-ended exposure runs, integral indicators
+    written as floats, and ids holding a comma.  Each subject's rows keep their order;
     subjects interleave.  Uses numpy and the standard library only."""
     grid = [float(t) for t in grid]
     t0, t_last = grid[0], grid[-1]
@@ -186,7 +186,7 @@ def messy_event_rows(rng, n: int, grid) -> list[list[str]]:
         return float(rng.uniform(t0 - 2.0, t_last + 2.0)) if pick < 0.9 else t_last + 1.0
 
     def flag():
-        return str(rng.choice(["0", "1", "1.0", "0.0", "0.9", "1e0"]))
+        return str(rng.choice(["0", "1", "1.0", "0.0", "1e0"]))
 
     def values(k):
         cells = [str(rng.choice(["nan", "inf", "-inf"])) if rng.random() < 0.2

@@ -20,10 +20,12 @@ import json
 import math
 import sys
 
-from .engine import EstimationError, check_options, contrast, fit_g, fit_top_step, tmle_arm
+from .engine import (EstimationError, arm_estimate, check_options, contrast, fit_g,
+                     fit_top_step, tmle_arm)
 from .features import FEATURE_NAMES
-from .harness import POLICY_NAMES, _write_json, emit_report, n_workers, run_replications
-from .interventions import ArmPolicy, arm_pair, fit_stochastic_gstar, standard_policies
+from .harness import (POLICY_NAMES, _write_json, emit_report, n_workers, policy_arms,
+                      run_replications)
+from .interventions import ArmPolicy, fit_stochastic_gstar, standard_policies
 from .learners import FitError
 from .panel import (
     DataError,
@@ -206,14 +208,14 @@ def cmd_estimate(args) -> int:
     gfit = fit_g(panel, learner, g_floor=args.g_floor, seed=args.seed,
                  n_folds=args.folds)
     gstar = fit_stochastic_gstar(panel, upto=horizon) if "stochastic" in policies else None
-    specs = standard_policies(gstar)
+    names, arms = policy_arms(standard_policies(gstar), policies)
     top = fit_top_step(panel, learner, horizon, seed=args.seed, n_folds=args.folds)
+    results = iter(tmle_arm(gfit, arms, top, weight_cap=args.weight_cap))
+    pairs = dict(zip(names, zip(results, results)))
     out = {"panel": args.panel, "horizon": horizon, "n": panel.n, "policies": {}}
     for name in policies:
-        p1, p0 = arm_pair(specs[name])
-        e1, e0 = (tmle_arm(gfit, p, top, weight_cap=args.weight_cap) for p in (p1, p0))
-        rep = contrast(e1, e0, name)
-        out["policies"][name] = dataclasses.asdict(rep)
+        e1, e0 = (arm_estimate(r) for r in pairs[name])
+        out["policies"][name] = dataclasses.asdict(contrast(e1, e0, name))
     if args.out:
         emit_report(out, args.out)
         print(f"wrote estimates to {args.out}")
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), default=9340)
     p.add_argument("--reps", type=_at_least(1), default=500)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--nmc", type=_at_least(1), default=1_000_000)
+    p.add_argument("--nmc", type=_at_least(2), default=1_000_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--g-floor", dest="g_floor", type=float, default=1e-3)
     p.add_argument("--weight-cap", dest="weight_cap", type=float)

@@ -18,6 +18,18 @@ The top step is fitted once per panel (``fit_top_step``) and shared by every
 arm and policy: its pseudo-outcome is the observed Y_K, and its rows, design
 and fold seed do not depend on the arm either.
 
+``tmle_arm`` runs every arm it is given in one pass, step by step.  At each
+step the regression rows and design are built once and every arm fits its
+own pseudo-outcome on them, each fit starting from the previous arm's
+converged fit on the same rows and columns (arms are passed in policy order,
+active before control); the design is then freed, and each distinct
+substituted (a, z) design is built once for the arms that marginalize over
+it.  The weight denominators are computed once per pass, and an arm's
+clever weight is formed at its step, so no arm holds its whole weight path.
+The warm starts make an arm's numbers depend, below 1e-9, on the arms fitted
+before it; without them (or for one arm) each arm's numbers are those of a
+pass over that arm alone.
+
 Censoring is resolved first within a visit, so subjects censored at l carry
 zero weight at step l and drop out of that regression; the censoring ratio
 product therefore runs through the current visit.  In censoring-free panels
@@ -27,21 +39,23 @@ this coincides with the lagged product.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .features import history_design, mechanism_design
 from .interventions import USE_OBSERVED_G, ArmPolicy, gstar_prob1, panel_history
 from .learners import (
     FittedModel,
     clip_probs,
+    expit,
     fit_binary_glm,
     fit_constant,
     fit_discrete_super_learner,
     fit_intercept_fluctuation,
+    logit,
+    remember,
 )
 from .panel import TrialPanel, at_risk_mask, validate_panel
 
@@ -99,17 +113,21 @@ class GFit:
         return np.where(obs == 1.0, p1, 1.0 - p1), n_floored
 
 
-def _fit_learner(learner, design, y, seed, n_folds):
+def _fit_learner(learner, design, y, seed, n_folds, starts=None):
     """The one learner dispatch: a constant fit for a degenerate response, the
     single learner (a feature-map name), or the discrete super learner over a
-    library (a list of names).  ``design(name)`` builds a member's design.
+    library (a list of names).  ``design(name)`` builds a member's design, and
+    ``starts`` warm-starts the fits (see ``fit_discrete_super_learner``).
     Returns (model, features)."""
     if np.all(y == y[0]):
         return fit_constant(y), None
     if isinstance(learner, str):
-        return fit_binary_glm(design(learner), y), learner
+        starts = {} if starts is None else starts
+        key = (learner, None)
+        return remember(starts, key, fit_binary_glm(design(learner), y,
+                                                    start=starts.get(key))), learner
     sel = fit_discrete_super_learner([(nm, design(nm)) for nm in learner], y,
-                                     n_folds=n_folds, seed=seed)
+                                     n_folds=n_folds, seed=seed, starts=starts)
     return sel.model, sel.name
 
 
@@ -173,67 +191,117 @@ def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
 # Clever weights
 
 
-def clever_weight_path(panel, gfit: GFit, policy: ArmPolicy, horizon: int, weight_cap=None):
-    """Clever weights for steps 1..horizon, shape (horizon, n), and the number
-    of used probabilities that hit the g floor, per node (e.g. ``"Z1"``).
+def _compact(v):
+    """``v``, or its one value when every subject has the same one: a
+    constant factor multiplies and divides exactly as its full vector."""
+    return v[0] if np.ndim(v) and v.size and np.all(v == v[0]) else v
 
-    H_l = 1{no event/death before l} * prod_{j<=l} 1{C_j=0}/g_C_j(0|.)
-        * prod_{j<l} g*_{A_j,Z_j}(obs)/g_{A_j,Z_j}(obs).
-    The visit-l at-risk rows are the ones the treatment node l-1 and the
-    censoring node l are used on; absorbed rows are cut off by the same mask.
-    """
-    n = panel.n
-    floored = {}
 
-    def g(node, k, used):
-        prob, n_floored = gfit.floored_prob(panel, node, k, used)
-        if n_floored:
-            floored[f"{node}{k}"] = n_floored
-        return prob
+class _Denominators:
+    """The arm-free parts of a panel's clever weights, each computed once and
+    on first use: the floored probability g of the observed A_j / Z_j, the
+    censoring ratio product prod_{m<=l} 1{C_m=0} / g_C_m(0|.), and how many
+    used probabilities hit the g floor, per node (e.g. ``"Z1"``)."""
 
-    H = np.zeros((horizon, n))
-    cum_treat = np.ones(n)
-    cum_cens = np.ones(n)
-    for l in range(1, horizon + 1):
-        j = l - 1
-        used = at_risk_mask(panel, l)
-        treat = np.ones(n)
+    def __init__(self, panel: TrialPanel, gfit: GFit):
+        self.panel, self.gfit = panel, gfit
+        self.probs: dict[str, object] = {}
+        self.floored: dict[str, int] = {}
+        self.cens: list = [1.0]       # cens[l]: the censoring product through visit l
+        self.at_risk = {}             # visit l -> at_risk_mask(panel, l)
+
+    def used(self, l: int) -> np.ndarray:
+        """The rows at risk at visit l, which nodes l-1 and C_l are used on."""
+        if l not in self.at_risk:
+            self.at_risk[l] = at_risk_mask(self.panel, l)
+        return self.at_risk[l]
+
+    def g(self, node: str, k: int):
+        key = f"{node}{k}"
+        if key not in self.probs:
+            used = self.used(k if node == "C" else k + 1)
+            prob, self.floored[key] = self.gfit.floored_prob(self.panel, node, k, used)
+            self.probs[key] = _compact(prob)
+        return self.probs[key]
+
+    def censoring(self, l: int):
+        while len(self.cens) <= l:
+            m = len(self.cens)
+            uncens = (self.panel.c_at(m) == 0).astype(float)
+            self.cens.append(_compact(self.cens[-1] * (uncens / self.g("C", m))))
+        return self.cens[l]
+
+    def release(self, l: int) -> None:
+        """Drop what only step l and later steps read: a backward pass is past them."""
+        for key in (f"A{l - 1}", f"Z{l - 1}", f"C{l}"):
+            self.probs.pop(key, None)
+        if l < len(self.cens):
+            self.cens[l] = None
+
+    def floored_counts(self, policy: ArmPolicy, horizon: int) -> dict:
+        """The nodes an arm uses through ``horizon`` that hit the floor, with
+        their counts, in visit order."""
+        keys = []
+        for l in range(1, horizon + 1):
+            if policy.a_value is not None:
+                keys.append(f"A{l - 1}")
+            if policy.z_spec.intervenes_at(l - 1):
+                keys.append(f"Z{l - 1}")
+            keys.append(f"C{l}")
+        return {key: self.floored[key] for key in keys if self.floored.get(key)}
+
+
+def _clever_weight(panel, den: _Denominators, policy: ArmPolicy, l: int, weight_cap=None):
+    """One arm's clever weight at step l, for every subject:
+
+    H_l = 1{at risk at l} * prod_{j<l} g*_{A_j,Z_j}(obs) / g_{A_j,Z_j}(obs)
+        * prod_{m<=l} 1{C_m=0} / g_C_m(0|.),
+
+    truncated at ``weight_cap``.  The visit-l at-risk rows are the ones the
+    treatment node l-1 and the censoring node l are used on; absorbed rows
+    are cut off by the same mask."""
+    cum_treat = 1.0
+    for j in range(l):
+        treat = 1.0
         if policy.a_value is not None:
-            treat = treat * (panel.a_at(j) == policy.a_value).astype(float) / g("A", j, used)
+            treat = (panel.a_at(j) == policy.a_value) / den.g("A", j)
         p1 = gstar_prob1(policy.z_spec, j, *panel_history(panel, j))
         if p1 is not USE_OBSERVED_G:
-            treat = treat * np.where(panel.z_at(j) == 1, p1, 1.0 - p1) / g("Z", j, used)
-        uncens = (panel.c_at(l) == 0).astype(float)
-        cum_treat = cum_treat * treat                       # treatment nodes through l-1
-        cum_cens = cum_cens * (uncens / g("C", l, used))    # censoring through l
-        H[l - 1] = used * cum_treat * cum_cens
-    if weight_cap is not None:
-        H = np.minimum(H, weight_cap)
-    return H, floored
+            treat = treat * np.where(panel.z_at(j) == 1, p1, 1.0 - p1) / den.g("Z", j)
+        cum_treat = cum_treat * treat
+    h = den.used(l) * cum_treat * den.censoring(l)
+    return h if weight_cap is None else np.minimum(h, weight_cap)
 
 
-def _weight_summary(H, threshold=50.0):
-    """Per-visit weight-tail summary: max, 99th percentile, share above the
+def clever_weight_path(panel, gfit: GFit, policy: ArmPolicy, horizon: int, weight_cap=None):
+    """Clever weights for steps 1..horizon, shape (horizon, n) (see
+    ``_clever_weight``), and the number of used probabilities that hit the g
+    floor, per node (e.g. ``"Z1"``)."""
+    den = _Denominators(panel, gfit)
+    H = np.array([_clever_weight(panel, den, policy, l, weight_cap)
+                  for l in range(1, horizon + 1)])
+    return H, den.floored_counts(policy, horizon)
+
+
+def _weight_row(l, h, threshold=50.0):
+    """Visit l's weight-tail summary: max, 99th percentile, share above the
     near-violation threshold among positive weights."""
-    rows = []
-    for l, h in enumerate(H, start=1):
-        pos = h[h > 0]
-        rows.append({
-            "visit": l,
-            "max_weight": float(pos.max()) if pos.size else 0.0,
-            "p99_weight": float(np.percentile(pos, 99)) if pos.size else 0.0,
-            "frac_above": float(np.mean(pos > threshold)) if pos.size else 0.0,
-            "n_positive": int(pos.size),
-        })
-    return rows
+    pos = h[h > 0]
+    return {
+        "visit": l,
+        "max_weight": float(pos.max()) if pos.size else 0.0,
+        "p99_weight": float(np.percentile(pos, 99)) if pos.size else 0.0,
+        "frac_above": float(np.mean(pos > threshold)) if pos.size else 0.0,
+        "n_positive": int(pos.size),
+    }
 
 
 def support_diagnostics(panel, gfit, policy, horizon=None, threshold=50.0,
                         weight_cap=None):
     """Per-visit weight-tail summary of the clever-weight path."""
     horizon = panel.K if horizon is None else horizon
-    return _weight_summary(clever_weight_path(panel, gfit, policy, horizon, weight_cap)[0],
-                           threshold)
+    H = clever_weight_path(panel, gfit, policy, horizon, weight_cap)[0]
+    return [_weight_row(l, h, threshold) for l, h in enumerate(H, start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,31 +339,10 @@ def _z_options(panel, spec, j):
     return [(p1, 1.0)]
 
 
-def _predict_step(panel, model, features, l, sub_a=None, sub_z=None):
-    if model.constant is not None:
-        return np.full(panel.n, model.constant)
-    design = history_design(panel, features, treat_upto=l - 1,
-                            sub_a=sub_a, sub_z=sub_z)
-    return model.predict(design)
-
-
-def _fit_step(panel, learner, pseudo, l, seed, n_folds):
-    """Step-l outcome regression on the observed, uncensored at-risk rows.
-    Returns (rows, model, features)."""
-    rows = at_risk_mask(panel, l) & (panel.c_at(l) == 0)
-    if not rows.any():
-        raise EstimationError(f"empty at-risk set at step {l}")
-    model, feats = _fit_learner(
-        learner, lambda f: history_design(panel, f, treat_upto=l - 1)[rows],
-        pseudo[rows], seed + l, n_folds)
-    return rows, model, feats
-
-
 @dataclass(frozen=True)
 class TopStep:
     """The step-``horizon`` outcome regression fitted on ``panel``: its rows,
-    model and chosen features, the settings of every step of an arm, and a
-    memo of pre-fluctuation predictions keyed by the substituted (a, z) values."""
+    model and chosen features, and the settings of every step of an arm."""
 
     panel: TrialPanel
     rows: np.ndarray
@@ -305,18 +352,14 @@ class TopStep:
     learner: str | list[str]
     seed: int
     n_folds: int
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def predict(self, sub_a=None, sub_z=None) -> np.ndarray:
-        """Read-only prediction, computed once per substitution."""
-        key = tuple(None if s is None else np.asarray(s, dtype=float).tobytes()
-                    for s in (sub_a, sub_z))
-        if key not in self.memo:
-            p = _predict_step(self.panel, self.model, self.features, self.horizon,
-                              sub_a, sub_z)
-            p.flags.writeable = False
-            self.memo[key] = p
-        return self.memo[key]
+
+def _step_rows(panel, l):
+    """The rows of the step-l regression: at risk at l and uncensored at l."""
+    rows = at_risk_mask(panel, l) & (panel.c_at(l) == 0)
+    if not rows.any():
+        raise EstimationError(f"empty at-risk set at step {l}")
+    return rows
 
 
 def fit_top_step(panel, learner="running_avg", horizon=None, seed=0,
@@ -326,92 +369,220 @@ def fit_top_step(panel, learner="running_avg", horizon=None, seed=0,
     horizon = panel.K if horizon is None else horizon
     if not 1 <= horizon <= panel.K:
         raise ValueError(f"horizon must lie in 1..{panel.K}")
-    rows, model, feats = _fit_step(panel, learner, panel.y_at(horizon).astype(float),
-                                   horizon, seed, n_folds)
+    rows = _step_rows(panel, horizon)
+    model, feats = _fit_learner(
+        learner, lambda f: history_design(panel, f, treat_upto=horizon - 1)[rows],
+        panel.y_at(horizon).astype(float)[rows], seed + horizon, n_folds)
     return TopStep(panel, rows, model, feats, horizon, learner, seed, n_folds)
 
 
-def tmle_arm(gfit: GFit, policy: ArmPolicy, top: TopStep, *, targeted: bool = True,
-             weight_cap: float | None = None) -> ArmEstimate:
-    """Targeted (or plain sequential-regression) estimate for one arm on
-    ``top.panel``, with every step fitted like ``top``.
+@dataclass
+class _Arm:
+    """One arm's running state in a pass: its pseudo-outcome, influence-curve
+    values and diagnostics, this step's fit and fluctuation, or its failure."""
+
+    policy: ArmPolicy
+    pseudo: np.ndarray
+    eic: np.ndarray | None
+    failure: Exception | None = None
+    model: FittedModel | None = None
+    features: str | None = None
+    eps: float = 0.0
+    fluctuate: bool = False
+    steps: list = field(default_factory=list)     # (eps, converged, score, rows), last step first
+    weights: list = field(default_factory=list)
+    floored: dict = field(default_factory=dict)
+
+
+def _fit_arms(arms, top, l, den, weight_cap):
+    """Step l of every arm: its outcome regression on the step's shared
+    design (the top step's own fit at the horizon), warm-started from the
+    previous arm's fit; the fluctuation weighted by its clever weight; and
+    its influence-curve term and score."""
+    panel, n = top.panel, top.panel.n
+    if l == top.horizon:
+        rows = top.rows
+    else:
+        rows = _step_rows(panel, l)
+    count = int(rows.sum())
+    designs = {}
+
+    def design(name):
+        if name not in designs:
+            designs[name] = history_design(panel, name, treat_upto=l - 1)[rows]
+        return designs[name]
+
+    starts = {}
+    for arm in arms:
+        try:
+            y = arm.pseudo[rows]
+            if l == top.horizon:
+                arm.model, arm.features = top.model, top.features
+            else:
+                arm.model, arm.features = _fit_learner(top.learner, design, y, top.seed + l,
+                                                       top.n_folds, starts)
+            # formed after the fit, so as not to be held during it; the
+            # horizon step has read every node that it reads
+            h = None if den is None else _clever_weight(panel, den, arm.policy, l, weight_cap)
+            if arm.model.constant is not None:
+                preds = np.full(count, arm.model.constant)
+            else:
+                preds = arm.model.predict(design(arm.features))
+
+            # a degenerate response is fitted exactly: its weighted score
+            # already vanishes and the update is a no-op
+            arm.fluctuate = h is not None and arm.model.constant is None
+            arm.eps, ok, score = 0.0, True, 0.0
+            if arm.fluctuate:
+                offset = logit(clip_probs(preds))
+                arm.eps, ok = fit_intercept_fluctuation(y, offset, h[rows])
+                offset += arm.eps
+                preds = expit(offset, out=offset)
+            if h is not None:
+                term = (y - preds) * h[rows]
+                score = float(np.sum(term) / n)
+                arm.eic[rows] += term
+                arm.weights.append(_weight_row(l, h))
+                if l == top.horizon:
+                    arm.floored = den.floored_counts(arm.policy, l)
+            arm.steps.append((arm.eps, ok, score, count))
+        except Exception as exc:  # fails this arm alone
+            arm.failure = exc
+
+
+def _marginalize(arms, top, l):
+    """Replace every arm's pseudo-outcome by its step-l fit (fluctuated)
+    averaged over the visit-(l-1) treatment pair under the arm's laws,
+    splicing prior events (value 1) and prior deaths (value 0).  Each
+    distinct substituted design is built once and read by every arm that
+    needs it."""
+    panel, n, j = top.panel, top.panel.n, l - 1
+    options, uses = {}, {}
+    for arm in arms:
+        spec = arm.policy.z_spec
+        try:
+            if id(spec) not in options:
+                options[id(spec)] = _z_options(panel, spec, j)
+        except Exception as exc:
+            arm.failure = exc
+            continue
+        a_sub = None if arm.policy.a_value is None else float(arm.policy.a_value)
+        for z_sub, z_w in options[id(spec)]:
+            feats = None if arm.model.constant is not None else arm.features
+            z_key = z_sub if z_sub is None or np.ndim(z_sub) == 0 else ("vector", id(z_sub))
+            uses.setdefault((feats, a_sub, z_key), (a_sub, z_sub, []))[2].append((arm, z_w))
+        arm.pseudo = np.zeros(n)
+
+    for (feats, _, _), (a_sub, z_sub, users) in uses.items():
+        try:
+            design = None if feats is None else history_design(
+                panel, feats, treat_upto=j, sub_a=a_sub, sub_z=z_sub)
+        except Exception as exc:
+            for arm, _ in users:
+                arm.failure = exc
+            continue
+        preds = {}       # per model: arms of one policy share the top step's
+        for arm, z_w in users:
+            if arm.failure is not None:
+                continue
+            try:
+                model = arm.model
+                if id(model) not in preds:
+                    preds[id(model)] = (np.full(n, model.constant) if design is None
+                                        else model.predict(design))
+                p = preds[id(model)]
+                if arm.fluctuate:
+                    p = logit(clip_probs(p))
+                    p += arm.eps
+                    expit(p, out=p)
+                arm.pseudo += z_w * p
+            except Exception as exc:
+                arm.failure = exc
+        del design, preds
+
+    if j >= 1:
+        y_prev = panel.y_at(j).astype(bool)
+        d_prev = panel.d_at(j).astype(bool)
+        for arm in arms:
+            if arm.failure is None:
+                np.copyto(arm.pseudo, 0.0, where=d_prev)
+                np.copyto(arm.pseudo, 1.0, where=y_prev)
+
+
+def _run_phase(phase, arms, *args) -> None:
+    """Run one phase of a step on the arms that have not failed; an exception
+    it raises (a step no arm can pass, e.g. an empty risk set) fails them all."""
+    live = [arm for arm in arms if arm.failure is None]
+    try:
+        phase(live, *args)
+    except Exception as exc:
+        for arm in live:
+            arm.failure = exc
+
+
+def _finish(arm: _Arm, top: TopStep, targeted: bool) -> ArmEstimate:
+    psi = float(np.mean(arm.pseudo))
+    eic = arm.eic
+    if targeted:
+        eic += arm.pseudo - psi
+    epsilons, fluct_ok, step_scores, at_risk_counts = (list(v) for v in zip(*arm.steps[::-1]))
+    diagnostics = {
+        "epsilons": epsilons,
+        "fluct_converged": bool(all(fluct_ok)),
+        "step_scores": step_scores,
+        "at_risk_counts": at_risk_counts,
+        "floored_counts": arm.floored,
+        "mean_eic": float(np.mean(eic)) if eic is not None else None,
+    }
+    if targeted:
+        diagnostics["weights"] = arm.weights[::-1]
+        if abs(diagnostics["mean_eic"]) > 1e-6:
+            warnings.warn(f"influence-curve equation poorly solved: "
+                          f"mean={diagnostics['mean_eic']:.3e}")
+    return ArmEstimate(psi=psi, eic=eic, targeted=targeted, horizon=top.horizon,
+                       n=top.panel.n, diagnostics=diagnostics)
+
+
+def tmle_arm(gfit: GFit, policy: ArmPolicy | Sequence[ArmPolicy], top: TopStep, *,
+             targeted: bool = True, weight_cap: float | None = None):
+    """Targeted (or plain sequential-regression) estimate of one arm, or of a
+    sequence of arms, on ``top.panel``, with every step fitted like ``top``.
+
+    Every arm runs in one pass backwards over the steps: each step's design
+    and each distinct substituted design are built once for all arms, the
+    weight denominators once per pass, and each step's fit starts from the
+    previous arm's fit on the same rows and columns.  One arm gives its
+    ArmEstimate (or raises); a sequence gives a list holding each arm's
+    ArmEstimate or the exception that failed that arm alone.
 
     With ``targeted`` False the fluctuation steps are skipped, giving the
     non-targeted g-computation estimator; no influence-curve values or
     variance are attached in that case.
     """
     check_options(weight_cap=weight_cap)
-    panel, horizon, n = top.panel, top.horizon, top.panel.n
-
-    H, floored = (clever_weight_path(panel, gfit, policy, horizon, weight_cap) if targeted
-                  else (None, {}))
-    a_sub = None if policy.a_value is None else float(policy.a_value)
-
-    pseudo = panel.y_at(horizon).astype(float)
-    eic = np.zeros(n) if targeted else None
-    epsilons, fluct_ok, step_scores, at_risk_counts = [], [], [], []
-
+    single = isinstance(policy, ArmPolicy)
+    panel, horizon = top.panel, top.horizon
+    y_top = panel.y_at(horizon).astype(float)    # every arm's pseudo-outcome at the top
+    arms = [_Arm(pol, y_top, np.zeros(panel.n) if targeted else None)
+            for pol in ([policy] if single else policy)]
+    del y_top
+    den = _Denominators(panel, gfit) if targeted else None
     for l in range(horizon, 0, -1):
-        if l == horizon:
-            obs_mask, model, predict = top.rows, top.model, top.predict
-        else:
-            obs_mask, model, feats = _fit_step(panel, top.learner, pseudo, l, top.seed, top.n_folds)
-            predict = partial(_predict_step, panel, model, feats, l)
-        at_risk_counts.append(int(obs_mask.sum()))
-        preds = predict()
+        _run_phase(_fit_arms, arms, top, l, den, weight_cap)
+        _run_phase(_marginalize, arms, top, l)
+        if den is not None:
+            den.release(l)
+    results = [arm.failure if arm.failure is not None else _finish(arm, top, targeted)
+               for arm in arms]
+    return arm_estimate(results[0]) if single else results
 
-        # a degenerate response is fitted exactly: its weighted score already
-        # vanishes and the update is a no-op
-        fluctuate = targeted and model.constant is None
-        eps, ok, score = 0.0, True, 0.0
-        if fluctuate:
-            offset = logit(clip_probs(preds))
-            eps, ok = fit_intercept_fluctuation(pseudo[obs_mask], offset[obs_mask],
-                                                H[l - 1][obs_mask])
-            preds = expit(offset + eps)
-        if targeted:
-            h = H[l - 1]
-            score = float(np.sum(h[obs_mask] * (pseudo[obs_mask] - preds[obs_mask])) / n)
-            eic += np.where(obs_mask, h * (pseudo - preds), 0.0)
-        epsilons.append(eps)
-        fluct_ok.append(ok)
-        step_scores.append(score)
 
-        # marginalize the visit-(l-1) treatment pair under the arm's laws,
-        # splicing prior events (value 1) and prior deaths (value 0)
-        marg = np.zeros(n)
-        for z_sub, z_w in _z_options(panel, policy.z_spec, l - 1):
-            p = predict(a_sub, z_sub)
-            if fluctuate:
-                p = expit(logit(clip_probs(p)) + eps)
-            marg = marg + z_w * p
-
-        if l - 1 >= 1:
-            y_prev = panel.y_at(l - 1).astype(bool)
-            d_prev = panel.d_at(l - 1).astype(bool)
-            nxt = np.where(y_prev, 1.0, np.where(d_prev, 0.0, marg))
-        else:
-            nxt = marg
-        pseudo = nxt
-
-    psi = float(np.mean(pseudo))
-    if targeted:
-        eic += pseudo - psi
-    diagnostics = {
-        "epsilons": epsilons[::-1],
-        "fluct_converged": bool(all(fluct_ok)),
-        "step_scores": step_scores[::-1],
-        "at_risk_counts": at_risk_counts[::-1],
-        "floored_counts": floored,
-        "mean_eic": float(np.mean(eic)) if eic is not None else None,
-    }
-    if targeted:
-        diagnostics["weights"] = _weight_summary(H)
-        if abs(diagnostics["mean_eic"]) > 1e-6:
-            warnings.warn(f"influence-curve equation poorly solved: "
-                          f"mean={diagnostics['mean_eic']:.3e}")
-    return ArmEstimate(psi=psi, eic=eic, targeted=targeted, horizon=horizon,
-                       n=n, diagnostics=diagnostics)
+def arm_estimate(result) -> ArmEstimate:
+    """A result of ``tmle_arm``'s pass as an ArmEstimate, raising the
+    exception that failed the arm."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from functools import partial
 
 import numpy as np
 
-from .engine import (EstimateReport, EstimationError, check_options, contrast, fit_g,
-                     fit_top_step, tmle_arm)
+from .engine import (EstimateReport, EstimationError, arm_estimate, check_options, contrast,
+                     fit_g, fit_top_step, tmle_arm)
 from .interventions import arm_pair, fit_stochastic_gstar, standard_policies
 from .sim import (
     ScenarioConfig,
@@ -124,6 +124,14 @@ class PolicyRun:
     failure: str | None = None
 
 
+def policy_arms(specs, names) -> tuple[list[str], list]:
+    """The policies ``names`` once each in POLICY_NAMES order, and their arms,
+    active before control: the order in which one ``tmle_arm`` pass chains
+    its warm starts, so that the order of ``names`` changes no number."""
+    order = sorted(set(names), key=POLICY_NAMES.index)
+    return order, [arm for name in order for arm in arm_pair(specs[name])]
+
+
 def _replication_worker(cfg, policy_names, n, horizon, g_floor, weight_cap, q_learner,
                         include_gcomp, seed_r):
     panel = simulate_trial(cfg, n, seed_r)
@@ -131,16 +139,18 @@ def _replication_worker(cfg, policy_names, n, horizon, g_floor, weight_cap, q_le
         gfit = fit_g(panel, g_floor=g_floor)
         gstar = (fit_stochastic_gstar(panel, upto=horizon) if "stochastic" in policy_names
                  else None)
-        specs = standard_policies(gstar)
+        names, arms = policy_arms(standard_policies(gstar), policy_names)
         top = fit_top_step(panel, q_learner, horizon)
     except Exception as exc:  # a dead panel fails every policy
         return {name: PolicyRun(failure=f"{type(exc).__name__}: {exc}")
                 for name in policy_names}
+    tmle = iter(tmle_arm(gfit, arms, top, weight_cap=weight_cap))
+    gcomp = iter(tmle_arm(gfit, arms, top, targeted=False) if include_gcomp
+                 else [None] * len(arms))
     out = {}
-    for name in policy_names:
+    for name, pair, gpair in zip(names, zip(tmle, tmle), zip(gcomp, gcomp)):
         try:
-            p1, p0 = arm_pair(specs[name])
-            e1, e0 = (tmle_arm(gfit, p, top, weight_cap=weight_cap) for p in (p1, p0))
+            e1, e0 = (arm_estimate(r) for r in pair)
             if not (e1.diagnostics["fluct_converged"] and e0.diagnostics["fluct_converged"]):
                 raise EstimationError("fluctuation did not converge")
             rep = contrast(e1, e0, name)
@@ -151,7 +161,7 @@ def _replication_worker(cfg, policy_names, n, horizon, g_floor, weight_cap, q_le
             mean_eic = max(abs(e1.mean_eic), abs(e0.mean_eic))
             gpsi = None
             if include_gcomp:
-                g1, g0 = (tmle_arm(gfit, p, top, targeted=False) for p in (p1, p0))
+                g1, g0 = (arm_estimate(r) for r in gpair)
                 gpsi = g1.psi - g0.psi
             out[name] = PolicyRun(psi=rep.psi, se=rep.se, ci_low=rep.ci_low,
                                   ci_high=rep.ci_high, max_weight=maxw,
@@ -197,6 +207,9 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
     policy_names = list(policies)
     if not policy_names:
         raise ValueError("no policies to estimate")
+    unknown = [p for p in policy_names if p not in POLICY_NAMES]
+    if unknown:
+        raise ValueError(f"unknown policies {unknown}; choose from {list(POLICY_NAMES)}")
     workers = n_workers() if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

@@ -13,6 +13,9 @@ intercept-only fluctuation with an offset, has its own one-dimensional
 solver.  A discrete (selector) super learner picks among candidate design
 matrices by V-fold cross-validated quasi-binomial loss.  A learner is the
 name of its feature map (see features.py), and a library is a list of names.
+A fit may start from a nearby fit's coefficients (``start``), which is kept
+only when its deviance is no worse than the zero start's.  The logistic
+function and its inverse are numpy's vectorized ``exp`` and ``log`` in place.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit
 
 PROB_CLIP = 1e-6      # clip for probabilities entering logit transforms
 SCORE_TOL = 1e-6      # max-norm of the IRLS score at convergence
@@ -33,6 +35,50 @@ FLUCT_MAX_ITER = 100  # Newton/bisection steps of the one-dimensional fluctuatio
 
 class FitError(ValueError):
     """Raised when a regression problem is unusable (no data, bad response)."""
+
+
+def expit(x, out=None):
+    """The logistic function 1 / (1 + exp(-x)), elementwise, written into
+    ``out`` if given (which may be ``x`` itself).
+
+    The formula of ``scipy.special.expit``: an ``exp(-x)`` that overflows
+    gives exactly 0, here without an overflow warning.  Only the output is
+    allocated."""
+    scalar = out is None and np.ndim(x) == 0
+    if out is None:
+        out = np.empty(np.shape(x))
+    with np.errstate(over="ignore"):
+        np.negative(x, out=out)
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out[()] if scalar else out
+
+
+def logit(p, out=None):
+    """The log-odds log(p / (1 - p)), elementwise, written into ``out`` if
+    given (which may be ``p`` itself, at the cost of a copy of ``p``).
+
+    The formula of ``scipy.special.logit``: on [0.3, 0.65], where the
+    quotient loses precision, log1p(s) - log1p(-s) with s = 2 (p - 0.5).
+    p = 0 and 1 give -inf and inf without a warning."""
+    p = np.asarray(p, dtype=float)
+    scalar = out is None and p.ndim == 0
+    if out is None:
+        out = np.empty(p.shape)
+    elif np.shares_memory(out, p):
+        p = p.copy()
+    mid = (p >= 0.3) & (p <= 0.65)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.subtract(1.0, p, out=out)
+        np.divide(p, out, out=out)
+        np.log(out, out=out)
+    if mid.any():
+        s = p[mid]
+        s -= 0.5
+        s *= 2.0
+        out[mid] = np.log1p(s) - np.log1p(-s)
+    return out[()] if scalar else out
 
 
 @dataclass
@@ -54,7 +100,9 @@ class FittedModel:
         if self.constant is not None:
             return np.full(design.shape[0], self.constant)
         # keep the open interval even under separation-sized coefficients
-        return np.clip(expit(design @ self.coef), 1e-12, 1.0 - 1e-12)
+        p = design @ self.coef
+        expit(p, out=p)
+        return np.clip(p, 1e-12, 1.0 - 1e-12, out=p)
 
 
 def clip_probs(p: np.ndarray | float) -> np.ndarray:
@@ -84,7 +132,7 @@ def _column_leaders(X: np.ndarray) -> np.ndarray:
 
 
 def fit_binary_glm(design: np.ndarray, response: np.ndarray,
-                   max_iter: int = 50) -> FittedModel:
+                   max_iter: int = 50, start: np.ndarray | None = None) -> FittedModel:
     """Quasi-binomial regression via IRLS.
 
     Maximizes sum_i [y_i log mu_i + (1-y_i) log(1-mu_i)] with
@@ -94,7 +142,9 @@ def fit_binary_glm(design: np.ndarray, response: np.ndarray,
     ``converged`` True once the deviance changes by less than
     DEV_TOL * (|deviance| + 1) and the score X' (y - mu) has max-norm
     <= SCORE_TOL.  A fit that runs to ``max_iter`` (e.g. under separation)
-    returns its last iterate with ``converged`` False.
+    returns its last iterate with ``converged`` False.  The loop starts from
+    ``start`` (one coefficient per column) when its deviance is no worse
+    than that of the zero start, and from zero otherwise.
     """
     X = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(response, dtype=float)
@@ -132,8 +182,19 @@ def fit_binary_glm(design: np.ndarray, response: np.ndarray,
         return -2.0 * float(np.sum(ll))
 
     beta = np.zeros(p)
-    np.matmul(X, beta, out=xb)
-    dev = update_mu_and_deviance()
+    if start is not None:
+        start = np.array(start, dtype=float)
+        if start.shape != (p,):
+            raise ValueError(f"start has shape {start.shape}, not ({p},)")
+        np.matmul(X, start, out=xb)
+        dev = update_mu_and_deviance()
+        if dev <= 2.0 * n * np.log(2.0):   # the zero start's: mu = 1/2 on every row
+            beta = start
+        else:
+            start = None
+    if start is None:
+        np.matmul(X, beta, out=xb)
+        dev = update_mu_and_deviance()
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
@@ -244,6 +305,14 @@ def cv_fold_ids(n: int, n_folds: int, seed: int) -> np.ndarray:
     return ids
 
 
+def remember(starts: dict, key, model: FittedModel) -> FittedModel:
+    """Record a converged ``model`` in ``starts[key]``, as the start of the
+    next fit on the same rows and columns; returns the model."""
+    if model.converged:
+        starts[key] = model.coef
+    return model
+
+
 @dataclass
 class SelectorFit:
     """Result of the discrete super learner: the refit winner plus the CV report."""
@@ -258,13 +327,17 @@ def fit_discrete_super_learner(
     response: np.ndarray,
     n_folds: int = 10,
     seed: int = 0,
+    starts: dict | None = None,
 ) -> SelectorFit:
     """Discrete super learner over candidate design matrices.
 
     Each candidate is (name, design) sharing the same response.  The member
     minimizing V-fold cross-validated quasi-binomial loss is refit on all data;
     ties break toward the earliest member.  Members that error on every fold
-    get no CV risk; if all members fail, raises FitError.
+    get no CV risk; if all members fail, raises FitError.  With ``starts``,
+    the fit of member ``name`` on fold v (v None for all rows) starts from
+    ``starts[name, v]`` if present, and a converged fit is recorded there
+    (see ``remember``).
     """
     if not candidates:
         raise FitError("empty learner library")
@@ -275,6 +348,7 @@ def fit_discrete_super_learner(
     if n < n_folds:
         raise FitError(f"n={n} smaller than number of folds {n_folds}")
 
+    starts = {} if starts is None else starts
     folds = cv_fold_ids(n, n_folds, seed)
     cv_risks: dict[str, float] = {}
     for name, design in candidates:
@@ -284,7 +358,8 @@ def fit_discrete_super_learner(
             val = folds == v        # n >= n_folds >= 2: both sides are nonempty
             train = ~val
             try:
-                m = fit_binary_glm(X[train], y[train])
+                m = remember(starts, (name, v),
+                             fit_binary_glm(X[train], y[train], start=starts.get((name, v))))
                 p = m.predict(X[val])
             except (FitError, np.linalg.LinAlgError):
                 failed_folds += 1
@@ -302,4 +377,7 @@ def fit_discrete_super_learner(
         if name in cv_risks and cv_risks[name] < best_risk:
             best_name, best_risk = name, cv_risks[name]
     design = dict(candidates)[best_name]
-    return SelectorFit(name=best_name, model=fit_binary_glm(design, y), cv_risks=cv_risks)
+    key = (best_name, None)
+    model = remember(starts, key, fit_binary_glm(design, y, start=starts.get(key)))
+    return SelectorFit(name=best_name, model=model, cv_risks=cv_risks)
+

@@ -457,7 +457,8 @@ def read_event_csv(path) -> EventTable:
     one.  An exposure_start opens a run (replacing one already open) that the
     next exposure_stop closes; a run left open lasts to the end of
     follow-up.  A row that cannot be read raises DataError naming its line
-    and field.
+    and field, and a baseline Z0 or A0 that is not an integer one naming the
+    subject and the value.
     """
     index: dict[str, int] = {}                 # id -> subject, in order of first appearance
     opened: dict[int, float] = {}              # subject -> start of its open exposure run
@@ -488,8 +489,8 @@ def read_event_csv(path) -> EventTable:
                     if len(vals) < 3:
                         raise DataError(f"{path}: baseline row for {sid} needs L0..,Z0,A0")
                     base_values.extend([float(v) for v in vals[:-2]])
-                    base_z0.append(int(float(vals[-2])))
-                    base_a0.append(int(float(vals[-1])))
+                    base_z0.append(float(vals[-2]))
+                    base_a0.append(float(vals[-1]))
                     base_subject.append(i)
                     base_width.append(len(vals) - 2)
                 elif kind == "event":
@@ -513,6 +514,13 @@ def read_event_csv(path) -> EventTable:
                 raise _event_row_error(path, rd.line_num, row, exc) from None
     n = len(index)
     ids = list(index)
+    z0, a0 = np.frombuffer(base_z0), np.frombuffer(base_a0)
+    bad_z0, bad_a0 = (~(np.isfinite(v) & (np.floor(v) == v)) for v in (z0, a0))
+    if (bad_z0 | bad_a0).any():  # the first such baseline row in the file
+        r = int(np.argmax(bad_z0 | bad_a0))
+        name, value = ("Z0", z0[r]) if bad_z0[r] else ("A0", a0[r])
+        raise DataError(f"{path}: subject {ids[base_subject[r]]}: baseline {name} "
+                        f"{float(value)!r} is not an integer")
     base_row, event_row = (_last_row(n, np.frombuffer(s, dtype=np.int64))
                            for s in (base_subject, event_subject))
     missing = (base_row < 0) | (event_row < 0)
@@ -534,7 +542,7 @@ def read_event_csv(path) -> EventTable:
     return EventTable(
         ids=ids, t_tilde=np.frombuffer(event_time)[event_row],
         delta=np.frombuffer(event_delta)[event_row], L0=L0, L0_width=width,
-        Z0=np.frombuffer(base_z0)[base_row], A0=np.frombuffer(base_a0)[base_row],
+        Z0=z0[base_row], A0=a0[base_row],
         meas_subject=meas_subject, meas_time=meas_time, meas_width=meas_width,
         meas_values=meas_values, expo_subject=expo_subject, expo_start=expo_start,
         expo_stop=expo_stop)

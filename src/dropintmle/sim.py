@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .interventions import (USE_OBSERVED_G, ArmPolicy, InterventionSpec, fit_stochastic_gstar,
                             gstar_prob1)
+from .learners import expit
 from .panel import TrialPanel, at_risk_mask
 
 _NODE_L0, _NODE_Z0, _NODE_A0 = 0, 1, 2
@@ -288,7 +288,11 @@ def oracle_risk_differences(config: ScenarioConfig, specs: dict[str, Interventio
                             horizon: int, n_mc: int, seed: int) -> dict[str, OracleContrast]:
     """Paired-arm oracle for every named intervention form in one pass: all
     hypothetical arms reuse the same randomness, so the Monte-Carlo error of
-    each difference reflects the paired design."""
+    each difference reflects the paired design.  Its SE needs n_mc >= 2."""
+    _check_run(config, n_mc, horizon)
+    if n_mc < 2:
+        raise ValueError(f"n_mc = {n_mc}: a paired contrast needs at least 2 draws "
+                         "for its Monte-Carlo SE")
     arms = [(a_value, spec) for spec in specs.values() for a_value in (1, 0)]
     ys = iter(_arm_outcomes(config, arms, horizon, n_mc, seed))
     out = {}

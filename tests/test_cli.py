@@ -126,6 +126,16 @@ def test_oracle_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oracle_takes_one_draw(tmp_path, capsys):
+    # one arm's risk has a binomial SE at n = 1, unlike a replicate contrast
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "--scenario", "scenario1", "--policy", "static_a0_z0",
+                "--nmc", "1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["n_mc"] == 1 and payload["mc_se"] == 0.0
+    capsys.readouterr()
+
+
 def test_oracle_policy_grammar(tmp_path, capsys):
     out = tmp_path / "o.json"
     for text, arm in [("dynamic_a1", 1), ("ignore_a0", 0), ("static_a1_z1", 1)]:
@@ -457,7 +467,7 @@ SMALL_ORACLE = ["oracle", "--scenario", "scenario1", "--policy", "stochastic_a0"
     (SMALL_ORACLE + ["--nfit", "0"], "--nfit", 1),
     (SMALL_REPLICATE + ["--reps", "0"], "--reps", 1),
     (SMALL_REPLICATE + ["--n", "0"], "--n", 1),
-    (SMALL_REPLICATE + ["--nmc", "0"], "--nmc", 1),
+    (SMALL_REPLICATE + ["--nmc", "1"], "--nmc", 2),   # its SE needs two draws
     (SMALL_REPLICATE + ["--workers", "0"], "--workers", 1),
     (["estimate", "--panel", "panel.csv", "--folds", "1"], "--folds", 2),
 ], ids=["simulate-n", "trajectory-n", "oracle-nmc", "oracle-nfit", "replicate-reps",

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dropintmle import engine
+from dropintmle import engine, learners
 from dropintmle.engine import (
     EstimationError,
     clever_weight_path,
@@ -352,11 +354,12 @@ def test_arm_weight_summary_matches_support_diagnostics(floored_sc2, cap):
 
 
 # ---------------------------------------------------------------------------
-# The top step shared across arms
+# One pass for every arm
 
 
-@pytest.mark.parametrize("case", ["scenario1", "k8_library"])
-def test_shared_top_step_is_bit_identical(case, scenario1_panel):
+def _pass_case(case, scenario1_panel):
+    """A panel's fits and every standard policy's arms with A set to 1 and 0
+    and left alone, in pass order."""
     if case == "scenario1":
         panel, learner, seed, n_folds = scenario1_panel, "running_avg", 0, 10
     else:
@@ -364,27 +367,104 @@ def test_shared_top_step_is_bit_identical(case, scenario1_panel):
         learner = ["main", "running_avg"]
     gfit = fit_g(panel, learner, seed=seed, n_folds=n_folds)
     top = fit_top_step(panel, learner, None, seed, n_folds)
-    arms = [pol for spec in standard_policies(fit_stochastic_gstar(panel)).values()
-            for pol in arm_pair(spec)]
+    arms = [ArmPolicy(a, spec) for spec in standard_policies(fit_stochastic_gstar(panel)).values()
+            for a in (1, 0, None)]
+    return gfit, top, arms
 
-    def estimates(pol):
-        return [tmle_arm(gfit, pol, top, targeted=targeted) for targeted in (True, False)]
 
-    alone = []
-    for pol in arms:          # each arm on a memo that only it has filled
-        top.memo.clear()
-        alone.append(estimates(pol))
-    for pol in arms:          # every arm's substitutions in the memo
-        estimates(pol)
-    # observed histories, static/stochastic pairs (a, 0), (a, 1), dynamic
-    # (a, Z0) and observational (a, observed): the five policies share nine
-    assert len(top.memo) == 9
-    for pol, first in zip(arms, alone):
-        for before, after in zip(first, estimates(pol)):
-            assert before.psi == after.psi
-            assert before.diagnostics == after.diagnostics
-            if before.targeted:
-                assert np.array_equal(before.eic, after.eic)
+def _cold_scipy_fits(monkeypatch):
+    """Every fit from the zero start, and the logistic kernel of scipy."""
+    from scipy import special
+
+    real = learners.fit_binary_glm
+
+    def cold(design, response, max_iter=50, start=None):
+        return real(design, response, max_iter)
+
+    for module in (learners, engine):
+        monkeypatch.setattr(module, "fit_binary_glm", cold)
+        monkeypatch.setattr(module, "expit", special.expit)
+        monkeypatch.setattr(module, "logit", special.logit)
+
+
+def _same_estimate(a, b):
+    assert a.psi == b.psi
+    assert a.diagnostics == b.diagnostics
+    assert (a.eic is None) == (b.eic is None)
+    if a.eic is not None:
+        assert a.eic.tobytes() == b.eic.tobytes()
+
+
+@pytest.mark.parametrize("cap", [None, 8.0])
+@pytest.mark.parametrize("targeted", [True, False])
+@pytest.mark.parametrize("case", ["scenario1", "k8_library"])
+def test_one_pass_equals_arm_by_arm_calls(case, targeted, cap, scenario1_panel, monkeypatch):
+    # with starts ignored the arms of a pass share designs and denominators
+    # only, so each arm's numbers are those of a call on it alone
+    _cold_scipy_fits(monkeypatch)
+    gfit, top, arms = _pass_case(case, scenario1_panel)
+    together = tmle_arm(gfit, arms, top, targeted=targeted, weight_cap=cap)
+    assert len(together) == len(arms)
+    for pol, est in zip(arms, together):
+        _same_estimate(est, tmle_arm(gfit, pol, top, targeted=targeted, weight_cap=cap))
+
+
+def test_pass_counts_designs_once_per_step(scenario1_panel, monkeypatch):
+    calls = []
+    real = engine.history_design
+
+    def counting(panel, features, treat_upto, cov_upto=None, sub_a=None, sub_z=None):
+        calls.append(treat_upto)
+        return real(panel, features, treat_upto, cov_upto, sub_a, sub_z)
+
+    monkeypatch.setattr(engine, "history_design", counting)
+    gfit, top, arms = _pass_case("scenario1", scenario1_panel)
+    calls.clear()
+    tmle_arm(gfit, arms, top)
+    # per step: the fit design and the distinct substitutions (a, z) with a
+    # in {1, 0, observed} and z in {0, 1, Z0, observed}; at step 1 the
+    # dynamic law leaves Z0 alone
+    per_step = np.bincount(calls, minlength=top.horizon)
+    assert per_step.tolist() == [1 + 3 * 3] + [1 + 3 * 4] * (top.horizon - 1)
+
+
+def _raise_on_call(monkeypatch, which):
+    """Make call number ``which`` of the step fits raise."""
+    real = engine._fit_learner
+    count = [0]
+
+    def failing(*args, **kwargs):
+        count[0] += 1
+        if count[0] == which:
+            raise FloatingPointError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_fit_learner", failing)
+
+
+@pytest.mark.parametrize("case", ["scenario1", "k8_library"])
+def test_failing_arm_fails_alone(case, scenario1_panel, monkeypatch):
+    _cold_scipy_fits(monkeypatch)
+    gfit, top, arms = _pass_case(case, scenario1_panel)
+    # a stochastic law that ends before the horizon fails its arms with the
+    # message a call on that arm alone raises
+    spec = arms[12].z_spec
+    short = dataclasses.replace(spec, models=spec.models[:2])
+    arms = arms + [ArmPolicy(1, short)]
+    whole = tmle_arm(gfit, arms, top)
+    with pytest.raises(ValueError) as alone:
+        tmle_arm(gfit, arms[-1], top)
+    assert spec.form == "stochastic"
+    assert isinstance(whole[-1], ValueError) and str(whole[-1]) == str(alone.value)
+
+    # the third arm's fit at the step below the top raises: it fails alone
+    _raise_on_call(monkeypatch, 3)
+    failed = tmle_arm(gfit, arms, top)
+    assert isinstance(failed[2], FloatingPointError) and str(failed[2]) == "injected"
+    assert isinstance(failed[-1], ValueError)
+    for i, (before, after) in enumerate(zip(whole[:-1], failed[:-1])):
+        if i != 2:
+            _same_estimate(before, after)
 
 
 def test_replication_makes_no_duplicate_fit(monkeypatch):

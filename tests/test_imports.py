@@ -1,6 +1,9 @@
 """Every name a package, script or test module imports is used in that module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,14 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES + OTHERS, ids=IDS)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_and_cli_import_no_scipy():
+    # scipy is a test dependency only: the kernels are numpy's
+    code = ("import sys, dropintmle, dropintmle.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

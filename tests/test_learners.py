@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit
 
+from dropintmle.learners import expit as kernel_expit
 from dropintmle.learners import (
     FitError,
     clip_probs,
@@ -13,6 +16,67 @@ from dropintmle.learners import (
     fit_discrete_super_learner,
     fit_intercept_fluctuation,
 )
+
+
+def _ulps(a, b) -> np.ndarray:
+    """Distance between float arrays in units in the last place: the gap
+    between their positions in the ordered set of doubles; two NaNs are 0
+    apart and +0 and -0 are equal."""
+    def ordered(v):
+        i = np.asarray(v, dtype=float).view(np.int64)
+        return np.where(i < 0, np.int64(-2**63) - i, i)
+    gap = np.abs(ordered(a) - ordered(b))
+    return np.where(np.isnan(a) & np.isnan(b), 0, gap)
+
+
+SPECIAL_X = [1e-300, 40.0, 745.0, 1e308, np.inf, 0.0, 709.78, 710.0, 36.8]
+
+
+def test_kernel_agrees_with_scipy_within_2_ulp():
+    from dropintmle.learners import logit as kernel_logit
+
+    x = np.concatenate([np.linspace(-800.0, 800.0, 1_600_001), np.linspace(-40.0, 40.0, 800_001),
+                        np.geomspace(1e-300, 1e308, 20_000), SPECIAL_X])
+    x = np.concatenate([x, -x, [np.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = _ulps(kernel_expit(x), expit(x))
+        # where exp(-x) lies in [2^53, 2^54), 1 + exp(-x) is a rounding tie,
+        # so one ulp of exp moves the sum by up to two of its own ulps
+        tie = (x > -54 * np.log(2.0)) & (x <= -53 * np.log(2.0))
+        assert gap[~tie].max() <= 2
+        assert gap[tie].max() <= 4
+        assert kernel_expit(np.array([-745.0, 745.0, -np.inf, np.inf])).tolist() == [0, 1, 0, 1]
+
+        p = np.concatenate([np.linspace(0.0, 1.0, 2_000_001), np.geomspace(1e-300, 0.5, 20_000),
+                            1.0 - np.geomspace(1e-16, 0.5, 20_000), [0.3, 0.65, np.nan],
+                            np.nextafter([0.3, 0.65], [0.0, 1.0])])
+        assert _ulps(kernel_logit(p), logit(p)).max() <= 2
+
+
+def test_kernel_writes_in_place_and_takes_scalars():
+    from dropintmle.learners import logit as kernel_logit
+
+    rng = np.random.default_rng(3)
+    x = rng.normal(0.0, 5.0, 1001)
+    p = expit(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, arg in ((kernel_expit, x), (kernel_logit, p)):
+            want = fn(arg)
+            same = arg.copy()
+            assert fn(same, out=same) is same       # out= aliasing the input
+            assert same.tobytes() == want.tobytes()
+            other = np.empty_like(arg)
+            assert fn(arg, out=other) is other and other.tobytes() == want.tobytes()
+            for i in (7, int(np.argmin(np.abs(p - 0.5)))):   # logit's two formulas
+                one = fn(float(arg[i]))
+                assert isinstance(one, np.float64) and one == want[i]
+        # the round trip on (-30, 30), to the conditioning of logit at expit(x)
+        x = np.linspace(-30.0, 30.0, 600_001)[1:-1]
+        back = kernel_logit(kernel_expit(x))
+        assert np.all(np.abs(back - x) <= 4 * np.finfo(float).eps * (1.0 + np.abs(x))
+                      / kernel_expit(-np.abs(x)))
 
 
 def test_intercept_only_closed_form():
@@ -132,7 +196,8 @@ def _equal_column_groups(Xa):
 
 def _reference_irls(X, y, w=None, offset=None, max_iter=50, tol=1e-10, ridge=1e-8):
     """The textbook IRLS loop that ``fit_binary_glm`` must reproduce bit for
-    bit: every quantity recomputed each iteration, on a row-subset copy.
+    bit: every quantity recomputed each iteration, on a row-subset copy, with
+    the package's logistic kernel.
     Exactly equal columns (a pairwise scan of the active rows) carry one
     coefficient, found from the normal equations reduced to each group's
     first column and split equally among its members; the loop stops once
@@ -151,7 +216,7 @@ def _reference_irls(X, y, w=None, offset=None, max_iter=50, tol=1e-10, ridge=1e-
     keep, group, share = _equal_column_groups(Xa)
 
     beta = np.zeros(p)
-    mu = clip_probs(expit(offa + Xa @ beta))
+    mu = clip_probs(kernel_expit(offa + Xa @ beta))
     dev = deviance(ya, mu, wa)
     converged = False
     n_iter = 0
@@ -166,7 +231,7 @@ def _reference_irls(X, y, w=None, offset=None, max_iter=50, tol=1e-10, ridge=1e-
         except np.linalg.LinAlgError:
             break
         beta = gamma[group] / share
-        mu_new = clip_probs(expit(offa + Xa @ beta))
+        mu_new = clip_probs(kernel_expit(offa + Xa @ beta))
         dev_new = deviance(ya, mu_new, wa)
         score = Xa.T @ (wa * (ya - mu_new))
         mu = mu_new
@@ -226,6 +291,23 @@ def test_irls_bit_identical_on_aliased_running_avg_design():
     assert m.coef[1] == m.coef[3]
 
 
+def test_warm_start_is_kept_only_below_the_zero_start_deviance():
+    rng = np.random.default_rng(31)
+    n = 600
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+    y = (rng.random(n) < expit(X @ np.array([-0.5, 0.8, -0.4]))).astype(float)
+    cold = fit_binary_glm(X, y)
+    # the converged fit as start: settled and scored at the first step
+    warm = fit_binary_glm(X, y, start=cold.coef)
+    assert warm.converged and warm.n_iter == 1
+    assert np.allclose(warm.coef, cold.coef, atol=1e-9)
+    # a start worse than all zeros is dropped: the cold fit, bit for bit
+    bad = fit_binary_glm(X, y, start=np.array([9.0, -9.0, 9.0]))
+    assert bad.coef.tobytes() == cold.coef.tobytes() and bad.n_iter == cold.n_iter
+    with pytest.raises(ValueError, match="start has shape"):
+        fit_binary_glm(X, y, start=np.zeros(2))
+
+
 def test_equal_columns_share_one_coefficient_equally():
     # the split is equal among the members, and predictions match the fit
     # without the copies
@@ -271,7 +353,7 @@ def _with_irls(monkeypatch, loop):
     from dropintmle import engine, interventions, learners
     from dropintmle.learners import FittedModel
 
-    def fit(design, response, **kw):
+    def fit(design, response, start=None, **kw):   # every fit from the zero start
         beta, dev, n_iter, converged = loop(np.asarray(design, dtype=float),
                                             np.asarray(response, dtype=float), **kw)
         return FittedModel(coef=beta, converged=converged, deviance=dev, n_iter=n_iter)
@@ -316,6 +398,60 @@ def test_stop_rule_stays_within_the_stated_bound_of_the_parent_loop(
     assert np.max(np.abs(new[:, :2] - parent[:, :2])) <= 1e-9
     assert np.max(np.abs(new[:, 2] - parent[:, 2])) <= 1e-8
     assert np.max(np.abs(new - tight)) < np.max(np.abs(parent - tight))
+
+
+def _pass_outputs(panel, learner, n_folds):
+    """``_policy_outputs`` from one pass over every arm, targeted and not."""
+    from dropintmle.engine import arm_estimate, contrast, fit_g, fit_top_step, tmle_arm
+    from dropintmle.harness import policy_arms
+    from dropintmle.interventions import fit_stochastic_gstar, standard_policies
+
+    gfit = fit_g(panel, learner, seed=0, n_folds=n_folds)
+    top = fit_top_step(panel, learner, None, 0, n_folds)
+    specs = standard_policies(fit_stochastic_gstar(panel))
+    names, arms = policy_arms(specs, specs)
+    tmle, gcomp = (iter(tmle_arm(gfit, arms, top, targeted=t)) for t in (True, False))
+    rows = {}
+    for name, pair, gpair in zip(names, zip(tmle, tmle), zip(gcomp, gcomp)):
+        rep = contrast(*(arm_estimate(r) for r in pair), name)
+        g1, g0 = (arm_estimate(r) for r in gpair)
+        rows[name] = (rep.psi, rep.se, g1.psi - g0.psi)
+    return np.array([rows[name] for name in specs])
+
+
+def _with_parent_numerics(monkeypatch):
+    """scipy's logistic kernel, and every fit from the zero start."""
+    from dropintmle import engine, interventions, learners
+
+    real = learners.fit_binary_glm
+
+    def cold(design, response, max_iter=50, start=None):
+        return real(design, response, max_iter)
+
+    for module in (learners, engine, interventions):
+        monkeypatch.setattr(module, "fit_binary_glm", cold)
+    for module in (learners, engine):
+        monkeypatch.setattr(module, "expit", expit)
+        monkeypatch.setattr(module, "logit", logit)
+
+
+@pytest.mark.parametrize("case", ["scenario1", "k8_library"])
+def test_one_pass_stays_within_the_stated_bound_of_the_parent_numerics(
+        case, scenario1_panel, monkeypatch):
+    # psi and SE within 1e-9 and g-computation within 1e-8 of scipy's
+    # kernel, cold starts and one arm per call
+    from toy_panel import build_k8_panel
+
+    if case == "scenario1":
+        panel, learner, n_folds = scenario1_panel, "running_avg", 10
+    else:
+        panel, learner, n_folds = build_k8_panel(), ["main", "running_avg"], 2
+    new = _pass_outputs(panel, learner, n_folds)
+    _with_parent_numerics(monkeypatch)
+    parent = _policy_outputs(panel, learner, n_folds)
+
+    assert np.max(np.abs(new[:, :2] - parent[:, :2])) <= 1e-9
+    assert np.max(np.abs(new[:, 2] - parent[:, 2])) <= 1e-8
 
 
 def test_fluctuation_one_point_closed_form():

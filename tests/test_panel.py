@@ -345,6 +345,25 @@ def test_malformed_event_row_is_data_error_naming_line_and_field(tmp_path, row, 
     assert str(info.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("cells, message", [
+    ("0.9,1", "baseline Z0 0.9 is not an integer"),
+    ("1,1.9", "baseline A0 1.9 is not an integer"),
+    ("nan,0", "baseline Z0 nan is not an integer"),
+], ids=["z0-0.9", "a0-1.9", "z0-nan"])
+def test_non_integer_baseline_indicator_is_refused(tmp_path, capsys, cells, message):
+    # a cell is no longer read as its integer part: 0.9 is not 0
+    from dropintmle.cli import cli_main
+
+    path = tmp_path / "events.csv"
+    path.write_text(EVENTS + f"p2,0,baseline,0.1,{cells}\np2,5,event,0\n")
+    with pytest.raises(DataError) as info:
+        read_event_csv(path)
+    assert str(info.value) == f"{path}: subject p2: {message}"
+    assert cli_main(["ingest", "--events", str(path), "--grid", "0,3,6",
+                     "--out", str(tmp_path / "panel.csv")]) == 2
+    assert f"subject p2: {message}" in capsys.readouterr().err
+
+
 def test_event_table_holds_the_rows_as_the_reader_keeps_them(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("id,time,kind,v1,v2,v3\n"

@@ -1,4 +1,3 @@
-import warnings
 
 import numpy as np
 import pytest
@@ -182,8 +181,11 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, decay_death_specs,
     natural = ArmPolicy(a_value=None, z_spec=decay_death_specs["dynamic"])
 
     def run():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)   # std of one draw
+        if n < 2:   # a contrast's SE needs two draws
+            with pytest.raises(ValueError, match="at least 2 draws"):
+                oracle_risk_differences(DECAY_DEATH, decay_death_specs, 5, n, 29)
+            truths = None
+        else:
             truths = [oracle_risk_differences(DECAY_DEATH, decay_death_specs, h, n, 29)
                       for h in (5, 2)]
         panel = simulate_trial(DECAY_DEATH, n, 29)
@@ -207,6 +209,22 @@ def test_no_draws_refused(n_mc):
                  lambda: simulate_trial(SC1, n_mc, 1)):
         with pytest.raises(ValueError, match="need at least one subject"):
             call()
+
+
+def test_one_draw_gives_no_contrast_se():
+    # a paired contrast's Monte-Carlo SE has n_mc - 1 degrees of freedom
+    from dropintmle.harness import compute_truths, run_replications
+
+    for call in (lambda: oracle_risk_difference(SC1, static_z(0), 5, 1, 1),
+                 lambda: oracle_risk_differences(SC1, {"static0": static_z(0)}, 5, 1, 1),
+                 lambda: compute_truths(SC1, ["static0"], 5, 1, 1),
+                 lambda: run_replications("scenario1", policies=["static0"], n=200, reps=1,
+                                          n_mc=1, workers=1)):
+        with pytest.raises(ValueError, match="needs at least 2 draws"):
+            call()
+    # one arm's risk keeps its binomial SE, defined at one draw
+    one = simulate_counterfactual_mean(SC1, ArmPolicy(a_value=0, z_spec=static_z(0)), 5, 1, 1)
+    assert one.n_mc == 1 and one.mc_se == 0.0
 
 
 def test_horizon_bounds():
