@@ -11,8 +11,12 @@ both sides once per workload with the same seed and the ``run_seconds`` of
 BENCHMARK.json, alternating which side goes first.  Every result line and
 machine record is written to ``BENCH_<tag>.json`` at the repository
 root; the summary printed per workload and metric gives each side's median
-and quartiles and the share of pairs the change won (ties count for
-neither side).  A run that reports ``correct: false`` or failed operations
+and quartiles, the share of pairs the change won (ties count for neither
+side), whether the gap between the medians exceeds the base side's spread
+between quartiles (IQR), and, for each end-to-end metric, whether the change
+median is worse than the base median by more than that metric's relative
+``bound`` in BENCHMARK.json.  Such a metric is marked ``PAST-BOUND`` in the
+table and named again after it.  A run that reports ``correct: false`` or failed operations
 is no sample: the script stops with exit status 1, naming the workload, the
 side and the failing check lines.  Run from the repository root, on an
 otherwise idle machine.
@@ -83,8 +87,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: medians, quartiles and the change's win share."""
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Per workload and metric: quartiles, the change's win count, whether the
+    gap between the medians exceeds the base IQR, and ``past_bound``: for a
+    metric with a relative bound in ``bounds``, whether the change median is
+    worse than the base median by more than that bound (None without one)."""
+    bounds = bounds or {}
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
@@ -99,23 +108,33 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             sign = -1.0 if better.get(metric, "lower") == "higher" else 1.0
             wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
             (q1, med, q3), change_q = quartiles(base), quartiles(change)
+            worse = sign * (change_q[1] - med)
             rows[metric] = {"base": (q1, med, q3), "change": change_q, "wins": wins,
                             "pairs": len(done),
-                            "gap_exceeds_base_iqr": abs(change_q[1] - med) > q3 - q1}
+                            "gap_exceeds_base_iqr": abs(change_q[1] - med) > q3 - q1,
+                            "past_bound": (worse > bounds[metric] * abs(med)
+                                           if metric in bounds else None)}
         out[workload] = rows
     return out
 
 
 def print_summary(summary: dict) -> None:
     print(f"{'workload':15} {'metric':12} {'base q1/median/q3':>30} "
-          f"{'change q1/median/q3':>30} {'ratio':>6} {'wins':>6} gap>IQR")
+          f"{'change q1/median/q3':>30} {'ratio':>6} {'wins':>6} gap>IQR bound")
+    past = []
     for workload, rows in summary.items():
         for metric, row in rows.items():
             b, c = row["base"], row["change"]
             ratio = c[1] / b[1] if b[1] else float("nan")
+            flag = {None: "", False: "ok", True: "PAST-BOUND"}[row["past_bound"]]
             print(f"{workload:15} {metric:12} "
                   f"{b[0]:10.4g}{b[1]:10.4g}{b[2]:10.4g} {c[0]:10.4g}{c[1]:10.4g}{c[2]:10.4g} "
-                  f"{ratio:6.3f} {row['wins']:>3}/{row['pairs']} {row['gap_exceeds_base_iqr']}")
+                  f"{ratio:6.3f} {row['wins']:>3}/{row['pairs']} "
+                  f"{row['gap_exceeds_base_iqr']!s:7} {flag}")
+            if row["past_bound"]:
+                past.append(f"{workload} {metric} ({ratio:.3f}x)")
+    if past:
+        print("worse than the base by more than the bound: " + ", ".join(past))
 
 
 def main(argv=None) -> int:
@@ -130,6 +149,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     ref = subprocess.run(["git", "rev-parse", args.ref], cwd=ROOT, capture_output=True,
                          text=True, check=True).stdout.strip()
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
@@ -155,7 +175,7 @@ def main(argv=None) -> int:
                     print(f"pair {i} {workload} {side}: " + ", ".join(
                         f"{k}={v['value']:.4g}" for k, v in metrics.items())
                         + f" failed={run['result']['failed']}", flush=True)
-                record["summary"] = summarize(record["runs"], better)
+                record["summary"] = summarize(record["runs"], better, bounds)
                 out_path.write_text(json.dumps(record, indent=1) + "\n")
     print_summary(record["summary"])
     print(f"wrote {out_path}")

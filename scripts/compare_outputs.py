@@ -40,14 +40,28 @@ panel = simulate_trial(inputs.load_scenario(), 2000, 8)
 rows = inputs.event_rows(panel, inputs.LEADER_GRID, np.random.default_rng([8, 8]))
 inputs.write_event_csv(rows, "events.csv")
 """
+#: ``policy_specs(names, fit_stochastic)`` and ``POLICY_NAMES`` in any tree:
+#: a tree whose catalogue is ``harness.POLICY_NAMES`` and
+#: ``standard_policies(stochastic_spec)`` gets the same function from those
+CATALOGUE = """
+try:
+    from dropintmle.interventions import POLICY_NAMES, policy_specs
+except ImportError:
+    from dropintmle.harness import POLICY_NAMES
+    from dropintmle.interventions import standard_policies
+
+    def policy_specs(names, fit_stochastic):
+        specs = standard_policies(fit_stochastic())
+        return {name: specs[name] for name in POLICY_NAMES if name in names}
+"""
 #: every arm estimate at full precision on the scenario-2 and LEADER-shaped
-#: panels: each standard policy with arm 1, arm 0 and the natural course (A
-#: left alone), targeted and g-computation, as psi's repr, the SHA-256 of the
-#: EIC and the diagnostics JSON, plus each contrast's SE
-ARMS = """
+#: panels: each policy with arm 1 and arm 0, targeted and g-computation, as
+#: psi's repr, the SHA-256 of the EIC and the diagnostics JSON, plus each
+#: contrast's SE
+ARMS = CATALOGUE + """
 import hashlib, json
 from dropintmle import (ArmPolicy, contrast, fit_g, fit_stochastic_gstar, fit_top_step,
-                        read_panel_csv, standard_policies, tmle_arm)
+                        read_panel_csv, tmle_arm)
 PANELS = (("sc2.csv", "running_avg", 10, 8.0, 4),
           ("leader.csv", ["main", "running_avg"], 2, None, 8))
 with open("arms.txt", "w") as out:
@@ -55,9 +69,10 @@ with open("arms.txt", "w") as out:
         panel = read_panel_csv(path)
         gfit = fit_g(panel, learner, seed=1, n_folds=folds)
         top = fit_top_step(panel, learner, horizon, seed=1, n_folds=folds)
-        for name, spec in standard_policies(fit_stochastic_gstar(panel, upto=horizon)).items():
+        specs = policy_specs(POLICY_NAMES, lambda: fit_stochastic_gstar(panel, upto=horizon))
+        for name, spec in specs.items():
             arms = {}
-            for a in (1, 0, None):
+            for a in (1, 0):
                 for targeted in (True, False):
                     est = arms[a, targeted] = tmle_arm(gfit, ArmPolicy(a, spec), top,
                                                        targeted=targeted, weight_cap=cap)
@@ -72,10 +87,9 @@ with open("arms.txt", "w") as out:
 #: LEADER-shaped scenario (also below K), at a draw count spanning several
 #: subject blocks; one natural-course risk (A drawn) and the SHA-256 of a
 #: panel spanning several blocks
-TRUTHS = """
+TRUTHS = CATALOGUE + """
 import dataclasses, hashlib
 from dropintmle import ArmPolicy, scenario_presets, simulate_counterfactual_mean, simulate_trial
-from dropintmle.interventions import standard_policies
 from dropintmle.sim import fit_reference_gstar, oracle_risk_difference
 from perfbench import inputs
 try:
@@ -91,7 +105,7 @@ CASES = (("sc1_decay_death", dataclasses.replace(sc1, avg_decay=0.5, death_hazar
          ("sc2", sc2, 5), ("leader", leader, 8), ("leader", leader, 3))
 with open("truths.txt", "w") as out:
     for label, cfg, horizon in CASES:
-        specs = standard_policies(fit_reference_gstar(cfg, 20_000, 3))
+        specs = policy_specs(POLICY_NAMES, lambda: fit_reference_gstar(cfg, 20_000, 3))
         for source, truths in (
                 ("one-pass", oracle_risk_differences(cfg, specs, horizon, N_MC, 11)),
                 ("per-policy", {name: oracle_risk_difference(cfg, spec, horizon, N_MC, 11)

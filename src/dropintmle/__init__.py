@@ -16,6 +16,7 @@ from .engine import (
     tmle_arm,
 )
 from .interventions import (
+    POLICY_NAMES,
     ArmPolicy,
     InterventionSpec,
     USE_OBSERVED_G,
@@ -23,7 +24,8 @@ from .interventions import (
     dynamic_z,
     fit_stochastic_gstar,
     observational_z,
-    standard_policies,
+    policy_arms,
+    policy_specs,
     static_z,
 )
 from .learners import (

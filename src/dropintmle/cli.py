@@ -23,9 +23,9 @@ import sys
 from .engine import (EstimationError, arm_estimate, check_options, contrast, fit_g,
                      fit_top_step, tmle_arm)
 from .features import FEATURE_NAMES
-from .harness import (POLICY_NAMES, _write_json, emit_report, n_workers, policy_arms,
-                      run_replications)
-from .interventions import ArmPolicy, fit_stochastic_gstar, standard_policies
+from .harness import _write_json, emit_report, n_workers, run_replications
+from .interventions import (POLICY_NAMES, ArmPolicy, check_policy_names, fit_stochastic_gstar,
+                            policy_arms, policy_specs)
 from .learners import FitError
 from .panel import (
     DataError,
@@ -50,6 +50,12 @@ class UsageError(ValueError):
     pass
 
 
+#: the oracle's ``--policy`` spellings: each names one arm, as (policy, a)
+ORACLE_ARMS = {**{f"static_a{a}_z{z}": (f"static{z}", a) for a in (0, 1) for z in (0, 1)},
+               **{f"{name}_a{a}": (name, a) for name in ("dynamic", "stochastic", "ignore")
+                  for a in (0, 1)}}
+
+
 #: the keys of an ``estimate --request`` JSON object and the types of their values
 REQUEST_TYPES = {"panel_path": str, "policies": (str, list), "learner": (str, list),
                  "horizon": int, "g_floor": (int, float), "weight_cap": (int, float, type(None)),
@@ -58,13 +64,18 @@ REQUEST_TYPES = {"panel_path": str, "policies": (str, list), "learner": (str, li
 
 def _load_scenario(args) -> ScenarioConfig:
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            payload = json.load(fh)
-        known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-        unknown = set(payload) - known
-        if unknown:
-            raise DataError(f"unknown scenario fields: {sorted(unknown)}")
-        return ScenarioConfig(**payload)
+        try:
+            with open(args.config) as fh:
+                payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise ValueError("a scenario is a JSON object")
+            known = {f.name for f in dataclasses.fields(ScenarioConfig)}
+            unknown = set(payload) - known
+            if unknown:
+                raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+            return ScenarioConfig(**payload)
+        except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise DataError(f"{args.config}: {exc}") from None
     if getattr(args, "scenario", None):
         try:
             return resolve_scenario(args.scenario)
@@ -73,50 +84,27 @@ def _load_scenario(args) -> ScenarioConfig:
     raise UsageError("either --scenario or --config is required")
 
 
-def _parse_arm_policy(text: str):
-    """Arm-policy strings: '<form>_a<arm>' with form in static_z0/static_z1
-    (also written static_a0_z0 style), dynamic, stochastic, ignore."""
-    toks = text.lower().split("_")
-    arm = None
-    zform = []
-    for t in toks:
-        if t in ("a0", "a1"):
-            arm = int(t[1])
-        else:
-            zform.append(t)
-    zname = "_".join(zform)
-    aliases = {"static_z0": "static0", "static_z1": "static1", "z0": "static0",
-               "z1": "static1", "static0": "static0", "static1": "static1",
-               "dynamic": "dynamic", "stochastic": "stochastic",
-               "ignore": "ignore", "observational": "ignore"}
-    if arm is None or zname not in aliases:
-        raise UsageError(
-            f"cannot parse policy '{text}'; expected e.g. static_a0_z0, "
-            f"dynamic_a1, stochastic_a0, ignore_a1")
-    return arm, aliases[zname]
-
-
 def _parse_policies(given: str | list) -> list[str]:
     """Policy names, given as a comma string or (from a request JSON) a list."""
     names = (given if isinstance(given, list)
              else [p.strip() for p in given.split(",") if p.strip()])
-    if not names:
-        raise UsageError(f"no policies given; choose from {list(POLICY_NAMES)}")
-    bad = [p for p in names if p not in POLICY_NAMES]
-    if bad:
-        raise UsageError(f"unknown policies {bad}; choose from {list(POLICY_NAMES)}")
-    return names
+    try:
+        return check_policy_names(names)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _learner_from_args(args) -> str | list[str]:
     """A feature-map name, or a list of them for the discrete super learner,
     given as a comma string or (from a request JSON) a list."""
-    given = getattr(args, "learner", None) or "running_avg"
+    given = getattr(args, "learner", None)
+    given = "running_avg" if given is None else given
     names = (given if isinstance(given, list)
              else [t.strip() for t in str(given).split(",") if t.strip()])
     bad = [nm for nm in names if nm not in FEATURE_NAMES]
     if bad or not names:
-        raise UsageError(f"unknown learners {bad}; choose from {list(FEATURE_NAMES)}")
+        problem = f"unknown learners {bad}" if bad else "no learner given"
+        raise UsageError(f"{problem}; choose from {list(FEATURE_NAMES)}")
     return names if len(names) > 1 else names[0]
 
 
@@ -169,11 +157,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _load_scenario(args)
-    arm, zname = _parse_arm_policy(args.policy)
+    zname, arm = ORACLE_ARMS[args.policy]
     _check_horizon(args.horizon, cfg.n_visits, "scenario")
-    gstar = fit_reference_gstar(cfg, args.nfit, args.seed) if zname == "stochastic" else None
-    spec = standard_policies(gstar)[zname]
-    policy = ArmPolicy(a_value=arm, z_spec=spec)
+    specs = policy_specs([zname], lambda: fit_reference_gstar(cfg, args.nfit, args.seed))
+    policy = ArmPolicy(a_value=arm, z_spec=specs[zname])
     res = simulate_counterfactual_mean(cfg, policy, args.horizon, args.nmc, args.seed)
     payload = {"arm": arm, "policy": zname, "horizon": res.horizon,
                "n_mc": res.n_mc, "risk": res.risk, "mc_se": res.mc_se}
@@ -187,8 +174,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_estimate(args) -> int:
     if args.request:
-        with open(args.request) as fh:
-            req = json.load(fh)
+        try:
+            with open(args.request) as fh:
+                req = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError is a ValueError
+            raise UsageError(f"{args.request}: not JSON: {exc}") from None
         if not isinstance(req, dict):
             raise UsageError(f"{args.request}: a request is a JSON object")
         for key, value in req.items():
@@ -207,11 +197,10 @@ def cmd_estimate(args) -> int:
     _check_horizon(horizon, panel.K, "panel")
     gfit = fit_g(panel, learner, g_floor=args.g_floor, seed=args.seed,
                  n_folds=args.folds)
-    gstar = fit_stochastic_gstar(panel, upto=horizon) if "stochastic" in policies else None
-    names, arms = policy_arms(standard_policies(gstar), policies)
+    specs = policy_specs(policies, lambda: fit_stochastic_gstar(panel, upto=horizon))
     top = fit_top_step(panel, learner, horizon, seed=args.seed, n_folds=args.folds)
-    results = iter(tmle_arm(gfit, arms, top, weight_cap=args.weight_cap))
-    pairs = dict(zip(names, zip(results, results)))
+    results = iter(tmle_arm(gfit, policy_arms(specs), top, weight_cap=args.weight_cap))
+    pairs = dict(zip(specs, zip(results, results)))
     out = {"panel": args.panel, "horizon": horizon, "n": panel.n, "policies": {}}
     for name in policies:
         e1, e0 = (arm_estimate(r) for r in pairs[name])
@@ -286,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="ground-truth risk for one hypothetical arm")
     add_scenario_opts(p)
-    p.add_argument("--policy", required=True,
-                   help="arm policy, e.g. static_a0_z0 or dynamic_a1")
+    p.add_argument("--policy", required=True, choices=ORACLE_ARMS, metavar="POLICY",
+                   help=f"one arm: {', '.join(ORACLE_ARMS)}")
     p.add_argument("--horizon", type=int, default=5)
     p.add_argument("--nmc", type=_at_least(1), default=1_000_000)
     p.add_argument("--nfit", type=_at_least(1), default=1_000_000,

@@ -1,14 +1,16 @@
 """Estimation core: nuisance fits, sequential targeted regression, inference.
 
-For one hypothetical arm the estimator runs backwards over visits.  At step l
-the current pseudo-outcome (the marginalized continuation value from step
-l+1, or the observed horizon status at the top) is regressed on the history
-through visit l-1 among subjects still under observation; the fit is then
-fluctuated on the logit scale in a weighted intercept-only update whose
-weights are cumulative interventional-to-observed density ratios ("clever
-weights"); finally the targeted fit is averaged over the visit-(l-1)
-treatment pair under the arm's interventional laws -- an exact 2x2 finite
-sum since both nodes are binary.  Event and death indicators splice the
+A hypothetical arm sets the randomized treatment to 0 or 1 (an ``ArmPolicy``
+with ``a_value`` 0 or 1) and intervenes on concomitant treatment; the
+estimator takes no other arm.  For one arm the estimator runs backwards over
+visits.  At step l the current pseudo-outcome (the marginalized continuation
+value from step l+1, or the observed horizon status at the top) is regressed
+on the history through visit l-1 among subjects still under observation; the
+fit is then fluctuated on the logit scale in a weighted intercept-only update
+whose weights are cumulative interventional-to-observed density ratios
+("clever weights"); finally the targeted fit is averaged over the visit-(l-1)
+treatment pair under the arm's interventional laws -- an exact 2x2 finite sum
+since both nodes are binary.  Event and death indicators splice the
 recursion: a prior event pins the value at 1, a prior death at 0, and dead
 subjects stay in the denominator (absolute-risk, not cause-specific,
 semantics).  The run ends with the plug-in mean over baseline covariates,
@@ -243,8 +245,7 @@ class _Denominators:
         their counts, in visit order."""
         keys = []
         for l in range(1, horizon + 1):
-            if policy.a_value is not None:
-                keys.append(f"A{l - 1}")
+            keys.append(f"A{l - 1}")
             if policy.z_spec.intervenes_at(l - 1):
                 keys.append(f"Z{l - 1}")
             keys.append(f"C{l}")
@@ -262,9 +263,7 @@ def _clever_weight(panel, den: _Denominators, policy: ArmPolicy, l: int, weight_
     are cut off by the same mask."""
     cum_treat = 1.0
     for j in range(l):
-        treat = 1.0
-        if policy.a_value is not None:
-            treat = (panel.a_at(j) == policy.a_value) / den.g("A", j)
+        treat = (panel.a_at(j) == policy.a_value) / den.g("A", j)
         p1 = gstar_prob1(policy.z_spec, j, *panel_history(panel, j))
         if p1 is not USE_OBSERVED_G:
             treat = treat * np.where(panel.z_at(j) == 1, p1, 1.0 - p1) / den.g("Z", j)
@@ -273,10 +272,18 @@ def _clever_weight(panel, den: _Denominators, policy: ArmPolicy, l: int, weight_
     return h if weight_cap is None else np.minimum(h, weight_cap)
 
 
+def _check_arms(policies) -> None:
+    """Refuse an arm whose randomized treatment is not set to 0 or 1."""
+    bad = [p.a_value for p in policies if p.a_value not in (0, 1)]
+    if bad:
+        raise ValueError(f"a_value {bad} is not 0 or 1: the estimator takes randomized arms only")
+
+
 def clever_weight_path(panel, gfit: GFit, policy: ArmPolicy, horizon: int, weight_cap=None):
     """Clever weights for steps 1..horizon, shape (horizon, n) (see
     ``_clever_weight``), and the number of used probabilities that hit the g
-    floor, per node (e.g. ``"Z1"``)."""
+    floor, per node (e.g. ``"Z1"``).  The arm's ``a_value`` must be 0 or 1."""
+    _check_arms([policy])
     den = _Denominators(panel, gfit)
     H = np.array([_clever_weight(panel, den, policy, l, weight_cap)
                   for l in range(1, horizon + 1)])
@@ -466,7 +473,7 @@ def _marginalize(arms, top, l):
         except Exception as exc:
             arm.failure = exc
             continue
-        a_sub = None if arm.policy.a_value is None else float(arm.policy.a_value)
+        a_sub = float(arm.policy.a_value)
         for z_sub, z_w in options[id(spec)]:
             feats = None if arm.model.constant is not None else arm.features
             z_key = z_sub if z_sub is None or np.ndim(z_sub) == 0 else ("vector", id(z_sub))
@@ -553,7 +560,8 @@ def tmle_arm(gfit: GFit, policy: ArmPolicy | Sequence[ArmPolicy], top: TopStep, 
     weight denominators once per pass, and each step's fit starts from the
     previous arm's fit on the same rows and columns.  One arm gives its
     ArmEstimate (or raises); a sequence gives a list holding each arm's
-    ArmEstimate or the exception that failed that arm alone.
+    ArmEstimate or the exception that failed that arm alone.  An arm whose
+    ``a_value`` is not 0 or 1 raises ValueError before any step.
 
     With ``targeted`` False the fluctuation steps are skipped, giving the
     non-targeted g-computation estimator; no influence-curve values or
@@ -561,10 +569,11 @@ def tmle_arm(gfit: GFit, policy: ArmPolicy | Sequence[ArmPolicy], top: TopStep, 
     """
     check_options(weight_cap=weight_cap)
     single = isinstance(policy, ArmPolicy)
+    policies = [policy] if single else list(policy)
+    _check_arms(policies)
     panel, horizon = top.panel, top.horizon
     y_top = panel.y_at(horizon).astype(float)    # every arm's pseudo-outcome at the top
-    arms = [_Arm(pol, y_top, np.zeros(panel.n) if targeted else None)
-            for pol in ([policy] if single else policy)]
+    arms = [_Arm(pol, y_top, np.zeros(panel.n) if targeted else None) for pol in policies]
     del y_top
     den = _Denominators(panel, gfit) if targeted else None
     for l in range(horizon, 0, -1):

@@ -17,14 +17,15 @@ import json
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .engine import (EstimateReport, EstimationError, arm_estimate, check_options, contrast,
-                     fit_g, fit_top_step, tmle_arm)
-from .interventions import arm_pair, fit_stochastic_gstar, standard_policies
+from .engine import (EstimationError, arm_estimate, check_options, contrast, fit_g,
+                     fit_top_step, tmle_arm)
+from .interventions import (POLICY_NAMES, check_policy_names, fit_stochastic_gstar,
+                            policy_arms, policy_specs)
 from .sim import (
     ScenarioConfig,
     fit_reference_gstar,
@@ -32,8 +33,6 @@ from .sim import (
     resolve_scenario,
     simulate_trial,
 )
-
-POLICY_NAMES = ("static0", "static1", "dynamic", "stochastic", "ignore")
 
 TABLE_COLUMNS = [
     "scenario", "policy", "truth", "truth_mc_se", "mean_est", "emp_sd",
@@ -124,22 +123,13 @@ class PolicyRun:
     failure: str | None = None
 
 
-def policy_arms(specs, names) -> tuple[list[str], list]:
-    """The policies ``names`` once each in POLICY_NAMES order, and their arms,
-    active before control: the order in which one ``tmle_arm`` pass chains
-    its warm starts, so that the order of ``names`` changes no number."""
-    order = sorted(set(names), key=POLICY_NAMES.index)
-    return order, [arm for name in order for arm in arm_pair(specs[name])]
-
-
 def _replication_worker(cfg, policy_names, n, horizon, g_floor, weight_cap, q_learner,
                         include_gcomp, seed_r):
     panel = simulate_trial(cfg, n, seed_r)
     try:
         gfit = fit_g(panel, g_floor=g_floor)
-        gstar = (fit_stochastic_gstar(panel, upto=horizon) if "stochastic" in policy_names
-                 else None)
-        names, arms = policy_arms(standard_policies(gstar), policy_names)
+        specs = policy_specs(policy_names, lambda: fit_stochastic_gstar(panel, upto=horizon))
+        arms = policy_arms(specs)
         top = fit_top_step(panel, q_learner, horizon)
     except Exception as exc:  # a dead panel fails every policy
         return {name: PolicyRun(failure=f"{type(exc).__name__}: {exc}")
@@ -148,7 +138,7 @@ def _replication_worker(cfg, policy_names, n, horizon, g_floor, weight_cap, q_le
     gcomp = iter(tmle_arm(gfit, arms, top, targeted=False) if include_gcomp
                  else [None] * len(arms))
     out = {}
-    for name, pair, gpair in zip(names, zip(tmle, tmle), zip(gcomp, gcomp)):
+    for name, pair, gpair in zip(specs, zip(tmle, tmle), zip(gcomp, gcomp)):
         try:
             e1, e0 = (arm_estimate(r) for r in pair)
             if not (e1.diagnostics["fluct_converged"] and e0.diagnostics["fluct_converged"]):
@@ -175,10 +165,8 @@ def compute_truths(cfg: ScenarioConfig, policy_names, horizon, n_mc, seed,
                    n_fit: int = 1_000_000):
     """Oracle risk-difference truths per policy (paired hypothetical arms),
     every policy in one oracle pass."""
-    gstar_ref = fit_reference_gstar(cfg, n_fit, seed) if "stochastic" in policy_names else None
-    specs = standard_policies(gstar_ref)
-    contrasts = oracle_risk_differences(cfg, {name: specs[name] for name in policy_names},
-                                        horizon, n_mc, seed + 700_001)
+    specs = policy_specs(policy_names, lambda: fit_reference_gstar(cfg, n_fit, seed))
+    contrasts = oracle_risk_differences(cfg, specs, horizon, n_mc, seed + 700_001)
     return {name: (oc.psi, oc.mc_se, oc.risk1, oc.risk0) for name, oc in contrasts.items()}
 
 
@@ -204,12 +192,7 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
     if reps < 1:
         raise ValueError("reps must be >= 1")
     check_options(g_floor, weight_cap)
-    policy_names = list(policies)
-    if not policy_names:
-        raise ValueError("no policies to estimate")
-    unknown = [p for p in policy_names if p not in POLICY_NAMES]
-    if unknown:
-        raise ValueError(f"unknown policies {unknown}; choose from {list(POLICY_NAMES)}")
+    policy_names = check_policy_names(policies)
     workers = n_workers() if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -265,16 +248,14 @@ def emit_report(obj, path, fmt: str = "csv") -> None:
 
     ReplicationTable -> CSV with the documented column order (or JSON, whose
     rows also count each policy's failures by reason, ``failure_reasons``);
-    EstimateReport / dicts -> canonical JSON (see ``_write_json``); drop-in
-    trajectories -> per-visit CSV.
+    dicts -> canonical JSON (see ``_write_json``); drop-in trajectories ->
+    per-visit CSV.
     """
     if isinstance(obj, ReplicationTable) and fmt == "json":
         rows = [dict(row, failure_reasons=p.failure_reasons)
                 for row, p in zip(obj.rows(), obj.policies.values())]
         obj = {"scenario": obj.scenario, "n": obj.n, "reps": obj.reps,
                "horizon": obj.horizon, "seed": obj.seed, "rows": rows}
-    elif isinstance(obj, EstimateReport):
-        obj = asdict(obj)
     if isinstance(obj, ReplicationTable):
         cols, rows = TABLE_COLUMNS, obj.rows()
     elif isinstance(obj, dict) and "visit" in obj:

@@ -13,6 +13,12 @@ An intervention replaces the conditional law of a treatment node.  Forms:
 Censoring is always intervened to "remain under observation".  An arm policy
 bundles the randomized-arm assignment with one concomitant-treatment form;
 the same form applies at every visit.
+
+The policy catalogue lives here: ``POLICY_NAMES`` names the five balancing
+interventions of the study, ``policy_specs`` builds the requested ones by
+name and ``policy_arms`` gives each one's active and control arms, always in
+``POLICY_NAMES`` order.  The harness, ``cli estimate``, ``cli oracle`` and
+the one-pass oracle all take their policies from it.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from .learners import FittedModel, clip_probs, fit_binary_glm, fit_constant
 from .panel import TrialPanel, at_risk_mask
 
 Z_FORMS = ("static", "dynamic", "stochastic", "observational")
+
+#: the balancing interventions contrasted in the study, in the order in which
+#: one estimation pass chains its warm starts
+POLICY_NAMES = ("static0", "static1", "dynamic", "stochastic", "ignore")
 
 #: sentinel returned by gstar_prob1 for nodes left alone ("use fitted g")
 USE_OBSERVED_G = None
@@ -72,9 +82,10 @@ def observational_z() -> InterventionSpec:
 
 @dataclass(frozen=True)
 class ArmPolicy:
-    """One hypothetical arm: static randomized-treatment assignment plus a
-    concomitant-treatment form.  ``a_value`` None leaves the randomized
-    treatment observational (used for natural-course checks only).
+    """One hypothetical arm: static randomized-treatment assignment (0 or 1)
+    plus a concomitant-treatment form.  Only the simulator's natural-course
+    oracle (``simulate_counterfactual_mean``) takes ``a_value`` None, which
+    draws the randomized arm as the trial does; the estimator refuses it.
     Censoring is always intervened to "remain under observation"."""
 
     a_value: int | None
@@ -136,20 +147,34 @@ def fit_stochastic_gstar(panel: TrialPanel, upto: int | None = None) -> Interven
     return InterventionSpec(form="stochastic", models=tuple(models))
 
 
-def standard_policies(stochastic_spec: InterventionSpec | None = None
-                      ) -> dict[str, InterventionSpec]:
-    """The concomitant-treatment forms contrasted in the study, by name."""
-    pol = {
-        "static0": static_z(0),
-        "static1": static_z(1),
-        "dynamic": dynamic_z(),
-        "ignore": observational_z(),
-    }
-    if stochastic_spec is not None:
-        pol["stochastic"] = stochastic_spec
-    return pol
+def check_policy_names(names) -> list[str]:
+    """``names`` as a list; ValueError if it is empty or names a policy
+    outside POLICY_NAMES."""
+    names = list(names)
+    bad = [p for p in names if p not in POLICY_NAMES]
+    if bad or not names:
+        problem = f"unknown policies {bad}" if bad else "no policies given"
+        raise ValueError(f"{problem}; choose from {list(POLICY_NAMES)}")
+    return names
+
+
+def policy_specs(names, fit_stochastic) -> dict[str, InterventionSpec]:
+    """Each policy of ``names`` (see ``check_policy_names``) once, by name, in
+    POLICY_NAMES order.  The stochastic law is ``fit_stochastic()``, called
+    only when it is requested."""
+    chosen = set(check_policy_names(names))
+    specs = {"static0": static_z(0), "static1": static_z(1), "dynamic": dynamic_z(),
+             "stochastic": fit_stochastic() if "stochastic" in chosen else None,
+             "ignore": observational_z()}
+    return {name: specs[name] for name in POLICY_NAMES if name in chosen}
 
 
 def arm_pair(z_spec: InterventionSpec) -> tuple[ArmPolicy, ArmPolicy]:
     """The two hypothetical arms (active, control) sharing one balancing form."""
     return ArmPolicy(a_value=1, z_spec=z_spec), ArmPolicy(a_value=0, z_spec=z_spec)
+
+
+def policy_arms(specs: dict[str, InterventionSpec]) -> list[ArmPolicy]:
+    """Each policy's ``arm_pair``, in the order of ``specs``: the order in
+    which one ``tmle_arm`` pass chains its warm starts."""
+    return [arm for spec in specs.values() for arm in arm_pair(spec)]

@@ -20,12 +20,14 @@ on those same draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .interventions import (USE_OBSERVED_G, ArmPolicy, InterventionSpec, fit_stochastic_gstar,
-                            gstar_prob1)
+                            gstar_prob1, policy_arms)
 from .learners import expit
 from .panel import TrialPanel, at_risk_mask
 
@@ -59,6 +61,15 @@ class ScenarioConfig:
     avg_decay: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value, integral = getattr(self, f.name), f.name == "n_visits"
+            if value is None and f.name == "avg_decay":
+                continue
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Integral if integral else numbers.Real)
+                    and math.isfinite(value)):
+                raise ValueError(f"{f.name} {value!r} is not "
+                                 f"{'an integer' if integral else 'a finite number'}")
         if self.p_z < 0 or self.p_zy < 0:
             raise ValueError("efficacy parameters must be nonnegative")
         if self.covariate_noise_sd <= 0:
@@ -241,16 +252,16 @@ def simulate_trial(config: ScenarioConfig, n: int, seed: int) -> TrialPanel:
     return TrialPanel(**panel)
 
 
-def _arm_outcomes(config: ScenarioConfig, arms, horizon: int, n_mc: int,
+def _arm_outcomes(config: ScenarioConfig, arms: list[ArmPolicy], horizon: int, n_mc: int,
                   seed: int) -> list[np.ndarray]:
-    """Event status at ``horizon`` (int8, one per subject) of each
-    ``(a_value, z_spec)`` arm.  One pass over blocks of subjects: every arm
-    advances over a block on the same draws before the next block is drawn."""
+    """Event status at ``horizon`` (int8, one per subject) of each arm.  One
+    pass over blocks of subjects: every arm advances over a block on the same
+    draws before the next block is drawn."""
     _check_run(config, n_mc, horizon)
     ys = [np.empty(n_mc, dtype=np.int8) for _ in arms]
     for rows, draw in _blocks(seed, n_mc):
-        for y, (a_value, z_spec) in zip(ys, arms):
-            y[rows] = _simulate(config, draw, rows, horizon, a_value, z_spec)
+        for y, arm in zip(ys, arms):
+            y[rows] = _simulate(config, draw, rows, horizon, arm.a_value, arm.z_spec)
     return ys
 
 
@@ -268,7 +279,7 @@ def simulate_counterfactual_mean(config: ScenarioConfig, policy: ArmPolicy,
     """Ground-truth event risk at ``horizon`` under an arm policy, by direct
     sampling from the post-interventional distribution (``a_value`` None
     draws the randomized arm as the trial does)."""
-    (y,) = _arm_outcomes(config, [(policy.a_value, policy.z_spec)], horizon, n_mc, seed)
+    (y,) = _arm_outcomes(config, [policy], horizon, n_mc, seed)
     risk = float(np.mean(y))
     se = float(np.sqrt(max(risk * (1.0 - risk), 0.0) / n_mc))
     return OracleResult(risk=risk, mc_se=se, n_mc=n_mc, horizon=horizon)
@@ -293,8 +304,7 @@ def oracle_risk_differences(config: ScenarioConfig, specs: dict[str, Interventio
     if n_mc < 2:
         raise ValueError(f"n_mc = {n_mc}: a paired contrast needs at least 2 draws "
                          "for its Monte-Carlo SE")
-    arms = [(a_value, spec) for spec in specs.values() for a_value in (1, 0)]
-    ys = iter(_arm_outcomes(config, arms, horizon, n_mc, seed))
+    ys = iter(_arm_outcomes(config, policy_arms(specs), horizon, n_mc, seed))
     out = {}
     for name, y1, y0 in zip(specs, ys, ys):
         diff = y1.astype(float) - y0.astype(float)

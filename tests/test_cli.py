@@ -136,13 +136,33 @@ def test_oracle_takes_one_draw(tmp_path, capsys):
     capsys.readouterr()
 
 
+ORACLE_SPELLINGS = {"static_a0_z0": ("static0", 0), "static_a0_z1": ("static1", 0),
+                    "static_a1_z0": ("static0", 1), "static_a1_z1": ("static1", 1),
+                    "dynamic_a0": ("dynamic", 0), "dynamic_a1": ("dynamic", 1),
+                    "stochastic_a0": ("stochastic", 0), "stochastic_a1": ("stochastic", 1),
+                    "ignore_a0": ("ignore", 0), "ignore_a1": ("ignore", 1)}
+
+
 def test_oracle_policy_grammar(tmp_path, capsys):
+    # exactly the ten documented spellings, each naming one arm
     out = tmp_path / "o.json"
-    for text, arm in [("dynamic_a1", 1), ("ignore_a0", 0), ("static_a1_z1", 1)]:
+    for text, (policy, arm) in ORACLE_SPELLINGS.items():
         assert run(["oracle", "--scenario", "scenario1", "--policy", text,
-                    "--nmc", "20000", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["arm"] == arm
+                    "--nmc", "2000", "--nfit", "2000", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["policy"], payload["arm"]) == (policy, arm)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["dynamic_a0_a1", "a1_static_z0", "STATIC_A0_Z0",
+                                  "observational_a1", "z1_a0", "static0_a1", "dynamic"])
+def test_oracle_policy_outside_the_table_is_usage_error(tmp_path, capsys, text):
+    out = tmp_path / "o.json"
+    assert run(["oracle", "--scenario", "scenario1", "--policy", text, "--nmc", "2000",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert text in err and all(spelling in err for spelling in ORACLE_SPELLINGS)
+    assert not out.exists()
 
 
 def test_trajectory_from_scenario(tmp_path, capsys):
@@ -204,6 +224,51 @@ def test_byte_identical_reruns(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text,named", [
+    ('{"c_z0": -1.5, "c_z": -2.5, "p_z": 1.0, "p_zy": 1.0, "n_visits": "5"}', "n_visits"),
+    ('{"c_z0": -1.5, "c_z": -2.5, "p_z": 1.0, "p_zy": 1.0, "n_visits": 2.5}', "n_visits"),
+    ('{"c_z0": -1.5, "c_z": -2.5, "p_z": 1.0}', "p_zy"),
+    ('{"c_z0": -1.5, "c_z": -2.5, "p_z": -1.0, "p_zy": 1.0}', "nonnegative"),
+    ('{"c_z0": -1.5, "c_z": -2.5, "p_z', "line 1"),
+    ("[1, 2]", "a scenario is a JSON object"),
+], ids=["n_visits-str", "n_visits-float", "missing", "negative", "truncated", "list"])
+def test_bad_scenario_config_is_data_error(tmp_path, capsys, text, named):
+    # every problem of a scenario file is a data error naming the file, never
+    # a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "p.csv"
+    for argv in (["simulate", "--n", "10", "--out", str(out)],
+                 ["oracle", "--policy", "static_a0_z0", "--nmc", "10"]):
+        assert run(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {cfg}: ") and named in err
+    assert not out.exists()
+
+
+def test_truncated_request_is_usage_error(tmp_path, capsys):
+    request = tmp_path / "request.json"
+    request.write_text('{"panel_path": "panel.csv", "lear')
+    assert run(["estimate", "--request", str(request)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {request}: ")
+
+
+def test_policy_order_changes_no_estimate(tmp_path, capsys):
+    # the pass runs the policies in one fixed order, whatever order is asked
+    panel_path = tmp_path / "panel.csv"
+    assert run(["simulate", "--scenario", "scenario2", "--n", "600",
+                "--seed", "4", "--out", str(panel_path)]) == 0
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for policies, out in zip(("dynamic,static0,stochastic", "stochastic,static0,dynamic"), outs):
+        assert run(["estimate", "--panel", str(panel_path), "--policies", policies,
+                    "--folds", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert set(json.loads(outs[0].read_text())["policies"]) == {"dynamic", "static0",
+                                                                  "stochastic"}
+
+
 def test_scenario_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"c_z0": -1.5, "c_z": -2.5, "p_z": 1.0,
@@ -233,16 +298,29 @@ def test_horizon_outside_scenario_is_usage_error(tmp_path, capsys, argv):
 
 
 def test_unknown_learner_is_usage_error(tmp_path, capsys):
+    # an unknown name, and an empty learner given in any form, are refused
+    # before any fit, on estimate and replicate alike
     panel_path = tmp_path / "panel.csv"
     assert run(["simulate", "--scenario", "scenario1", "--n", "300",
                 "--seed", "3", "--out", str(panel_path)]) == 0
     capsys.readouterr()
-    for argv in (["estimate", "--panel", str(panel_path)],
+    out = tmp_path / "t.csv"
+    for argv in (["estimate", "--panel", str(panel_path), "--out", str(out)],
                  ["replicate", "--scenario", "scenario1", "--n", "200", "--reps", "1",
-                  "--nmc", "2000", "--workers", "1", "--out", str(tmp_path / "t.csv")]):
-        assert run(argv + ["--learner", "main,bogus"]) == 1
+                  "--nmc", "2000", "--workers", "1", "--out", str(out)]):
+        for learner, named in (("main,bogus", "bogus"), ("", "no learner"),
+                               (",", "no learner"), (" ", "no learner")):
+            assert run(argv + ["--learner", learner]) == 1
+            err = capsys.readouterr().err
+            assert named in err and "running_avg" in err
+            assert not out.exists()
+    request = tmp_path / "request.json"
+    for learner in ([], "", ","):
+        request.write_text(json.dumps({"panel_path": str(panel_path), "learner": learner}))
+        assert run(["estimate", "--request", str(request), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "bogus" in err and "running_avg" in err
+        assert "no learner" in err and "running_avg" in err
+        assert not out.exists()
 
 
 def test_request_learner_list(tmp_path, capsys):

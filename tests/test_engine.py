@@ -22,7 +22,8 @@ from dropintmle.interventions import (
     gstar_prob1,
     observational_z,
     panel_history,
-    standard_policies,
+    policy_arms,
+    policy_specs,
     static_z,
 )
 from dropintmle.panel import DataError, TrialPanel, at_risk_mask, make_panel
@@ -215,12 +216,29 @@ def test_clever_weight_absorbing_states():
 
 
 def test_observational_policy_weight_is_at_risk_indicator():
+    # ignore leaves Z alone: under full adherence and the randomized 1/2,
+    # H_l is the at-risk indicator on the arm, over 1/2
     panel = simulate_trial(scenario_presets()["scenario1"], 1500, 3)
     gfit = fit_g(panel)
-    policy = ArmPolicy(a_value=None, z_spec=observational_z())
-    for k in (1, 3, 5):
-        h = clever_weight_path(panel, gfit, policy, k)[0][k - 1]
-        assert np.array_equal(h, at_risk_mask(panel, k).astype(float))
+    for a in (0, 1):
+        policy = ArmPolicy(a_value=a, z_spec=observational_z())
+        for k in (1, 3, 5):
+            h = clever_weight_path(panel, gfit, policy, k)[0][k - 1]
+            assert np.array_equal(h, at_risk_mask(panel, k) * (panel.A0 == a) / 0.5)
+
+
+@pytest.mark.parametrize("a_value", [None, 2, 0.5])
+def test_arm_outside_the_randomized_arms_is_refused(toy_panel, toy_gfit, toy_top, a_value):
+    # the estimator takes randomized arms only; the natural course (None)
+    # is the simulator's alone
+    bad = ArmPolicy(a_value=a_value, z_spec=observational_z())
+    good = ArmPolicy(a_value=1, z_spec=observational_z())
+    for call in (lambda: tmle_arm(toy_gfit, bad, toy_top),
+                 lambda: tmle_arm(toy_gfit, [good, bad], toy_top, targeted=False),
+                 lambda: clever_weight_path(toy_panel, toy_gfit, bad, 2),
+                 lambda: support_diagnostics(toy_panel, toy_gfit, bad)):
+        with pytest.raises(ValueError, match=rf"a_value \[{a_value}\] is not 0 or 1"):
+            call()
 
 
 def test_matching_degenerate_policy_gives_unit_weights():
@@ -269,7 +287,7 @@ def test_clever_weights_of_every_policy_by_hand():
         p1 = gstar_prob1(spec, j, *panel_history(panel, j))
         return np.where(z == 1, p1, 1.0 - p1)
 
-    for name, spec in standard_policies(fit_stochastic_gstar(panel)).items():
+    for name, spec in policy_specs(POLICY_NAMES, lambda: fit_stochastic_gstar(panel)).items():
         for a in (1, 0):
             want = np.zeros((K, panel.n))
             for l in range(1, K + 1):
@@ -331,7 +349,7 @@ def test_floored_counts_are_per_arm(floored_sc2):
         used = at_risk_mask(panel, j + 1)
         direct[f"Z{j}"] = int(np.sum(((p1 < lo) | (p1 > hi)) & used))
     assert sum(direct.values()) > 0
-    for name, spec in standard_policies(gstar).items():
+    for name, spec in policy_specs(POLICY_NAMES, lambda: gstar).items():
         p1, p0 = arm_pair(spec)
         counts = [tmle_arm(gfit, pol, top).diagnostics["floored_counts"]
                   for pol in (p1, p0)]
@@ -358,8 +376,8 @@ def test_arm_weight_summary_matches_support_diagnostics(floored_sc2, cap):
 
 
 def _pass_case(case, scenario1_panel):
-    """A panel's fits and every standard policy's arms with A set to 1 and 0
-    and left alone, in pass order."""
+    """A panel's fits and every policy's arms, active and control, in pass
+    order."""
     if case == "scenario1":
         panel, learner, seed, n_folds = scenario1_panel, "running_avg", 0, 10
     else:
@@ -367,8 +385,7 @@ def _pass_case(case, scenario1_panel):
         learner = ["main", "running_avg"]
     gfit = fit_g(panel, learner, seed=seed, n_folds=n_folds)
     top = fit_top_step(panel, learner, None, seed, n_folds)
-    arms = [ArmPolicy(a, spec) for spec in standard_policies(fit_stochastic_gstar(panel)).values()
-            for a in (1, 0, None)]
+    arms = policy_arms(policy_specs(POLICY_NAMES, lambda: fit_stochastic_gstar(panel)))
     return gfit, top, arms
 
 
@@ -422,10 +439,10 @@ def test_pass_counts_designs_once_per_step(scenario1_panel, monkeypatch):
     calls.clear()
     tmle_arm(gfit, arms, top)
     # per step: the fit design and the distinct substitutions (a, z) with a
-    # in {1, 0, observed} and z in {0, 1, Z0, observed}; at step 1 the
-    # dynamic law leaves Z0 alone
+    # in {1, 0} and z in {0, 1, Z0, observed}; at step 1 the dynamic law
+    # leaves Z0 alone
     per_step = np.bincount(calls, minlength=top.horizon)
-    assert per_step.tolist() == [1 + 3 * 3] + [1 + 3 * 4] * (top.horizon - 1)
+    assert per_step.tolist() == [1 + 2 * 3] + [1 + 2 * 4] * (top.horizon - 1)
 
 
 def _raise_on_call(monkeypatch, which):
@@ -448,7 +465,7 @@ def test_failing_arm_fails_alone(case, scenario1_panel, monkeypatch):
     gfit, top, arms = _pass_case(case, scenario1_panel)
     # a stochastic law that ends before the horizon fails its arms with the
     # message a call on that arm alone raises
-    spec = arms[12].z_spec
+    spec = arms[2 * POLICY_NAMES.index("stochastic")].z_spec
     short = dataclasses.replace(spec, models=spec.models[:2])
     arms = arms + [ArmPolicy(1, short)]
     whole = tmle_arm(gfit, arms, top)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,7 @@ def test_emit_estimate_report_round_trip(tmp_path):
                          ci_low=-0.0545659, ci_high=-0.0227180, targeted=True,
                          diagnostics={"note": 1.23456789})
     path = tmp_path / "rep.json"
-    emit_report(rep, path)
+    emit_report(dataclasses.asdict(rep), path)
     import json
 
     text1 = path.read_text()

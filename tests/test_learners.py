@@ -365,12 +365,13 @@ def _with_irls(monkeypatch, loop):
 def _policy_outputs(panel, learner, n_folds):
     """Per policy: TMLE psi, its SE and the g-computation psi."""
     from dropintmle.engine import contrast, fit_g, fit_top_step, tmle_arm
-    from dropintmle.interventions import arm_pair, fit_stochastic_gstar, standard_policies
+    from dropintmle.interventions import (POLICY_NAMES, arm_pair, fit_stochastic_gstar,
+                                          policy_specs)
 
     gfit = fit_g(panel, learner, seed=0, n_folds=n_folds)
     top = fit_top_step(panel, learner, None, 0, n_folds)
     rows = []
-    for name, spec in standard_policies(fit_stochastic_gstar(panel)).items():
+    for name, spec in policy_specs(POLICY_NAMES, lambda: fit_stochastic_gstar(panel)).items():
         arms = arm_pair(spec)
         rep = contrast(*(tmle_arm(gfit, p, top) for p in arms), name)
         g1, g0 = (tmle_arm(gfit, p, top, targeted=False) for p in arms)
@@ -403,20 +404,20 @@ def test_stop_rule_stays_within_the_stated_bound_of_the_parent_loop(
 def _pass_outputs(panel, learner, n_folds):
     """``_policy_outputs`` from one pass over every arm, targeted and not."""
     from dropintmle.engine import arm_estimate, contrast, fit_g, fit_top_step, tmle_arm
-    from dropintmle.harness import policy_arms
-    from dropintmle.interventions import fit_stochastic_gstar, standard_policies
+    from dropintmle.interventions import (POLICY_NAMES, fit_stochastic_gstar, policy_arms,
+                                          policy_specs)
 
     gfit = fit_g(panel, learner, seed=0, n_folds=n_folds)
     top = fit_top_step(panel, learner, None, 0, n_folds)
-    specs = standard_policies(fit_stochastic_gstar(panel))
-    names, arms = policy_arms(specs, specs)
+    specs = policy_specs(POLICY_NAMES, lambda: fit_stochastic_gstar(panel))
+    arms = policy_arms(specs)
     tmle, gcomp = (iter(tmle_arm(gfit, arms, top, targeted=t)) for t in (True, False))
-    rows = {}
-    for name, pair, gpair in zip(names, zip(tmle, tmle), zip(gcomp, gcomp)):
+    rows = []
+    for name, pair, gpair in zip(specs, zip(tmle, tmle), zip(gcomp, gcomp)):
         rep = contrast(*(arm_estimate(r) for r in pair), name)
         g1, g0 = (arm_estimate(r) for r in gpair)
-        rows[name] = (rep.psi, rep.se, g1.psi - g0.psi)
-    return np.array([rows[name] for name in specs])
+        rows.append((rep.psi, rep.se, g1.psi - g0.psi))
+    return np.array(rows)
 
 
 def _with_parent_numerics(monkeypatch):

@@ -5,9 +5,10 @@ from scipy.special import expit
 
 from dropintmle import sim
 from dropintmle.interventions import (
+    POLICY_NAMES,
     ArmPolicy,
     observational_z,
-    standard_policies,
+    policy_specs,
     static_z,
 )
 from dropintmle.panel import at_risk_mask, validate_panel
@@ -48,6 +49,14 @@ def test_config_validation():
         ScenarioConfig(c_z0=0, c_z=0, p_z=-1, p_zy=1)
     with pytest.raises(ValueError):
         ScenarioConfig(c_z0=0, c_z=0, p_z=1, p_zy=1, covariate_noise_sd=0.0)
+    # a field of the wrong type: n_visits is an integer, the others finite
+    # numbers (avg_decay may be None)
+    for bad in ({"n_visits": 2.5}, {"n_visits": "5"}, {"n_visits": True}, {"c_z": "0"},
+                {"b_zz": float("nan")}, {"avg_decay": float("inf")}, {"p_zy": None}):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
+            ScenarioConfig(**{"c_z0": 0, "c_z": 0, "p_z": 1, "p_zy": 1, **bad})
+    assert ScenarioConfig(c_z0=0, c_z=0, p_z=1, p_zy=1, n_visits=np.int64(3),
+                          avg_decay=None).n_visits == 3
 
 
 def test_seed_determinism():
@@ -166,7 +175,7 @@ DECAY_DEATH = ScenarioConfig(c_z0=-1.5, c_z=-2.5, p_z=1, p_zy=1, avg_decay=0.5,
 
 @pytest.fixture(scope="module")
 def decay_death_specs():
-    return standard_policies(fit_reference_gstar(DECAY_DEATH, 3000, 2))
+    return policy_specs(POLICY_NAMES, lambda: fit_reference_gstar(DECAY_DEATH, 3000, 2))
 
 
 def test_one_pass_oracle_matches_one_policy_at_a_time(decay_death_specs):
