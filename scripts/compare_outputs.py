@@ -11,13 +11,18 @@ scratch directory; the standard output of command i is kept as
 ``NN_<name>.stdout``.  Every file is then compared byte for byte.  The
 script exits 1 naming every file that differs (or exists on one side only),
 or the command that failed and its side, and 0 with the file count when
-every output is byte-identical.
+every output is byte-identical.  Each differing file is named with its
+largest absolute numeric drift when the two texts differ only in their
+numbers (so rounding noise can be told from a real change), and with
+"structure differs" otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -304,6 +309,34 @@ def differences(base: Path, change: Path) -> list[str]:
     return [name for name in sorted(files(base) | files(change)) if not same(name)]
 
 
+#: a decimal number, nan or inf standing alone (not inside a word such as a
+#: hex digest)
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"|nan|inf|NaN|Infinity)(?![\w.])")
+
+
+def numeric_drift(base: str, change: str) -> float | None:
+    """The largest absolute difference between corresponding numbers of two
+    texts whose other text is identical (0 for equal spellings, inf where a
+    non-finite value changed); None when the other text differs."""
+    if NUMBER.sub("#", base) != NUMBER.sub("#", change):
+        return None
+    drift = 0.0
+    for a, b in zip(NUMBER.findall(base), NUMBER.findall(change)):
+        if a != b:
+            d = abs(float(a) - float(b))
+            drift = max(drift, d if math.isfinite(d) else math.inf)
+    return drift
+
+
+def drift_note(base: Path, change: Path) -> str:
+    """How two versions of one output file differ, as printed by ``main``."""
+    if not (base.is_file() and change.is_file()):
+        return "structure differs"
+    drift = numeric_drift(base.read_text(errors="replace"), change.read_text(errors="replace"))
+    return "structure differs" if drift is None else f"max numeric drift {drift:.3g}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ref", default="HEAD", help="base commit (default HEAD)")
@@ -317,10 +350,11 @@ def main(argv=None) -> int:
             if failure:
                 print(f"{side} side: {failure}", file=sys.stderr)
                 return 1
-        differs = differences(outs["base"], outs["change"])
+        differs = {name: drift_note(outs["base"] / name, outs["change"] / name)
+                   for name in differences(outs["base"], outs["change"])}
         count = len(files(outs["change"]))
-    for name in differs:
-        print(f"differs: {name}", file=sys.stderr)
+    for name, note in differs.items():
+        print(f"differs: {name}: {note}", file=sys.stderr)
     if differs:
         return 1
     print(f"{count} files byte-identical between {args.ref} and the working tree")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import gstar_columns, gstar_design
+from .features import gstar_columns
 from .learners import FittedModel, clip_probs, fit_binary_glm, fit_constant
 from .panel import TrialPanel, at_risk_mask
 
@@ -142,8 +142,8 @@ def fit_stochastic_gstar(panel: TrialPanel, upto: int | None = None) -> Interven
             warnings.warn(f"concomitant status constant at visit {k}; degenerate fit")
             models.append(fit_constant(y))
             continue
-        design = gstar_design(panel, k)[mask]
-        models.append(fit_binary_glm(design, y))
+        z_prev = panel.z_at(k - 1)[mask] if k >= 1 else None
+        models.append(fit_binary_glm(gstar_columns(panel.L0[mask], k, z_prev), y))
     return InterventionSpec(form="stochastic", models=tuple(models))
 
 

@@ -2,20 +2,25 @@
 
 Propensity models and sequential outcome regressions reduce to
 logistic-link regression where the response may be fractional in [0, 1].  We
-solve these by iteratively reweighted least squares.  Columns that are
-exactly equal on the fitted rows (under full adherence the running mean of A
-is the last A, and A_0 = A_1 = ...) are fitted as one, with an equal share to
-each member; a small ridge jitter on the normal equations keeps
-late-follow-up fits stable when the remaining columns nearly collide.  The
-loop stops once the deviance has settled and the score vanishes, so a fit
-that runs to ``max_iter`` has not converged.  The targeting step, a weighted
-intercept-only fluctuation with an offset, has its own one-dimensional
-solver.  A discrete (selector) super learner picks among candidate design
-matrices by V-fold cross-validated quasi-binomial loss.  A learner is the
-name of its feature map (see features.py), and a library is a list of names.
-A fit may start from a nearby fit's coefficients (``start``), which is kept
-only when its deviance is no worse than the zero start's.  The logistic
-function and its inverse are numpy's vectorized ``exp`` and ``log`` in place.
+solve these by iteratively reweighted least squares, each step in Newton
+form.  Columns that are exactly equal on the fitted rows (under full
+adherence the running mean of A is the last A, and A_0 = A_1 = ...) are
+fitted as one, with an equal share to each member; a small ridge jitter on
+the normal equations keeps late-follow-up fits stable when the remaining
+columns nearly collide.  A fit works on one transposed copy of the distinct
+columns and forms the weighted Gram over row blocks, so its only other
+design-sized scratch is one block.  The loop stops once the deviance has
+settled and the score vanishes, so a fit that runs to ``max_iter`` has not
+converged.  A fit may start from a nearby fit's coefficients (``start``),
+which is kept only when its deviance is no worse than the zero start's; a
+large fit without one starts from a fit on a subsample of its rows, under
+the same rule.  The targeting step, a weighted intercept-only fluctuation
+with an offset, has its own one-dimensional solver.  Both solvers refuse
+non-finite input.  A discrete (selector) super learner picks among candidate
+design matrices by V-fold cross-validated quasi-binomial loss.  A learner is
+the name of its feature map (see features.py), and a library is a list of
+names.  The logistic function and its inverse are numpy's vectorized ``exp``
+and ``log`` in place.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ DEV_TOL = 1e-10       # relative deviance change at which an IRLS fit has settle
 RIDGE = 1e-8          # jitter on the diagonal of the IRLS normal equations
 EPS_TOL = 1e-10       # step tolerance for the one-dimensional fluctuation
 FLUCT_MAX_ITER = 100  # Newton/bisection steps of the one-dimensional fluctuation
+_BLOCK = 1 << 14            # rows per block of the IRLS weighted Gram
+_SUBSAMPLE_FROM = 1 << 15   # rows from which a cold IRLS fit starts from a subsample fit
+_SUBSAMPLE = 1 << 13        # that subsample is every (n // _SUBSAMPLE)-th row
 
 
 class FitError(ValueError):
@@ -116,14 +124,14 @@ def _log_likelihood(y, p) -> float:
     return float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def _column_leaders(X: np.ndarray) -> np.ndarray:
+def _column_leaders(X: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """For each column, the index of the first column exactly equal to it.
 
-    Columns are compared only when their sums agree, so a design of distinct
-    columns costs one pass over X."""
+    Columns are compared only when their ``sums`` agree, so a design of
+    distinct columns costs no pass over X beyond the sums."""
     leaders = np.arange(X.shape[1])
     by_sum: dict[float, list[int]] = {}
-    for j, s in enumerate(X.sum(axis=0).tolist()):
+    for j, s in enumerate(sums.tolist()):
         firsts = by_sum.setdefault(s, [])
         leaders[j] = next((i for i in firsts if np.array_equal(X[:, i], X[:, j])), j)
         if leaders[j] == j:
@@ -144,84 +152,116 @@ def fit_binary_glm(design: np.ndarray, response: np.ndarray,
     <= SCORE_TOL.  A fit that runs to ``max_iter`` (e.g. under separation)
     returns its last iterate with ``converged`` False.  The loop starts from
     ``start`` (one coefficient per column) when its deviance is no worse
-    than that of the zero start, and from zero otherwise.
+    than that of the zero start, and from zero otherwise.  Without ``start``,
+    a fit on at least 2^15 rows first fits every (n // 2^13)-th row and, if
+    that fit converged, offers its coefficients as the start.  ``n_iter``
+    counts the iterations on all rows only.  A non-finite response or design
+    cell is a FitError.
     """
     X = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(response, dtype=float)
-    n = X.shape[0]
+    n, p = X.shape
     if n < 1:
         raise FitError("design has no rows")
     if y.shape[0] != n:
         raise FitError(f"response length {y.shape[0]} != design rows {n}")
+    if not np.all(np.isfinite(y)):
+        raise FitError("response contains non-finite values")
     if np.any(y < 0) or np.any(y > 1):
         raise FitError("response must lie in [0, 1]")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = X.sum(axis=0)  # finite unless a cell is not (or the sum overflows)
+    if not np.all(np.isfinite(sums)) and not np.all(np.isfinite(X)):
+        raise FitError("design contains non-finite values")
 
-    # Bit-identical to the textbook loop: X beta is kept from the last mu, mu is
-    # not re-clipped, and the design is used in C order since BLAS sums in a
-    # layout-dependent order.  Each iteration's n-length quantities are formed
-    # in place, in the textbook's operation order, in buffers allocated once.
-    X = np.ascontiguousarray(X)
-    p = X.shape[1]
-    leaders = _column_leaders(X)
+    leaders = _column_leaders(X, sums)
     keep = np.flatnonzero(leaders == np.arange(p))
-    reduced = np.ix_(keep, keep)
     group = np.searchsorted(keep, leaders)         # each column's merged coefficient
     share = np.bincount(group)[group].astype(float)
-
-    one_minus_y = np.subtract(1.0, y)
-    mu, xb, t1, t2 = (np.empty(n) for _ in range(4))
-    XtW = np.empty((n, p)).T                       # the layout of X.T * irls_w
-
-    def update_mu_and_deviance():
-        expit(xb, out=mu)
-        np.clip(mu, PROB_CLIP, 1.0 - PROB_CLIP, out=mu)
-        ll = np.multiply(np.log(mu, out=t1), y, out=t1)
-        tail = np.log(np.subtract(1.0, mu, out=t2), out=t2)
-        tail *= one_minus_y
-        ll += tail
-        return -2.0 * float(np.sum(ll))
-
-    beta = np.zeros(p)
+    # the kept columns, one per row, in C order whatever the design's layout:
+    # BLAS sums in a layout-dependent order
+    XT = np.ascontiguousarray(X.T[keep])
+    gamma = None
     if start is not None:
         start = np.array(start, dtype=float)
         if start.shape != (p,):
             raise ValueError(f"start has shape {start.shape}, not ({p},)")
-        np.matmul(X, start, out=xb)
-        dev = update_mu_and_deviance()
-        if dev <= 2.0 * n * np.log(2.0):   # the zero start's: mu = 1/2 on every row
-            beta = start
+        gamma = np.bincount(group, weights=start, minlength=keep.size)  # same X beta
+    elif n >= _SUBSAMPLE_FROM:
+        rows = slice(None, None, n // _SUBSAMPLE)
+        sub, _, sub_converged, _ = _irls(np.ascontiguousarray(XT[:, rows]), y[rows],
+                                         None, max_iter)
+        gamma = sub if sub_converged else None
+    gamma, dev, converged, n_iter = _irls(XT, y, gamma, max_iter)
+    return FittedModel(coef=gamma[group] / share, converged=converged, deviance=dev,
+                       n_iter=n_iter)
+
+
+def _irls(XT: np.ndarray, y: np.ndarray, start: np.ndarray | None, max_iter: int):
+    """The IRLS loop of ``fit_binary_glm`` on the transposed design ``XT``
+    (one row per distinct column); returns (coefficients, deviance,
+    converged, iterations).
+
+    Each iteration solves the Newton form (G + RIDGE I) b' = G b + X' (y - mu)
+    of the working-response equations, with G = X' diag(mu (1 - mu)) X formed
+    over blocks of _BLOCK rows.  mu is clipped to [PROB_CLIP, 1 - PROB_CLIP],
+    so no IRLS weight is small enough for a floor on it to bind.  The
+    n-length quantities are formed in place, in buffers allocated once.  The
+    tests keep the textbook form of this arithmetic (every quantity
+    recomputed each iteration) as the reference a fit matches bit for bit."""
+    q, n = XT.shape
+    is_one = y == 1.0
+    binary = np.array_equal(y, is_one)
+    if not binary:
+        one_minus_y, t2 = np.subtract(1.0, y), np.empty(n)
+    mu, t1 = np.empty(n), np.empty(n)
+    XtW = np.empty((q, min(n, _BLOCK)))
+
+    def update(gamma):
+        """mu, the deviance and the score at X beta = gamma @ XT."""
+        expit(np.matmul(gamma, XT, out=t1), out=mu)
+        np.clip(mu, PROB_CLIP, 1.0 - PROB_CLIP, out=mu)
+        if binary:   # y log mu + (1 - y) log(1 - mu), term by term: 0 log(.) adds -0.0
+            np.subtract(1.0, mu, out=t1)
+            np.copyto(t1, mu, where=is_one)
+            ll = np.log(t1, out=t1)
         else:
-            start = None
-    if start is None:
-        np.matmul(X, beta, out=xb)
-        dev = update_mu_and_deviance()
+            ll = np.multiply(np.log(mu, out=t1), y, out=t1)
+            tail = np.log(np.subtract(1.0, mu, out=t2), out=t2)
+            tail *= one_minus_y
+            ll += tail
+        dev = -2.0 * float(np.sum(ll))
+        return dev, XT @ np.subtract(y, mu, out=t1)
+
+    gamma = start
+    if gamma is not None:
+        dev, score = update(gamma)
+    if gamma is None or dev > 2.0 * n * np.log(2.0):   # the zero start's: mu = 1/2
+        gamma = np.zeros(q)
+        dev, score = update(gamma)
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         np.subtract(1.0, mu, out=t1)
-        np.multiply(mu, t1, out=t2)                # irls_w = var = mu (1 - mu)
-        np.multiply(X.T, t2, out=XtW)
-        # working response on the linear-predictor scale
-        np.subtract(y, mu, out=t1)
-        np.maximum(t2, 1e-12, out=t2)
-        t1 /= t2
-        t1 += xb
-        lhs = (XtW @ X)[reduced] + RIDGE * np.eye(keep.size)
-        rhs = (XtW @ t1)[keep]
+        t1 *= mu                                   # irls_w = var = mu (1 - mu)
+        gram = np.zeros((q, q))
+        for lo in range(0, n, _BLOCK):
+            block = slice(lo, min(lo + _BLOCK, n))
+            part = np.multiply(XT[:, block], t1[block], out=XtW[:, :block.stop - lo])
+            gram += part @ XT[:, block].T
+        rhs = gram @ gamma + score
+        gram[np.diag_indices(q)] += RIDGE
         try:
-            beta = np.linalg.solve(lhs, rhs)[group] / share
+            gamma = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:
             break
-        np.matmul(X, beta, out=xb)
-        dev_new = update_mu_and_deviance()
+        dev_new, score = update(gamma)
         settled = abs(dev - dev_new) < DEV_TOL * (abs(dev_new) + 1.0)
         dev = dev_new
-        if settled:
-            np.subtract(y, mu, out=t1)
-            if np.max(np.abs(X.T @ t1), initial=0.0) <= SCORE_TOL:
-                converged = True
-                break
-    return FittedModel(coef=beta, converged=converged, deviance=dev, n_iter=n_iter)
+        if settled and np.max(np.abs(score), initial=0.0) <= SCORE_TOL:
+            converged = True
+            break
+    return gamma, dev, converged, n_iter
 
 
 def fit_constant(response: np.ndarray) -> FittedModel:
@@ -248,13 +288,15 @@ def fit_intercept_fluctuation(
     This is the targeting update: the returned eps shifts the offset so the
     weighted residual score vanishes.  Newton steps with a bisection fallback;
     if no weight is positive the update is vacuous and eps = 0 is returned
-    with a warning.  Returns (eps, converged).
+    with a warning.  A non-finite pseudo-outcome, offset or weight is a
+    FitError.  Returns (eps, converged).
     """
     y = np.asarray(pseudo_outcome, dtype=float)
     o = np.asarray(offset_logit, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise FitError("pseudo-outcome contains non-finite values")
+    for name, v in (("pseudo-outcome", y), ("offset", o), ("weights", w)):
+        if not np.all(np.isfinite(v)):
+            raise FitError(f"{name} contains non-finite values")
     pos = w > 0
     if not np.any(pos):
         warnings.warn("fluctuation has no positive weights; update is vacuous")

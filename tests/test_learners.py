@@ -8,7 +8,12 @@ from scipy.special import expit, logit
 
 from dropintmle.learners import expit as kernel_expit
 from dropintmle.learners import (
+    DEV_TOL,
+    PROB_CLIP,
+    RIDGE,
+    SCORE_TOL,
     FitError,
+    FittedModel,
     clip_probs,
     cv_fold_ids,
     fit_binary_glm,
@@ -127,6 +132,21 @@ def test_errors():
         fit_binary_glm(np.ones((2, 1)), np.array([0.0, 2.0]))
 
 
+@pytest.mark.parametrize("case", ["nan-response", "inf-design-cell"])
+def test_glm_refuses_non_finite_inputs(case):
+    rng = np.random.default_rng(2)
+    X = np.column_stack([np.ones(60), rng.standard_normal(60)])
+    y = (rng.random(60) < 0.4).astype(float)
+    if case == "nan-response":
+        y[7], name = np.nan, "response"
+    else:
+        X[3, 1], name = np.inf, "design"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match=f"{name} contains non-finite values"):
+            fit_binary_glm(X, y)
+
+
 def test_rescaled_feature_predictions_invariant():
     rng = np.random.default_rng(9)
     X = np.column_stack([np.ones(300), rng.standard_normal(300)])
@@ -195,14 +215,16 @@ def _equal_column_groups(Xa):
 
 
 def _reference_irls(X, y, w=None, offset=None, max_iter=50, tol=1e-10, ridge=1e-8):
-    """The textbook IRLS loop that ``fit_binary_glm`` must reproduce bit for
-    bit: every quantity recomputed each iteration, on a row-subset copy, with
-    the package's logistic kernel.
+    """The textbook IRLS loop, in the arithmetic that ``fit_binary_glm`` must
+    reproduce bit for bit: every quantity recomputed each iteration, on a
+    row-subset copy, with the package's logistic kernel.
     Exactly equal columns (a pairwise scan of the active rows) carry one
-    coefficient, found from the normal equations reduced to each group's
-    first column and split equally among its members; the loop stops once
-    the deviance change is below tol (|dev| + 1) and the score max-norm is
-    <= 1e-6, which is also what ``converged`` reports."""
+    coefficient: the loop works on a transposed copy of each group's first
+    column, and the solution is split equally among the group's members.
+    Each step solves the Newton form (G + ridge I) b' = G b + X' w (y - mu),
+    with G = X' diag(w mu (1 - mu)) X summed over blocks of 2^14 rows; the
+    loop stops once the deviance change is below tol (|dev| + 1) and the
+    score max-norm is <= 1e-6, which is also what ``converged`` reports."""
     def deviance(y, p, w):
         p = clip_probs(np.asarray(p, dtype=float))
         return -2.0 * float(np.sum(w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
@@ -212,36 +234,33 @@ def _reference_irls(X, y, w=None, offset=None, max_iter=50, tol=1e-10, ridge=1e-
     off = np.zeros(n) if offset is None else offset
     active = w > 0
     Xa, ya, wa, offa = X[active], y[active], w[active], off[active]
-    p = X.shape[1]
     keep, group, share = _equal_column_groups(Xa)
+    XT = Xa[:, keep].T.copy()
+    blocks = [slice(lo, lo + 2 ** 14) for lo in range(0, XT.shape[1], 2 ** 14)]
 
-    beta = np.zeros(p)
-    mu = clip_probs(kernel_expit(offa + Xa @ beta))
+    gamma = np.zeros(len(keep))
+    mu = clip_probs(kernel_expit(offa + gamma @ XT))
     dev = deviance(ya, mu, wa)
+    score = XT @ (wa * (ya - mu))
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         irls_w = wa * mu * (1.0 - mu)
-        z = (Xa @ beta) + (ya - mu) / np.maximum(mu * (1.0 - mu), 1e-12)
-        XtW = Xa.T * irls_w
-        lhs = (XtW @ Xa)[np.ix_(keep, keep)] + ridge * np.eye(len(keep))
-        rhs = (XtW @ z)[keep]
+        gram = sum((XT[:, b] * irls_w[b]) @ XT[:, b].T for b in blocks)
         try:
-            gamma = np.linalg.solve(lhs, rhs)
+            gamma = np.linalg.solve(gram + ridge * np.eye(len(keep)), gram @ gamma + score)
         except np.linalg.LinAlgError:
             break
-        beta = gamma[group] / share
-        mu_new = clip_probs(kernel_expit(offa + Xa @ beta))
-        dev_new = deviance(ya, mu_new, wa)
-        score = Xa.T @ (wa * (ya - mu_new))
-        mu = mu_new
+        mu = clip_probs(kernel_expit(offa + gamma @ XT))
+        dev_new = deviance(ya, mu, wa)
+        score = XT @ (wa * (ya - mu))
         if (abs(dev - dev_new) < tol * (abs(dev_new) + 1.0)
                 and np.max(np.abs(score), initial=0.0) <= 1e-6):
             dev = dev_new
             converged = True
             break
         dev = dev_new
-    return beta, dev, n_iter, converged
+    return gamma[group] / share, dev, n_iter, converged
 
 
 def _assert_matches_reference(X, y):
@@ -289,6 +308,20 @@ def test_irls_bit_identical_on_aliased_running_avg_design():
     m = _assert_matches_reference(X, panel.y_at(3)[mask].astype(float))
     assert m.converged
     assert m.coef[1] == m.coef[3]
+
+
+def test_irls_bit_identical_over_several_gram_blocks(monkeypatch):
+    # two full blocks of the weighted Gram and a partial third, on the cold
+    # path (no subsample start)
+    from dropintmle import learners
+
+    monkeypatch.setattr(learners, "_SUBSAMPLE_FROM", np.inf)
+    rng = np.random.default_rng(29)
+    n = 2 * 2 ** 14 + 333
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, 2)),
+                         (rng.random(n) < 0.2).astype(float)])
+    y = (rng.random(n) < expit(X @ np.array([-0.2, 0.5, -0.8, 1.1]))).astype(float)
+    assert _assert_matches_reference(X, y).converged
 
 
 def test_warm_start_is_kept_only_below_the_zero_start_deviance():
@@ -455,6 +488,203 @@ def test_one_pass_stays_within_the_stated_bound_of_the_parent_numerics(
     assert np.max(np.abs(new[:, 2] - parent[:, 2])) <= 1e-8
 
 
+def _parent_column_leaders(X: np.ndarray) -> np.ndarray:
+    """For each column, the index of the first column exactly equal to it.
+
+    Columns are compared only when their sums agree, so a design of distinct
+    columns costs one pass over X."""
+    leaders = np.arange(X.shape[1])
+    by_sum: dict[float, list[int]] = {}
+    for j, s in enumerate(X.sum(axis=0).tolist()):
+        firsts = by_sum.setdefault(s, [])
+        leaders[j] = next((i for i in firsts if np.array_equal(X[:, i], X[:, j])), j)
+        if leaders[j] == j:
+            firsts.append(j)
+    return leaders
+
+
+def _parent_kernel(design: np.ndarray, response: np.ndarray,
+                   max_iter: int = 50, start: np.ndarray | None = None) -> FittedModel:
+    """``fit_binary_glm`` before the transposed design, the blocked Gram,
+    the Newton-form right-hand side and the subsample start, kept verbatim
+    (the package's logistic kernel is ``kernel_expit`` here).
+
+    Quasi-binomial regression via IRLS.
+
+    Maximizes sum_i [y_i log mu_i + (1-y_i) log(1-mu_i)] with
+    mu = expit(X beta).  Exactly equal columns carry one coefficient: the
+    normal equations are reduced to the first column of each group, and every
+    member gets an equal share (the minimum-norm split).  The loop stops with
+    ``converged`` True once the deviance changes by less than
+    DEV_TOL * (|deviance| + 1) and the score X' (y - mu) has max-norm
+    <= SCORE_TOL.  A fit that runs to ``max_iter`` (e.g. under separation)
+    returns its last iterate with ``converged`` False.  The loop starts from
+    ``start`` (one coefficient per column) when its deviance is no worse
+    than that of the zero start, and from zero otherwise.
+    """
+    X = np.atleast_2d(np.asarray(design, dtype=float))
+    y = np.asarray(response, dtype=float)
+    n = X.shape[0]
+    if n < 1:
+        raise FitError("design has no rows")
+    if y.shape[0] != n:
+        raise FitError(f"response length {y.shape[0]} != design rows {n}")
+    if np.any(y < 0) or np.any(y > 1):
+        raise FitError("response must lie in [0, 1]")
+
+    # Bit-identical to the textbook loop: X beta is kept from the last mu, mu is
+    # not re-clipped, and the design is used in C order since BLAS sums in a
+    # layout-dependent order.  Each iteration's n-length quantities are formed
+    # in place, in the textbook's operation order, in buffers allocated once.
+    X = np.ascontiguousarray(X)
+    p = X.shape[1]
+    leaders = _parent_column_leaders(X)
+    keep = np.flatnonzero(leaders == np.arange(p))
+    reduced = np.ix_(keep, keep)
+    group = np.searchsorted(keep, leaders)         # each column's merged coefficient
+    share = np.bincount(group)[group].astype(float)
+
+    one_minus_y = np.subtract(1.0, y)
+    mu, xb, t1, t2 = (np.empty(n) for _ in range(4))
+    XtW = np.empty((n, p)).T                       # the layout of X.T * irls_w
+
+    def update_mu_and_deviance():
+        kernel_expit(xb, out=mu)
+        np.clip(mu, PROB_CLIP, 1.0 - PROB_CLIP, out=mu)
+        ll = np.multiply(np.log(mu, out=t1), y, out=t1)
+        tail = np.log(np.subtract(1.0, mu, out=t2), out=t2)
+        tail *= one_minus_y
+        ll += tail
+        return -2.0 * float(np.sum(ll))
+
+    beta = np.zeros(p)
+    if start is not None:
+        start = np.array(start, dtype=float)
+        if start.shape != (p,):
+            raise ValueError(f"start has shape {start.shape}, not ({p},)")
+        np.matmul(X, start, out=xb)
+        dev = update_mu_and_deviance()
+        if dev <= 2.0 * n * np.log(2.0):   # the zero start's: mu = 1/2 on every row
+            beta = start
+        else:
+            start = None
+    if start is None:
+        np.matmul(X, beta, out=xb)
+        dev = update_mu_and_deviance()
+    converged = False
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        np.subtract(1.0, mu, out=t1)
+        np.multiply(mu, t1, out=t2)                # irls_w = var = mu (1 - mu)
+        np.multiply(X.T, t2, out=XtW)
+        # working response on the linear-predictor scale
+        np.subtract(y, mu, out=t1)
+        np.maximum(t2, 1e-12, out=t2)
+        t1 /= t2
+        t1 += xb
+        lhs = (XtW @ X)[reduced] + RIDGE * np.eye(keep.size)
+        rhs = (XtW @ t1)[keep]
+        try:
+            beta = np.linalg.solve(lhs, rhs)[group] / share
+        except np.linalg.LinAlgError:
+            break
+        np.matmul(X, beta, out=xb)
+        dev_new = update_mu_and_deviance()
+        settled = abs(dev - dev_new) < DEV_TOL * (abs(dev_new) + 1.0)
+        dev = dev_new
+        if settled:
+            np.subtract(y, mu, out=t1)
+            if np.max(np.abs(X.T @ t1), initial=0.0) <= SCORE_TOL:
+                converged = True
+                break
+    return FittedModel(coef=beta, converged=converged, deviance=dev, n_iter=n_iter)
+
+
+@pytest.mark.parametrize("case", ["scenario1", "scenario1_40k", "k8_library"])
+def test_kernel_stays_within_the_stated_bound_of_the_parent_kernel(
+        case, scenario1_panel, monkeypatch):
+    # psi and SE within 1e-9 and g-computation within 1e-8 of the kernel
+    # with the (n, p) design and the working-response right-hand side; at
+    # 40 000 subjects the cold fits on >= 2^15 rows start from a subsample
+    from dropintmle import engine, interventions, learners
+    from dropintmle.sim import scenario_presets, simulate_trial
+    from toy_panel import build_k8_panel
+
+    if case == "scenario1":
+        panel, learner, n_folds = scenario1_panel, "running_avg", 10
+    elif case == "scenario1_40k":
+        panel = simulate_trial(scenario_presets()["scenario1"], 40_000, 314)
+        learner, n_folds = "running_avg", 10
+    else:
+        panel, learner, n_folds = build_k8_panel(), ["main", "running_avg"], 2
+    new = _pass_outputs(panel, learner, n_folds)
+    for module in (learners, engine, interventions):
+        monkeypatch.setattr(module, "fit_binary_glm", _parent_kernel)
+    parent = _pass_outputs(panel, learner, n_folds)
+
+    assert np.max(np.abs(new[:, :2] - parent[:, :2])) <= 1e-9
+    assert np.max(np.abs(new[:, 2] - parent[:, 2])) <= 1e-8
+
+
+def test_large_cold_fits_start_from_a_subsample_fit(monkeypatch):
+    # the balancing law of a scenario-1 reference panel of 2^16 subjects:
+    # every visit's fit takes fewer iterations on all rows than the cold
+    # path, and its score (scipy's logistic, no clip) is within SCORE_TOL
+    from dropintmle import learners
+    from dropintmle.features import gstar_columns
+    from dropintmle.panel import at_risk_mask
+    from dropintmle.sim import scenario_presets, simulate_trial
+
+    panel = simulate_trial(scenario_presets()["scenario1"], 2 ** 16, 3 + 900_001)
+    fits = []
+    for k in range(panel.K):
+        mask = at_risk_mask(panel, k + 1)
+        X = gstar_columns(panel.L0[mask], k, panel.z_at(k - 1)[mask] if k else None)
+        y = panel.z_at(k)[mask].astype(float)
+        assert X.shape[0] >= 2 ** 15
+        fits.append((X, y, fit_binary_glm(X, y)))
+    monkeypatch.setattr(learners, "_SUBSAMPLE_FROM", np.inf)    # every fit cold
+    for X, y, fit in fits:
+        cold = fit_binary_glm(X, y)
+        assert fit.converged and cold.converged
+        assert fit.n_iter < cold.n_iter
+        assert np.max(np.abs(X.T @ (y - expit(X @ fit.coef)))) <= SCORE_TOL
+
+
+@pytest.mark.parametrize("case", ["separated", "unconverged", "worse-than-zero"])
+def test_failed_subsample_start_leaves_the_cold_fit(case, monkeypatch):
+    # a subsample fit that separates, stops at max_iter or is refused by the
+    # deviance guard gives the cold path's fit bit for bit
+    from dropintmle import learners
+
+    rng = np.random.default_rng(13)
+    n = 2 ** 15
+    sub = slice(None, None, n // 2 ** 13)
+    x = rng.standard_normal(n)
+    X = np.column_stack([np.ones(n), x])
+    y = (rng.random(n) < expit(0.3 - 0.6 * x)).astype(float)
+    max_iter = 50
+    if case == "separated":
+        y[sub] = (x[sub] > 0).astype(float)
+    elif case == "unconverged":
+        max_iter = 2
+    else:   # the subsample's slope has the other sign and is steep
+        y[sub] = (rng.random(x[sub].size) < expit(8.0 * x[sub])).astype(float)
+    sub_fit = fit_binary_glm(X[sub], y[sub], max_iter)
+    if case == "worse-than-zero":
+        assert sub_fit.converged
+        mu = expit(X @ sub_fit.coef)
+        assert -2.0 * np.sum(y * np.log(mu) + (1 - y) * np.log(1 - mu)) > 2 * n * np.log(2)
+    else:
+        assert not sub_fit.converged
+    fit = fit_binary_glm(X, y, max_iter)
+    monkeypatch.setattr(learners, "_SUBSAMPLE_FROM", np.inf)
+    cold = fit_binary_glm(X, y, max_iter)
+    assert fit.coef.tobytes() == cold.coef.tobytes()
+    assert (fit.deviance, fit.n_iter, fit.converged) == (cold.deviance, cold.n_iter,
+                                                         cold.converged)
+
+
 def test_fluctuation_one_point_closed_form():
     eps, ok = fit_intercept_fluctuation(np.array([0.8]), np.array([0.0]), np.array([1.0]))
     assert ok
@@ -484,6 +714,16 @@ def test_fluctuation_no_weights_warns():
     with pytest.warns(UserWarning):
         eps, ok = fit_intercept_fluctuation(np.array([0.4]), np.array([0.0]), np.array([0.0]))
     assert eps == 0.0 and ok
+
+
+@pytest.mark.parametrize("name, value", [("weights", np.inf), ("weights", np.nan),
+                                         ("offset", np.nan)])
+def test_fluctuation_refuses_non_finite_inputs(name, value):
+    args = {"pseudo_outcome": np.array([0.2, 0.7, 0.4]), "offset_logit": np.zeros(3),
+            "weights": np.ones(3)}
+    args["offset_logit" if name == "offset" else name][1] = value
+    with pytest.raises(FitError, match=f"{name} contains non-finite values"):
+        fit_intercept_fluctuation(**args)
 
 
 def test_fluctuation_matches_intercept_glm_with_offset():

@@ -59,10 +59,30 @@ def test_output_comparison_lists_every_differing_file(tmp_path, monkeypatch, cap
     monkeypatch.setattr(compare, "run_commands", run_commands)
     monkeypatch.setattr(compare, "ref_tree", ref_tree)
     assert compare.main(["--ref", "parent"]) == 1
-    assert capsys.readouterr().err.splitlines() == ["differs: b.json", "differs: c.txt"]
+    assert capsys.readouterr().err.splitlines() == ["differs: b.json: max numeric drift 18",
+                                                    "differs: c.txt: max numeric drift 27"]
     outputs["change"] = outputs["base"]
     assert compare.main(["--ref", "parent"]) == 0
     assert "3 files byte-identical between parent" in capsys.readouterr().out
+
+
+def test_output_comparison_reports_numeric_drift(tmp_path):
+    drift = compare.numeric_drift
+    assert drift('{"psi": 0.125, "se": 2e-3}', '{"psi": 0.125, "se": 2.5e-3}') == 5e-4
+    assert drift("a,-1.5,nan\r\n", "a,-1.25,nan\r\n") == 0.25
+    assert drift("x 1", "x 1") == 0.0
+    assert drift("x nan", "x 1") == float("inf")
+    assert drift('{"psi": 1}', '{"phi": 1}') is None                 # a key changed
+    assert drift("1 2", "1 2 3") is None                             # a number added
+    assert drift("h 3fa9c2", "h 3fa9c3") is None                     # digits of a digest
+    (tmp_path / "base").mkdir()
+    (tmp_path / "change").mkdir()
+    for side, text in (("base", "v 1.0000000001e-3\n"), ("change", "v 1e-3\n")):
+        (tmp_path / side / "a.txt").write_text(text)
+    assert compare.drift_note(tmp_path / "base" / "a.txt",
+                              tmp_path / "change" / "a.txt") == "max numeric drift 1e-13"
+    assert compare.drift_note(tmp_path / "base" / "a.txt",
+                              tmp_path / "change" / "b.txt") == "structure differs"
 
 
 @pytest.mark.parametrize("option", ["--reps", "--n", "--nmc", "--workers"])
