@@ -13,8 +13,8 @@ script exits 1 naming every file that differs (or exists on one side only),
 or the command that failed and its side, and 0 with the file count when
 every output is byte-identical.  Each differing file is named with its
 largest absolute numeric drift when the two texts differ only in their
-numbers (so rounding noise can be told from a real change), and with
-"structure differs" otherwise.
+numbers and SHA-256 digests (so rounding noise can be told from a real
+change), and with "structure differs" otherwise.
 """
 
 from __future__ import annotations
@@ -45,43 +45,42 @@ panel = simulate_trial(inputs.load_scenario(), 2000, 8)
 rows = inputs.event_rows(panel, inputs.LEADER_GRID, np.random.default_rng([8, 8]))
 inputs.write_event_csv(rows, "events.csv")
 """
-#: ``policy_specs(names, fit_stochastic)`` and ``POLICY_NAMES`` in any tree:
-#: a tree whose catalogue is ``harness.POLICY_NAMES`` and
-#: ``standard_policies(stochastic_spec)`` gets the same function from those
-CATALOGUE = """
-try:
-    from dropintmle.interventions import POLICY_NAMES, policy_specs
-except ImportError:
-    from dropintmle.harness import POLICY_NAMES
-    from dropintmle.interventions import standard_policies
-
-    def policy_specs(names, fit_stochastic):
-        specs = standard_policies(fit_stochastic())
-        return {name: specs[name] for name in POLICY_NAMES if name in names}
-"""
 #: every arm estimate at full precision on the scenario-2 and LEADER-shaped
 #: panels: each policy with arm 1 and arm 0, targeted and g-computation, as
-#: psi's repr, the SHA-256 of the EIC and the diagnostics JSON, plus each
-#: contrast's SE
-ARMS = CATALOGUE + """
+#: psi's repr, the SHA-256 of the EIC with the repr of its sum and of its
+#: max |.|, and the diagnostics JSON, plus each contrast's SE
+ARMS = """
 import hashlib, json
-from dropintmle import (ArmPolicy, contrast, fit_g, fit_stochastic_gstar, fit_top_step,
-                        read_panel_csv, tmle_arm)
+import numpy as np
+from dropintmle import (POLICY_NAMES, ArmPolicy, contrast, fit_g, fit_stochastic_gstar,
+                        policy_specs, read_panel_csv, tmle_arm)
+try:  # a tree that fits the horizon step apart, once per panel
+    from dropintmle import fit_top_step
+except ImportError:
+    def estimator(panel, gfit, learner, horizon, folds):
+        return lambda policy, **kw: tmle_arm(gfit, policy, learner, horizon, seed=1,
+                                             n_folds=folds, **kw)
+else:
+    def estimator(panel, gfit, learner, horizon, folds):
+        top = fit_top_step(panel, learner, horizon, seed=1, n_folds=folds)
+        return lambda policy, **kw: tmle_arm(gfit, policy, top, **kw)
 PANELS = (("sc2.csv", "running_avg", 10, 8.0, 4),
           ("leader.csv", ["main", "running_avg"], 2, None, 8))
 with open("arms.txt", "w") as out:
     for path, learner, folds, cap, horizon in PANELS:
         panel = read_panel_csv(path)
         gfit = fit_g(panel, learner, seed=1, n_folds=folds)
-        top = fit_top_step(panel, learner, horizon, seed=1, n_folds=folds)
+        estimate = estimator(panel, gfit, learner, horizon, folds)
         specs = policy_specs(POLICY_NAMES, lambda: fit_stochastic_gstar(panel, upto=horizon))
         for name, spec in specs.items():
             arms = {}
             for a in (1, 0):
                 for targeted in (True, False):
-                    est = arms[a, targeted] = tmle_arm(gfit, ArmPolicy(a, spec), top,
-                                                       targeted=targeted, weight_cap=cap)
-                    eic = None if est.eic is None else hashlib.sha256(est.eic).hexdigest()
+                    est = arms[a, targeted] = estimate(ArmPolicy(a, spec), targeted=targeted,
+                                                       weight_cap=cap)
+                    eic = None if est.eic is None else (
+                        hashlib.sha256(est.eic).hexdigest(), repr(float(np.sum(est.eic))),
+                        repr(float(np.max(np.abs(est.eic)))))
                     diag = json.dumps(est.diagnostics, sort_keys=True)
                     print(path, name, a, targeted, repr(est.psi), eic, diag, file=out)
             print(path, name, "se", repr(contrast(arms[1, True], arms[0, True]).se), file=out)
@@ -92,17 +91,12 @@ with open("arms.txt", "w") as out:
 #: LEADER-shaped scenario (also below K), at a draw count spanning several
 #: subject blocks; one natural-course risk (A drawn) and the SHA-256 of a
 #: panel spanning several blocks
-TRUTHS = CATALOGUE + """
+TRUTHS = """
 import dataclasses, hashlib
-from dropintmle import ArmPolicy, scenario_presets, simulate_counterfactual_mean, simulate_trial
-from dropintmle.sim import fit_reference_gstar, oracle_risk_difference
+from dropintmle import (POLICY_NAMES, ArmPolicy, policy_specs, scenario_presets,
+                        simulate_counterfactual_mean, simulate_trial)
+from dropintmle.sim import fit_reference_gstar, oracle_risk_difference, oracle_risk_differences
 from perfbench import inputs
-try:
-    from dropintmle.sim import oracle_risk_differences
-except ImportError:  # a tree without the one-pass oracle: one policy at a time
-    def oracle_risk_differences(config, specs, horizon, n_mc, seed):
-        return {name: oracle_risk_difference(config, spec, horizon, n_mc, seed)
-                for name, spec in specs.items()}
 N_MC = 3 * 2 ** 14 + 1001
 sc1, sc2 = scenario_presets()["scenario1"], scenario_presets()["scenario2"]
 leader = inputs.load_scenario()
@@ -313,12 +307,17 @@ def differences(base: Path, change: Path) -> list[str]:
 #: hex digest)
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|nan|inf|NaN|Infinity)(?![\w.])")
+#: a SHA-256 hex digest, standing alone
+DIGEST = re.compile(r"(?<!\w)[0-9a-f]{64}(?!\w)")
 
 
 def numeric_drift(base: str, change: str) -> float | None:
     """The largest absolute difference between corresponding numbers of two
-    texts whose other text is identical (0 for equal spellings, inf where a
-    non-finite value changed); None when the other text differs."""
+    texts whose other text is identical once SHA-256 digests are masked (0
+    for equal spellings, inf where a non-finite value changed); None when
+    the other text differs.  A digest is read through the numbers printed
+    beside it."""
+    base, change = DIGEST.sub("<digest>", base), DIGEST.sub("<digest>", change)
     if NUMBER.sub("#", base) != NUMBER.sub("#", change):
         return None
     drift = 0.0

@@ -7,11 +7,9 @@ from .engine import (
     EstimateReport,
     EstimationError,
     GFit,
-    TopStep,
     clever_weight_path,
     contrast,
     fit_g,
-    fit_top_step,
     support_diagnostics,
     tmle_arm,
 )
@@ -25,6 +23,7 @@ from .interventions import (
     fit_stochastic_gstar,
     observational_z,
     policy_arms,
+    policy_pairs,
     policy_specs,
     static_z,
 )

@@ -20,12 +20,11 @@ import json
 import math
 import sys
 
-from .engine import (EstimationError, arm_estimate, check_options, contrast, fit_g,
-                     fit_top_step, tmle_arm)
+from .engine import EstimationError, arm_estimate, check_options, contrast, fit_g, tmle_arm
 from .features import FEATURE_NAMES
 from .harness import _write_json, emit_report, n_workers, run_replications
 from .interventions import (POLICY_NAMES, ArmPolicy, check_policy_names, fit_stochastic_gstar,
-                            policy_arms, policy_specs)
+                            policy_arms, policy_pairs, policy_specs)
 from .learners import FitError
 from .panel import (
     DataError,
@@ -198,9 +197,9 @@ def cmd_estimate(args) -> int:
     gfit = fit_g(panel, learner, g_floor=args.g_floor, seed=args.seed,
                  n_folds=args.folds)
     specs = policy_specs(policies, lambda: fit_stochastic_gstar(panel, upto=horizon))
-    top = fit_top_step(panel, learner, horizon, seed=args.seed, n_folds=args.folds)
-    results = iter(tmle_arm(gfit, policy_arms(specs), top, weight_cap=args.weight_cap))
-    pairs = dict(zip(specs, zip(results, results)))
+    pairs = policy_pairs(specs, tmle_arm(gfit, policy_arms(specs), learner, horizon,
+                                         seed=args.seed, n_folds=args.folds,
+                                         weight_cap=args.weight_cap))
     out = {"panel": args.panel, "horizon": horizon, "n": panel.n, "policies": {}}
     for name in policies:
         e1, e0 = (arm_estimate(r) for r in pairs[name])

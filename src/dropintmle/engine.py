@@ -16,15 +16,14 @@ subjects stay in the denominator (absolute-risk, not cause-specific,
 semantics).  The run ends with the plug-in mean over baseline covariates,
 per-subject influence-curve values, and the solved-score check.
 
-The top step is fitted once per panel (``fit_top_step``) and shared by every
-arm and policy: its pseudo-outcome is the observed Y_K, and its rows, design
-and fold seed do not depend on the arm either.
-
-``tmle_arm`` runs every arm it is given in one pass, step by step.  At each
-step the regression rows and design are built once and every arm fits its
-own pseudo-outcome on them, each fit starting from the previous arm's
-converged fit on the same rows and columns (arms are passed in policy order,
-active before control); the design is then freed, and each distinct
+``tmle_arm`` runs every arm it is given in one pass over the panel its
+``GFit`` was fitted on, step by step.  At each step the regression rows and
+design are built once and every arm fits its own pseudo-outcome on them,
+each fit starting from the previous arm's converged fit on the same rows and
+columns (arms are passed in policy order, active before control).  Arms
+that share one pseudo-outcome share its fit: at the horizon every arm's is
+the observed Y_K, so the horizon regression is fitted once per pass, cold.
+The design is then freed, and each distinct
 substituted (a, z) design is built once for the arms that marginalize over
 it.  The weight denominators are computed once per pass, and an arm's
 clever weight is formed at its step, so no arm holds its whole weight path.
@@ -90,20 +89,21 @@ class _Mech:
 
 @dataclass(frozen=True)
 class GFit:
-    """Fitted observed-data mechanisms for every visit up to the horizon."""
+    """Observed-data mechanisms fitted per visit, and the panel fitted on."""
 
     a_mechs: list
     z_mechs: list
     c_mechs: list                  # index k-1 holds the visit-k censoring mechanism
     g_floor: float
+    panel: TrialPanel = field(repr=False)
 
-    def floored_prob(self, panel, node, k, used_mask) -> tuple[np.ndarray, int]:
+    def floored_prob(self, node, k, used_mask) -> tuple[np.ndarray, int]:
         """Floored probability of the observed A_k / Z_k, or of C_k = 0, full
         length, and how many ``used_mask`` rows hit the floor.  Only fitted,
         non-constant models are floored."""
         mech = self.c_mechs[k - 1] if node == "C" else \
             (self.a_mechs if node == "A" else self.z_mechs)[k]
-        p1 = mech.prob1(panel, node, k)
+        p1 = mech.prob1(self.panel, node, k)
         n_floored = 0
         if mech.model is not None and mech.model.constant is None:
             clipped = np.clip(p1, self.g_floor, 1.0 - self.g_floor)
@@ -111,7 +111,7 @@ class GFit:
             p1 = clipped
         if node == "C":
             return 1.0 - p1, n_floored
-        obs = (panel.a_at(k) if node == "A" else panel.z_at(k)).astype(float)
+        obs = (self.panel.a_at(k) if node == "A" else self.panel.z_at(k)).astype(float)
         return np.where(obs == 1.0, p1, 1.0 - p1), n_floored
 
 
@@ -186,7 +186,7 @@ def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
             raise EstimationError(f"empty at-risk set at visit {k}")
         c_mechs.append(_fit_mech(panel, "C", k, mask, learner, seed, n_folds))
 
-    return GFit(a_mechs=a_mechs, z_mechs=z_mechs, c_mechs=c_mechs, g_floor=g_floor)
+    return GFit(a_mechs, z_mechs, c_mechs, g_floor, panel)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +200,13 @@ def _compact(v):
 
 
 class _Denominators:
-    """The arm-free parts of a panel's clever weights, each computed once and
-    on first use: the floored probability g of the observed A_j / Z_j, the
-    censoring ratio product prod_{m<=l} 1{C_m=0} / g_C_m(0|.), and how many
-    used probabilities hit the g floor, per node (e.g. ``"Z1"``)."""
+    """The arm-free parts of the clever weights on ``gfit``'s panel, each
+    computed once and on first use: the floored probability g of the observed
+    A_j / Z_j, the censoring ratio product prod_{m<=l} 1{C_m=0} / g_C_m(0|.),
+    and how many used probabilities hit the g floor, per node (kept)."""
 
-    def __init__(self, panel: TrialPanel, gfit: GFit):
-        self.panel, self.gfit = panel, gfit
+    def __init__(self, gfit: GFit):
+        self.panel, self.gfit = gfit.panel, gfit
         self.probs: dict[str, object] = {}
         self.floored: dict[str, int] = {}
         self.cens: list = [1.0]       # cens[l]: the censoring product through visit l
@@ -222,7 +222,7 @@ class _Denominators:
         key = f"{node}{k}"
         if key not in self.probs:
             used = self.used(k if node == "C" else k + 1)
-            prob, self.floored[key] = self.gfit.floored_prob(self.panel, node, k, used)
+            prob, self.floored[key] = self.gfit.floored_prob(node, k, used)
             self.probs[key] = _compact(prob)
         return self.probs[key]
 
@@ -252,7 +252,7 @@ class _Denominators:
         return {key: self.floored[key] for key in keys if self.floored.get(key)}
 
 
-def _clever_weight(panel, den: _Denominators, policy: ArmPolicy, l: int, weight_cap=None):
+def _clever_weight(den: _Denominators, policy: ArmPolicy, l: int, weight_cap=None):
     """One arm's clever weight at step l, for every subject:
 
     H_l = 1{at risk at l} * prod_{j<l} g*_{A_j,Z_j}(obs) / g_{A_j,Z_j}(obs)
@@ -261,6 +261,7 @@ def _clever_weight(panel, den: _Denominators, policy: ArmPolicy, l: int, weight_
     truncated at ``weight_cap``.  The visit-l at-risk rows are the ones the
     treatment node l-1 and the censoring node l are used on; absorbed rows
     are cut off by the same mask."""
+    panel = den.panel
     cum_treat = 1.0
     for j in range(l):
         treat = (panel.a_at(j) == policy.a_value) / den.g("A", j)
@@ -279,13 +280,13 @@ def _check_arms(policies) -> None:
         raise ValueError(f"a_value {bad} is not 0 or 1: the estimator takes randomized arms only")
 
 
-def clever_weight_path(panel, gfit: GFit, policy: ArmPolicy, horizon: int, weight_cap=None):
-    """Clever weights for steps 1..horizon, shape (horizon, n) (see
-    ``_clever_weight``), and the number of used probabilities that hit the g
-    floor, per node (e.g. ``"Z1"``).  The arm's ``a_value`` must be 0 or 1."""
+def clever_weight_path(gfit: GFit, policy: ArmPolicy, horizon: int, weight_cap=None):
+    """Clever weights on ``gfit``'s panel for steps 1..horizon, shape (horizon, n)
+    (see ``_clever_weight``), and the number of used probabilities that hit
+    the g floor, per node (e.g. ``"Z1"``).  ``a_value`` must be 0 or 1."""
     _check_arms([policy])
-    den = _Denominators(panel, gfit)
-    H = np.array([_clever_weight(panel, den, policy, l, weight_cap)
+    den = _Denominators(gfit)
+    H = np.array([_clever_weight(den, policy, l, weight_cap)
                   for l in range(1, horizon + 1)])
     return H, den.floored_counts(policy, horizon)
 
@@ -303,11 +304,10 @@ def _weight_row(l, h, threshold=50.0):
     }
 
 
-def support_diagnostics(panel, gfit, policy, horizon=None, threshold=50.0,
-                        weight_cap=None):
+def support_diagnostics(gfit, policy, horizon=None, threshold=50.0, weight_cap=None):
     """Per-visit weight-tail summary of the clever-weight path."""
-    horizon = panel.K if horizon is None else horizon
-    H = clever_weight_path(panel, gfit, policy, horizon, weight_cap)[0]
+    horizon = gfit.panel.K if horizon is None else horizon
+    H = clever_weight_path(gfit, policy, horizon, weight_cap)[0]
     return [_weight_row(l, h, threshold) for l, h in enumerate(H, start=1)]
 
 
@@ -346,47 +346,10 @@ def _z_options(panel, spec, j):
     return [(p1, 1.0)]
 
 
-@dataclass(frozen=True)
-class TopStep:
-    """The step-``horizon`` outcome regression fitted on ``panel``: its rows,
-    model and chosen features, and the settings of every step of an arm."""
-
-    panel: TrialPanel
-    rows: np.ndarray
-    model: FittedModel
-    features: str | None
-    horizon: int
-    learner: str | list[str]
-    seed: int
-    n_folds: int
-
-
-def _step_rows(panel, l):
-    """The rows of the step-l regression: at risk at l and uncensored at l."""
-    rows = at_risk_mask(panel, l) & (panel.c_at(l) == 0)
-    if not rows.any():
-        raise EstimationError(f"empty at-risk set at step {l}")
-    return rows
-
-
-def fit_top_step(panel, learner="running_avg", horizon=None, seed=0,
-                 n_folds=10) -> TopStep:
-    """Fit the horizon step of ``panel`` once; every ``tmle_arm`` call on the
-    panel shares it and takes its learner, horizon, seed and n_folds."""
-    horizon = panel.K if horizon is None else horizon
-    if not 1 <= horizon <= panel.K:
-        raise ValueError(f"horizon must lie in 1..{panel.K}")
-    rows = _step_rows(panel, horizon)
-    model, feats = _fit_learner(
-        learner, lambda f: history_design(panel, f, treat_upto=horizon - 1)[rows],
-        panel.y_at(horizon).astype(float)[rows], seed + horizon, n_folds)
-    return TopStep(panel, rows, model, feats, horizon, learner, seed, n_folds)
-
-
 @dataclass
 class _Arm:
     """One arm's running state in a pass: its pseudo-outcome, influence-curve
-    values and diagnostics, this step's fit and fluctuation, or its failure."""
+    values (None untargeted), diagnostics, this step's fit and fluctuation."""
 
     policy: ArmPolicy
     pseudo: np.ndarray
@@ -398,39 +361,39 @@ class _Arm:
     fluctuate: bool = False
     steps: list = field(default_factory=list)     # (eps, converged, score, rows), last step first
     weights: list = field(default_factory=list)
-    floored: dict = field(default_factory=dict)
 
 
-def _fit_arms(arms, top, l, den, weight_cap):
-    """Step l of every arm: its outcome regression on the step's shared
-    design (the top step's own fit at the horizon), warm-started from the
-    previous arm's fit; the fluctuation weighted by its clever weight; and
-    its influence-curve term and score."""
-    panel, n = top.panel, top.panel.n
-    if l == top.horizon:
-        rows = top.rows
-    else:
-        rows = _step_rows(panel, l)
+def _fit_arms(arms, panel, l, den, learner, seed, n_folds, weight_cap):
+    """Step l of every arm: its outcome regression on the step's shared design,
+    fitted once per pseudo-outcome (so once at the horizon) and warm-started
+    from the previous arm of its kind (targeted or not); a targeted arm's
+    fluctuation weighted by its clever weight, its influence-curve term and score."""
+    n = panel.n
+    rows = at_risk_mask(panel, l) & (panel.c_at(l) == 0)    # at risk and uncensored at l
+    if not rows.any():
+        raise EstimationError(f"empty at-risk set at step {l}")
     count = int(rows.sum())
-    designs = {}
+    designs, fits, starts = {}, {}, {}
 
     def design(name):
         if name not in designs:
             designs[name] = history_design(panel, name, treat_upto=l - 1)[rows]
         return designs[name]
 
-    starts = {}
     for arm in arms:
         try:
-            y = arm.pseudo[rows]
-            if l == top.horizon:
-                arm.model, arm.features = top.model, top.features
-            else:
-                arm.model, arm.features = _fit_learner(top.learner, design, y, top.seed + l,
-                                                       top.n_folds, starts)
-            # formed after the fit, so as not to be held during it; the
-            # horizon step has read every node that it reads
-            h = None if den is None else _clever_weight(panel, den, arm.policy, l, weight_cap)
+            y, key = arm.pseudo[rows], id(arm.pseudo)
+            if key not in fits:
+                try:
+                    fits[key] = _fit_learner(learner, design, y, seed + l, n_folds,
+                                             starts.setdefault(arm.eic is None, {}))
+                except Exception as exc:  # fails every arm that shares the fit
+                    fits[key] = exc
+            if isinstance(fits[key], Exception):
+                raise fits[key]
+            arm.model, arm.features = fits[key]
+            # formed after the fit, so as not to be held during it
+            h = None if arm.eic is None else _clever_weight(den, arm.policy, l, weight_cap)
             if arm.model.constant is not None:
                 preds = np.full(count, arm.model.constant)
             else:
@@ -450,20 +413,18 @@ def _fit_arms(arms, top, l, den, weight_cap):
                 score = float(np.sum(term) / n)
                 arm.eic[rows] += term
                 arm.weights.append(_weight_row(l, h))
-                if l == top.horizon:
-                    arm.floored = den.floored_counts(arm.policy, l)
             arm.steps.append((arm.eps, ok, score, count))
         except Exception as exc:  # fails this arm alone
             arm.failure = exc
 
 
-def _marginalize(arms, top, l):
+def _marginalize(arms, panel, l):
     """Replace every arm's pseudo-outcome by its step-l fit (fluctuated)
     averaged over the visit-(l-1) treatment pair under the arm's laws,
     splicing prior events (value 1) and prior deaths (value 0).  Each
     distinct substituted design is built once and read by every arm that
     needs it."""
-    panel, n, j = top.panel, top.panel.n, l - 1
+    n, j = panel.n, l - 1
     options, uses = {}, {}
     for arm in arms:
         spec = arm.policy.z_spec
@@ -488,7 +449,7 @@ def _marginalize(arms, top, l):
             for arm, _ in users:
                 arm.failure = exc
             continue
-        preds = {}       # per model: arms of one policy share the top step's
+        preds = {}       # per model: arms that share a fit (at the horizon) share it
         for arm, z_w in users:
             if arm.failure is not None:
                 continue
@@ -527,7 +488,8 @@ def _run_phase(phase, arms, *args) -> None:
             arm.failure = exc
 
 
-def _finish(arm: _Arm, top: TopStep, targeted: bool) -> ArmEstimate:
+def _finish(arm: _Arm, n: int, horizon: int, den: _Denominators | None) -> ArmEstimate:
+    targeted = arm.eic is not None
     psi = float(np.mean(arm.pseudo))
     eic = arm.eic
     if targeted:
@@ -538,7 +500,7 @@ def _finish(arm: _Arm, top: TopStep, targeted: bool) -> ArmEstimate:
         "fluct_converged": bool(all(fluct_ok)),
         "step_scores": step_scores,
         "at_risk_counts": at_risk_counts,
-        "floored_counts": arm.floored,
+        "floored_counts": den.floored_counts(arm.policy, horizon) if targeted else {},
         "mean_eic": float(np.mean(eic)) if eic is not None else None,
     }
     if targeted:
@@ -546,42 +508,54 @@ def _finish(arm: _Arm, top: TopStep, targeted: bool) -> ArmEstimate:
         if abs(diagnostics["mean_eic"]) > 1e-6:
             warnings.warn(f"influence-curve equation poorly solved: "
                           f"mean={diagnostics['mean_eic']:.3e}")
-    return ArmEstimate(psi=psi, eic=eic, targeted=targeted, horizon=top.horizon,
-                       n=top.panel.n, diagnostics=diagnostics)
+    return ArmEstimate(psi=psi, eic=eic, targeted=targeted, horizon=horizon, n=n,
+                       diagnostics=diagnostics)
 
 
-def tmle_arm(gfit: GFit, policy: ArmPolicy | Sequence[ArmPolicy], top: TopStep, *,
-             targeted: bool = True, weight_cap: float | None = None):
+def tmle_arm(gfit: GFit, policy: ArmPolicy | Sequence[ArmPolicy],
+             learner: str | list[str] = "running_avg", horizon: int | None = None, *,
+             seed: int = 0, n_folds: int = 10, targeted: bool | Sequence[bool] = True,
+             weight_cap: float | None = None):
     """Targeted (or plain sequential-regression) estimate of one arm, or of a
-    sequence of arms, on ``top.panel``, with every step fitted like ``top``.
+    sequence of arms, at ``horizon`` (default K) on ``gfit``'s panel; step l
+    is fitted with ``learner`` (a feature-map name, or a list of them for the
+    discrete super learner) and fold seed ``seed + l``.
 
     Every arm runs in one pass backwards over the steps: each step's design
     and each distinct substituted design are built once for all arms, the
-    weight denominators once per pass, and each step's fit starts from the
-    previous arm's fit on the same rows and columns.  One arm gives its
-    ArmEstimate (or raises); a sequence gives a list holding each arm's
+    horizon step (every arm's pseudo-outcome there is Y_K) is fitted once,
+    the weight denominators once per pass, and each lower step's fit starts
+    from the previous arm's fit on the same rows and columns.  One arm gives
+    its ArmEstimate (or raises); a sequence gives a list holding each arm's
     ArmEstimate or the exception that failed that arm alone.  An arm whose
-    ``a_value`` is not 0 or 1 raises ValueError before any step.
+    ``a_value`` is not 0 or 1, or a horizon outside 1..K, raises ValueError.
 
     With ``targeted`` False the fluctuation steps are skipped, giving the
-    non-targeted g-computation estimator; no influence-curve values or
-    variance are attached in that case.
+    non-targeted g-computation estimator, without influence-curve values or
+    variance.  A sequence may take one ``targeted`` flag per arm: each arm's
+    numbers are then those of a pass over the arms of its kind alone.
     """
     check_options(weight_cap=weight_cap)
     single = isinstance(policy, ArmPolicy)
     policies = [policy] if single else list(policy)
     _check_arms(policies)
-    panel, horizon = top.panel, top.horizon
+    panel = gfit.panel
+    horizon = panel.K if horizon is None else horizon
+    if not 1 <= horizon <= panel.K:
+        raise ValueError(f"horizon must lie in 1..{panel.K}")
+    flags = [targeted] * len(policies) if np.ndim(targeted) == 0 else list(targeted)
+    if len(flags) != len(policies):
+        raise ValueError(f"{len(flags)} targeted flags for {len(policies)} arms")
     y_top = panel.y_at(horizon).astype(float)    # every arm's pseudo-outcome at the top
-    arms = [_Arm(pol, y_top, np.zeros(panel.n) if targeted else None) for pol in policies]
+    arms = [_Arm(pol, y_top, np.zeros(panel.n) if t else None) for pol, t in zip(policies, flags)]
     del y_top
-    den = _Denominators(panel, gfit) if targeted else None
+    den = _Denominators(gfit) if any(flags) else None
     for l in range(horizon, 0, -1):
-        _run_phase(_fit_arms, arms, top, l, den, weight_cap)
-        _run_phase(_marginalize, arms, top, l)
+        _run_phase(_fit_arms, arms, panel, l, den, learner, seed, n_folds, weight_cap)
+        _run_phase(_marginalize, arms, panel, l)
         if den is not None:
             den.release(l)
-    results = [arm.failure if arm.failure is not None else _finish(arm, top, targeted)
+    results = [arm.failure if arm.failure is not None else _finish(arm, panel.n, horizon, den)
                for arm in arms]
     return arm_estimate(results[0]) if single else results
 

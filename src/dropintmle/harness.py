@@ -22,12 +22,12 @@ from functools import partial
 
 import numpy as np
 
-from .engine import (EstimationError, arm_estimate, check_options, contrast, fit_g,
-                     fit_top_step, tmle_arm)
+from .engine import EstimationError, arm_estimate, check_options, contrast, fit_g, tmle_arm
 from .interventions import (POLICY_NAMES, check_policy_names, fit_stochastic_gstar,
-                            policy_arms, policy_specs)
+                            policy_arms, policy_pairs, policy_specs)
 from .sim import (
     ScenarioConfig,
+    _check_run,
     fit_reference_gstar,
     oracle_risk_differences,
     resolve_scenario,
@@ -129,16 +129,16 @@ def _replication_worker(cfg, policy_names, n, horizon, g_floor, weight_cap, q_le
     try:
         gfit = fit_g(panel, g_floor=g_floor)
         specs = policy_specs(policy_names, lambda: fit_stochastic_gstar(panel, upto=horizon))
-        arms = policy_arms(specs)
-        top = fit_top_step(panel, q_learner, horizon)
     except Exception as exc:  # a dead panel fails every policy
         return {name: PolicyRun(failure=f"{type(exc).__name__}: {exc}")
                 for name in policy_names}
-    tmle = iter(tmle_arm(gfit, arms, top, weight_cap=weight_cap))
-    gcomp = iter(tmle_arm(gfit, arms, top, targeted=False) if include_gcomp
-                 else [None] * len(arms))
+    # one pass: every arm targeted, then every arm by g-computation if asked
+    arms, kinds = policy_arms(specs), [True] + [False] * include_gcomp
+    results = tmle_arm(gfit, arms * len(kinds), q_learner, horizon, weight_cap=weight_cap,
+                       targeted=[t for t in kinds for _ in arms])
+    tmle, gcomp = (policy_pairs(specs, results[i * len(arms):]) for i in range(2))
     out = {}
-    for name, pair, gpair in zip(specs, zip(tmle, tmle), zip(gcomp, gcomp)):
+    for name, pair in tmle.items():
         try:
             e1, e0 = (arm_estimate(r) for r in pair)
             if not (e1.diagnostics["fluct_converged"] and e0.diagnostics["fluct_converged"]):
@@ -151,7 +151,7 @@ def _replication_worker(cfg, policy_names, n, horizon, g_floor, weight_cap, q_le
             mean_eic = max(abs(e1.mean_eic), abs(e0.mean_eic))
             gpsi = None
             if include_gcomp:
-                g1, g0 = (arm_estimate(r) for r in gpair)
+                g1, g0 = (arm_estimate(r) for r in gcomp[name])
                 gpsi = g1.psi - g0.psi
             out[name] = PolicyRun(psi=rep.psi, se=rep.se, ci_low=rep.ci_low,
                                   ci_high=rep.ci_high, max_weight=maxw,
@@ -186,9 +186,7 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
     cfg = resolve_scenario(scenario)
     name = scenario if isinstance(scenario, str) else "custom"
     horizon = cfg.n_visits if horizon is None else horizon
-    if not 1 <= horizon <= cfg.n_visits:
-        raise ValueError(f"horizon {horizon} is outside 1..K; the scenario has "
-                         f"K = {cfg.n_visits}")
+    _check_run(cfg, n, horizon)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     check_options(g_floor, weight_cap)

@@ -16,9 +16,10 @@ the same form applies at every visit.
 
 The policy catalogue lives here: ``POLICY_NAMES`` names the five balancing
 interventions of the study, ``policy_specs`` builds the requested ones by
-name and ``policy_arms`` gives each one's active and control arms, always in
-``POLICY_NAMES`` order.  The harness, ``cli estimate``, ``cli oracle`` and
-the one-pass oracle all take their policies from it.
+name, ``policy_arms`` gives each one's active and control arms, always in
+``POLICY_NAMES`` order, and ``policy_pairs`` pairs per-arm results back up.
+The harness, ``cli estimate``, ``cli oracle`` and the one-pass oracle all
+take their policies from it.
 """
 
 from __future__ import annotations
@@ -178,3 +179,10 @@ def policy_arms(specs: dict[str, InterventionSpec]) -> list[ArmPolicy]:
     """Each policy's ``arm_pair``, in the order of ``specs``: the order in
     which one ``tmle_arm`` pass chains its warm starts."""
     return [arm for spec in specs.values() for arm in arm_pair(spec)]
+
+
+def policy_pairs(specs: dict, per_arm) -> dict:
+    """The inverse of ``policy_arms``: ``per_arm`` (one item per arm of
+    ``policy_arms(specs)``, in its order) as {policy name: (active, control)}."""
+    it = iter(per_arm)
+    return dict(zip(specs, zip(it, it)))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .interventions import (USE_OBSERVED_G, ArmPolicy, InterventionSpec, fit_stochastic_gstar,
-                            gstar_prob1, policy_arms)
+                            gstar_prob1, policy_arms, policy_pairs)
 from .learners import expit
 from .panel import TrialPanel, at_risk_mask
 
@@ -304,9 +304,9 @@ def oracle_risk_differences(config: ScenarioConfig, specs: dict[str, Interventio
     if n_mc < 2:
         raise ValueError(f"n_mc = {n_mc}: a paired contrast needs at least 2 draws "
                          "for its Monte-Carlo SE")
-    ys = iter(_arm_outcomes(config, policy_arms(specs), horizon, n_mc, seed))
+    ys = policy_pairs(specs, _arm_outcomes(config, policy_arms(specs), horizon, n_mc, seed))
     out = {}
-    for name, y1, y0 in zip(specs, ys, ys):
+    for name, (y1, y0) in ys.items():
         diff = y1.astype(float) - y0.astype(float)
         out[name] = OracleContrast(
             psi=float(np.mean(diff)), mc_se=float(np.std(diff, ddof=1) / np.sqrt(n_mc)),

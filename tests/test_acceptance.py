@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dropintmle.cli import cli_main
-from dropintmle.engine import fit_g, fit_top_step, tmle_arm
+from dropintmle.engine import fit_g, tmle_arm
 from dropintmle.harness import compute_truths, run_replications
 from dropintmle.interventions import ArmPolicy, static_z
 from dropintmle.sim import drop_in_trajectory, scenario_presets, simulate_trial
@@ -157,14 +157,13 @@ def test_criterion_6_efficacy_spread(sc1_table, sc3_table):
 def test_criterion_7_enumeration_equivalence(toy_panel):
     t0 = time.time()
     gfit = fit_g(toy_panel, learner=SAT, g_floor=0.0, randomized=False)
-    top = fit_top_step(toy_panel, SAT)
     worst = 0.0
     for z_rule, spec in (("z0", static_z(0)), ("z1", static_z(1))):
         for a_val in (0, 1):
             truth = enumerate_truth(toy_panel, a_val, z_rule)
             pol = ArmPolicy(a_value=a_val, z_spec=spec)
-            tm = tmle_arm(gfit, pol, top)
-            gc = tmle_arm(gfit, pol, top, targeted=False)
+            tm = tmle_arm(gfit, pol, SAT)
+            gc = tmle_arm(gfit, pol, SAT, targeted=False)
             worst = max(worst, abs(tm.psi - truth), abs(gc.psi - truth))
     elapsed = time.time() - t0
     ok = worst <= 1e-8 and elapsed < 1.0
@@ -178,7 +177,7 @@ def test_criterion_8_eic_solved(sc1_table, sc2_table, sc3_table, dr_table, toy_p
             if pr.mean_eics.size:
                 worst = max(worst, float(np.max(np.abs(pr.mean_eics))))
     gfit = fit_g(toy_panel, learner=SAT, g_floor=0.0, randomized=False)
-    est = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), fit_top_step(toy_panel, SAT))
+    est = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), SAT)
     worst = max(worst, abs(est.mean_eic))
     ok = worst <= 1e-8
     record("8 eic-solved", ok, f"max|mean EIC|={worst:.2e}")
@@ -260,8 +259,7 @@ def test_leader_shaped_pipeline():
     from dropintmle.engine import contrast
     from dropintmle.interventions import arm_pair, dynamic_z
 
-    top = fit_top_step(panel, "main")
-    rep = contrast(*(tmle_arm(gfit, p, top) for p in arm_pair(dynamic_z())), "dynamic")
+    rep = contrast(*(tmle_arm(gfit, p, "main") for p in arm_pair(dynamic_z())), "dynamic")
     assert rep.se is not None and rep.se > 0
     assert abs(rep.diagnostics["arm1"]["mean_eic"]) <= 1e-8
     record("leader-shaped pipeline", True,

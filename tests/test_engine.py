@@ -9,7 +9,6 @@ from dropintmle.engine import (
     clever_weight_path,
     contrast,
     fit_g,
-    fit_top_step,
     support_diagnostics,
     tmle_arm,
 )
@@ -99,11 +98,6 @@ def toy_gfit(toy_panel):
     return fit_g(toy_panel, learner=SAT, g_floor=0.0, randomized=False)
 
 
-@pytest.fixture(scope="module")
-def toy_top(toy_panel):
-    return fit_top_step(toy_panel, SAT)
-
-
 @pytest.mark.parametrize("z_rule,spec_maker", [
     ("z0", lambda: static_z(0)),
     ("z1", lambda: static_z(1)),
@@ -111,11 +105,11 @@ def toy_top(toy_panel):
     ("obs", observational_z),
 ])
 @pytest.mark.parametrize("a_val", [0, 1])
-def test_enumeration_equivalence_k2(toy_panel, toy_gfit, toy_top, z_rule, spec_maker, a_val):
+def test_enumeration_equivalence_k2(toy_panel, toy_gfit, z_rule, spec_maker, a_val):
     policy = ArmPolicy(a_value=a_val, z_spec=spec_maker())
     truth = enumerate_truth(toy_panel, a_val, z_rule)
-    tm = tmle_arm(toy_gfit, policy, toy_top)
-    gc = tmle_arm(toy_gfit, policy, toy_top, targeted=False)
+    tm = tmle_arm(toy_gfit, policy, SAT)
+    gc = tmle_arm(toy_gfit, policy, SAT, targeted=False)
     assert tm.psi == pytest.approx(truth, abs=1e-8)
     assert gc.psi == pytest.approx(truth, abs=1e-8)
     # targeting is a no-op at the saturated fit
@@ -127,16 +121,15 @@ def test_enumeration_equivalence_k2(toy_panel, toy_gfit, toy_top, z_rule, spec_m
 def test_enumeration_equivalence_k1(toy_panel, toy_gfit, a_val):
     policy = ArmPolicy(a_value=a_val, z_spec=static_z(0))
     truth = enumerate_truth(toy_panel, a_val, "z0", horizon=1)
-    tm = tmle_arm(toy_gfit, policy, fit_top_step(toy_panel, SAT, horizon=1))
+    tm = tmle_arm(toy_gfit, policy, SAT, horizon=1)
     assert tm.psi == pytest.approx(truth, abs=1e-10)
 
 
-def test_horizon_monotone_on_toy(toy_panel, toy_gfit, toy_top):
-    top1 = fit_top_step(toy_panel, SAT, horizon=1)
+def test_horizon_monotone_on_toy(toy_gfit):
     for a_val in (0, 1):
         policy = ArmPolicy(a_value=a_val, z_spec=static_z(0))
-        psi1 = tmle_arm(toy_gfit, policy, top1).psi
-        psi2 = tmle_arm(toy_gfit, policy, toy_top).psi
+        psi1 = tmle_arm(toy_gfit, policy, SAT, horizon=1).psi
+        psi2 = tmle_arm(toy_gfit, policy, SAT).psi
         assert psi2 >= psi1 - 1e-10
 
 
@@ -148,8 +141,8 @@ def test_death_reduces_risk_but_keeps_denominator():
     g1 = fit_g(with_death, learner=SAT, g_floor=0.0, randomized=False)
     g2 = fit_g(no_death, learner=SAT, g_floor=0.0, randomized=False)
     pol = ArmPolicy(a_value=0, z_spec=static_z(0))
-    r_death = tmle_arm(g1, pol, fit_top_step(with_death, SAT)).psi
-    r_free = tmle_arm(g2, pol, fit_top_step(no_death, SAT)).psi
+    r_death = tmle_arm(g1, pol, SAT).psi
+    r_free = tmle_arm(g2, pol, SAT).psi
     assert r_death < r_free
 
 
@@ -189,12 +182,12 @@ def test_clever_weight_hand_value():
     gfit = GFit(
         a_mechs=[_Mech(None)] * K,                                  # obs. prob always 1
         z_mechs=[_Mech(fit_constant(np.array([0.2])))] * K,         # P(Z=0) = 0.8
-        c_mechs=[_Mech(fit_constant(np.array([0.0])))] * K, g_floor=1e-3,
+        c_mechs=[_Mech(fit_constant(np.array([0.0])))] * K, g_floor=1e-3, panel=panel,
     )
     policy = ArmPolicy(a_value=1, z_spec=static_z(0))
-    h3 = clever_weight_path(panel, gfit, policy, 3)[0][2]
+    h3 = clever_weight_path(gfit, policy, 3)[0][2]
     assert h3[0] == pytest.approx((1 / 0.8) ** 3, abs=1e-12)   # three Z factors at k=3
-    h2 = clever_weight_path(panel, gfit, policy, 2)[0][1]
+    h2 = clever_weight_path(gfit, policy, 2)[0][1]
     assert h2[0] == pytest.approx(1 / 0.64, abs=1e-12)
     assert h2[1] == 0.0            # off-arm subject
     assert h2[2] == 0.0            # observed Z0=1 under z=0 policy
@@ -204,7 +197,7 @@ def test_clever_weight_absorbing_states():
     panel = small_status_panel()
     gfit = fit_g(panel, learner="main", randomized=True)
     policy = ArmPolicy(a_value=1, z_spec=observational_z())
-    H = clever_weight_path(panel, gfit, policy, 3)[0]
+    H = clever_weight_path(gfit, policy, 3)[0]
     # censored at visit 2: zero weight from step 2 on (and at the censoring
     # visit itself, since censoring resolves first within a visit)
     assert H[1, 1] == 0.0 and H[2, 1] == 0.0
@@ -223,20 +216,20 @@ def test_observational_policy_weight_is_at_risk_indicator():
     for a in (0, 1):
         policy = ArmPolicy(a_value=a, z_spec=observational_z())
         for k in (1, 3, 5):
-            h = clever_weight_path(panel, gfit, policy, k)[0][k - 1]
+            h = clever_weight_path(gfit, policy, k)[0][k - 1]
             assert np.array_equal(h, at_risk_mask(panel, k) * (panel.A0 == a) / 0.5)
 
 
 @pytest.mark.parametrize("a_value", [None, 2, 0.5])
-def test_arm_outside_the_randomized_arms_is_refused(toy_panel, toy_gfit, toy_top, a_value):
+def test_arm_outside_the_randomized_arms_is_refused(toy_gfit, a_value):
     # the estimator takes randomized arms only; the natural course (None)
     # is the simulator's alone
     bad = ArmPolicy(a_value=a_value, z_spec=observational_z())
     good = ArmPolicy(a_value=1, z_spec=observational_z())
-    for call in (lambda: tmle_arm(toy_gfit, bad, toy_top),
-                 lambda: tmle_arm(toy_gfit, [good, bad], toy_top, targeted=False),
-                 lambda: clever_weight_path(toy_panel, toy_gfit, bad, 2),
-                 lambda: support_diagnostics(toy_panel, toy_gfit, bad)):
+    for call in (lambda: tmle_arm(toy_gfit, bad, SAT),
+                 lambda: tmle_arm(toy_gfit, [good, bad], SAT, targeted=False),
+                 lambda: clever_weight_path(toy_gfit, bad, 2),
+                 lambda: support_diagnostics(toy_gfit, bad)):
         with pytest.raises(ValueError, match=rf"a_value \[{a_value}\] is not 0 or 1"):
             call()
 
@@ -252,7 +245,7 @@ def test_matching_degenerate_policy_gives_unit_weights():
     gfit = fit_g(forced, randomized=False)
     policy = ArmPolicy(a_value=1, z_spec=observational_z())
     for k in (1, 4):
-        h = clever_weight_path(forced, gfit, policy, k)[0][k - 1]
+        h = clever_weight_path(gfit, policy, k)[0][k - 1]
         assert set(np.unique(h)) <= {0.0, 1.0}
 
 
@@ -260,9 +253,9 @@ def test_weight_cap_truncates():
     panel = simulate_trial(scenario_presets()["scenario2"], 3000, 23)
     gfit = fit_g(panel)
     policy = ArmPolicy(a_value=1, z_spec=static_z(0))
-    H = clever_weight_path(panel, gfit, policy, 5)[0]
+    H = clever_weight_path(gfit, policy, 5)[0]
     assert H.max() > 5.0
-    Hc = clever_weight_path(panel, gfit, policy, 5, weight_cap=5.0)[0]
+    Hc = clever_weight_path(gfit, policy, 5, weight_cap=5.0)[0]
     assert Hc.max() <= 5.0
 
 
@@ -294,27 +287,26 @@ def test_clever_weights_of_every_policy_by_hand():
                 used = at_risk_mask(panel, l)
                 h = used.astype(float)
                 for j in range(l):
-                    h = h * (panel.a_at(j) == a) / gfit.floored_prob(panel, "A", j, used)[0]
+                    h = h * (panel.a_at(j) == a) / gfit.floored_prob("A", j, used)[0]
                     num = z_numerator(name, spec, j)
                     if num is not None:
-                        h = h * num / gfit.floored_prob(panel, "Z", j, used)[0]
+                        h = h * num / gfit.floored_prob("Z", j, used)[0]
                 for j in range(1, l + 1):
-                    h = h * (panel.c_at(j) == 0) / gfit.floored_prob(panel, "C", j, used)[0]
+                    h = h * (panel.c_at(j) == 0) / gfit.floored_prob("C", j, used)[0]
                 want[l - 1] = h
             policy = ArmPolicy(a_value=a, z_spec=spec)
-            H, _ = clever_weight_path(panel, gfit, policy, K)
+            H, _ = clever_weight_path(gfit, policy, K)
             np.testing.assert_allclose(H, want, rtol=1e-12, atol=0, err_msg=f"{name} a={a}")
             cap = 4.0
             assert name == "ignore" or (want > cap).any()
-            Hc, _ = clever_weight_path(panel, gfit, policy, K, weight_cap=cap)
+            Hc, _ = clever_weight_path(gfit, policy, K, weight_cap=cap)
             np.testing.assert_allclose(Hc, np.minimum(want, cap), rtol=1e-12, atol=0)
 
 
 def test_support_diagnostics_structure():
     panel = simulate_trial(scenario_presets()["scenario2"], 3000, 29)
     gfit = fit_g(panel)
-    rows = support_diagnostics(panel, gfit, ArmPolicy(a_value=1, z_spec=static_z(0)),
-                               threshold=10.0)
+    rows = support_diagnostics(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), threshold=10.0)
     assert [r["visit"] for r in rows] == [1, 2, 3, 4, 5]
     assert all(r["max_weight"] >= r["p99_weight"] >= 0 for r in rows)
     assert any(r["frac_above"] > 0 for r in rows)
@@ -325,8 +317,8 @@ def test_static_z0_less_supported_in_scenario2():
     g1p = simulate_trial(scenario_presets()["scenario1"], 6000, 31)
     g2p = simulate_trial(scenario_presets()["scenario2"], 6000, 31)
     pol = ArmPolicy(a_value=1, z_spec=static_z(0))
-    w1 = max(r["max_weight"] for r in support_diagnostics(g1p, fit_g(g1p), pol))
-    w2 = max(r["max_weight"] for r in support_diagnostics(g2p, fit_g(g2p), pol))
+    w1 = max(r["max_weight"] for r in support_diagnostics(fit_g(g1p), pol))
+    w2 = max(r["max_weight"] for r in support_diagnostics(fit_g(g2p), pol))
     assert w2 > w1
 
 
@@ -335,13 +327,13 @@ def floored_sc2():
     # scenario 2 at a coarse floor: many concomitant probabilities hit it
     panel = simulate_trial(scenario_presets()["scenario2"], 2000, 12)
     gstar = fit_stochastic_gstar(panel)
-    return panel, fit_g(panel, g_floor=0.05), gstar, fit_top_step(panel)
+    return panel, fit_g(panel, g_floor=0.05), gstar
 
 
 def test_floored_counts_are_per_arm(floored_sc2):
     # one shared gfit across policies and arms: every arm reports the floored
     # probabilities its own weight path used, nothing carried over
-    panel, gfit, gstar, top = floored_sc2
+    panel, gfit, gstar = floored_sc2
     lo, hi = 0.05, 0.95
     direct = {}
     for j in range(panel.K):
@@ -351,7 +343,7 @@ def test_floored_counts_are_per_arm(floored_sc2):
     assert sum(direct.values()) > 0
     for name, spec in policy_specs(POLICY_NAMES, lambda: gstar).items():
         p1, p0 = arm_pair(spec)
-        counts = [tmle_arm(gfit, pol, top).diagnostics["floored_counts"]
+        counts = [tmle_arm(gfit, pol).diagnostics["floored_counts"]
                   for pol in (p1, p0)]
         z_counts = [{k: v for k, v in c.items() if k.startswith("Z")} for c in counts]
         want = {f"Z{j}": direct[f"Z{j}"] for j in range(panel.K)
@@ -363,12 +355,11 @@ def test_floored_counts_are_per_arm(floored_sc2):
 
 @pytest.mark.parametrize("cap", [None, 8.0])
 def test_arm_weight_summary_matches_support_diagnostics(floored_sc2, cap):
-    panel, gfit, gstar, top = floored_sc2
+    panel, gfit, gstar = floored_sc2
     for spec in (static_z(0), gstar):
         pol = ArmPolicy(a_value=1, z_spec=spec)
-        est = tmle_arm(gfit, pol, top, weight_cap=cap)
-        assert est.diagnostics["weights"] == support_diagnostics(panel, gfit, pol,
-                                                                 weight_cap=cap)
+        est = tmle_arm(gfit, pol, weight_cap=cap)
+        assert est.diagnostics["weights"] == support_diagnostics(gfit, pol, weight_cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +367,16 @@ def test_arm_weight_summary_matches_support_diagnostics(floored_sc2, cap):
 
 
 def _pass_case(case, scenario1_panel):
-    """A panel's fits and every policy's arms, active and control, in pass
-    order."""
+    """A panel's g fit, every policy's arms, active and control, in pass
+    order, and the outcome-regression settings of ``tmle_arm``."""
     if case == "scenario1":
         panel, learner, seed, n_folds = scenario1_panel, "running_avg", 0, 10
     else:
         panel, seed, n_folds = build_k8_panel(), 5, 2
         learner = ["main", "running_avg"]
     gfit = fit_g(panel, learner, seed=seed, n_folds=n_folds)
-    top = fit_top_step(panel, learner, None, seed, n_folds)
     arms = policy_arms(policy_specs(POLICY_NAMES, lambda: fit_stochastic_gstar(panel)))
-    return gfit, top, arms
+    return gfit, arms, {"learner": learner, "seed": seed, "n_folds": n_folds}
 
 
 def _cold_scipy_fits(monkeypatch):
@@ -419,11 +409,27 @@ def test_one_pass_equals_arm_by_arm_calls(case, targeted, cap, scenario1_panel, 
     # with starts ignored the arms of a pass share designs and denominators
     # only, so each arm's numbers are those of a call on it alone
     _cold_scipy_fits(monkeypatch)
-    gfit, top, arms = _pass_case(case, scenario1_panel)
-    together = tmle_arm(gfit, arms, top, targeted=targeted, weight_cap=cap)
+    gfit, arms, fit = _pass_case(case, scenario1_panel)
+    together = tmle_arm(gfit, arms, **fit, targeted=targeted, weight_cap=cap)
     assert len(together) == len(arms)
     for pol, est in zip(arms, together):
-        _same_estimate(est, tmle_arm(gfit, pol, top, targeted=targeted, weight_cap=cap))
+        _same_estimate(est, tmle_arm(gfit, pol, **fit, targeted=targeted, weight_cap=cap))
+
+
+@pytest.mark.parametrize("case", ["scenario1", "k8_library"])
+def test_mixed_pass_equals_one_pass_per_kind(case, scenario1_panel):
+    # targeted and g-computation arms in one pass share its designs and its
+    # horizon fit; each kind keeps its own warm starts, so every number is
+    # that of a pass over the arms of that kind
+    gfit, arms, fit = _pass_case(case, scenario1_panel)
+    flags = [True] * len(arms) + [False] * len(arms)
+    mixed = tmle_arm(gfit, arms + arms, **fit, targeted=flags, weight_cap=8.0)
+    apart = (tmle_arm(gfit, arms, **fit, weight_cap=8.0)
+             + tmle_arm(gfit, arms, **fit, targeted=False))
+    for one, other in zip(mixed, apart, strict=True):
+        _same_estimate(one, other)
+    with pytest.raises(ValueError, match="3 targeted flags for 10 arms"):
+        tmle_arm(gfit, arms, **fit, targeted=[True] * 3)
 
 
 def test_pass_counts_designs_once_per_step(scenario1_panel, monkeypatch):
@@ -435,14 +441,33 @@ def test_pass_counts_designs_once_per_step(scenario1_panel, monkeypatch):
         return real(panel, features, treat_upto, cov_upto, sub_a, sub_z)
 
     monkeypatch.setattr(engine, "history_design", counting)
-    gfit, top, arms = _pass_case("scenario1", scenario1_panel)
+    gfit, arms, fit = _pass_case("scenario1", scenario1_panel)
     calls.clear()
-    tmle_arm(gfit, arms, top)
+    tmle_arm(gfit, arms, **fit)
     # per step: the fit design and the distinct substitutions (a, z) with a
     # in {1, 0} and z in {0, 1, Z0, observed}; at step 1 the dynamic law
     # leaves Z0 alone
-    per_step = np.bincount(calls, minlength=top.horizon)
-    assert per_step.tolist() == [1 + 2 * 3] + [1 + 2 * 4] * (top.horizon - 1)
+    K = gfit.panel.K
+    per_step = np.bincount(calls, minlength=K)
+    assert per_step.tolist() == [1 + 2 * 3] + [1 + 2 * 4] * (K - 1)
+
+
+def test_pass_fits_the_horizon_step_once(scenario1_panel, monkeypatch):
+    # every arm's pseudo-outcome at the horizon is the observed Y_K: one fit
+    # serves them all; below it each arm fits its own
+    gfit, arms, fit = _pass_case("scenario1", scenario1_panel)
+    steps = []
+    real = engine._fit_learner
+
+    def counting(learner, design, y, seed, n_folds, starts=None):
+        steps.append(seed - fit["seed"])      # step l fits with fold seed seed + l
+        return real(learner, design, y, seed, n_folds, starts)
+
+    monkeypatch.setattr(engine, "_fit_learner", counting)
+    tmle_arm(gfit, arms, **fit)
+    K = gfit.panel.K
+    assert len(arms) == 10
+    assert np.bincount(steps, minlength=K + 1)[1:].tolist() == [10] * (K - 1) + [1]
 
 
 def _raise_on_call(monkeypatch, which):
@@ -462,21 +487,22 @@ def _raise_on_call(monkeypatch, which):
 @pytest.mark.parametrize("case", ["scenario1", "k8_library"])
 def test_failing_arm_fails_alone(case, scenario1_panel, monkeypatch):
     _cold_scipy_fits(monkeypatch)
-    gfit, top, arms = _pass_case(case, scenario1_panel)
+    gfit, arms, fit = _pass_case(case, scenario1_panel)
     # a stochastic law that ends before the horizon fails its arms with the
     # message a call on that arm alone raises
     spec = arms[2 * POLICY_NAMES.index("stochastic")].z_spec
     short = dataclasses.replace(spec, models=spec.models[:2])
     arms = arms + [ArmPolicy(1, short)]
-    whole = tmle_arm(gfit, arms, top)
+    whole = tmle_arm(gfit, arms, **fit)
     with pytest.raises(ValueError) as alone:
-        tmle_arm(gfit, arms[-1], top)
+        tmle_arm(gfit, arms[-1], **fit)
     assert spec.form == "stochastic"
     assert isinstance(whole[-1], ValueError) and str(whole[-1]) == str(alone.value)
 
-    # the third arm's fit at the step below the top raises: it fails alone
-    _raise_on_call(monkeypatch, 3)
-    failed = tmle_arm(gfit, arms, top)
+    # the third arm's fit at the step below the top raises (call 1 is the
+    # top step's one fit): it fails alone
+    _raise_on_call(monkeypatch, 4)
+    failed = tmle_arm(gfit, arms, **fit)
     assert isinstance(failed[2], FloatingPointError) and str(failed[2]) == "injected"
     assert isinstance(failed[-1], ValueError)
     for i, (before, after) in enumerate(zip(whole[:-1], failed[:-1])):
@@ -509,14 +535,14 @@ def test_fit_g_randomization_constant():
     panel = simulate_trial(scenario_presets()["scenario1"], 1000, 37)
     gfit = fit_g(panel, randomized=True)
     assert gfit.a_mechs[0].model.constant == 0.5
-    assert np.all(gfit.floored_prob(panel, "A", 0, np.ones(panel.n, bool))[0] == 0.5)
+    assert np.all(gfit.floored_prob("A", 0, np.ones(panel.n, bool))[0] == 0.5)
 
 
 def test_fit_g_degenerate_censoring_shortcut():
     panel = simulate_trial(scenario_presets()["scenario1"], 1000, 41)
     gfit = fit_g(panel)
     assert all(m.model.constant == 0.0 for m in gfit.c_mechs)
-    p_unc = gfit.floored_prob(panel, "C", 1, np.ones(panel.n, bool))[0]
+    p_unc = gfit.floored_prob("C", 1, np.ones(panel.n, bool))[0]
     assert np.all(p_unc == 1.0)
 
 
@@ -524,7 +550,7 @@ def test_fit_g_adherence_shortcut():
     panel = simulate_trial(scenario_presets()["scenario1"], 1000, 43)
     gfit = fit_g(panel)
     assert all(m.model is None for m in gfit.a_mechs[1:])
-    assert np.all(gfit.floored_prob(panel, "A", 2, np.ones(panel.n, bool))[0] == 1.0)
+    assert np.all(gfit.floored_prob("A", 2, np.ones(panel.n, bool))[0] == 1.0)
 
 
 def test_fit_g_recovers_persistence_coefficient():
@@ -560,7 +586,7 @@ def test_degenerate_outcome_panel_gives_zero():
     panel = simulate_trial(dead, 2000, 51)
     assert panel.Y.sum() == 0
     gfit = fit_g(panel)
-    est = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), fit_top_step(panel))
+    est = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)))
     assert abs(est.psi) <= 1e-5
     assert np.all(np.abs(est.eic) <= 1e-5)
 
@@ -568,10 +594,9 @@ def test_degenerate_outcome_panel_gives_zero():
 def test_eic_mean_zero_and_step_scores(scenario1_panel):
     gfit = fit_g(scenario1_panel)
     gstar = fit_stochastic_gstar(scenario1_panel)
-    top = fit_top_step(scenario1_panel)
     for spec in (static_z(0), static_z(1), dynamic_z(), observational_z(), gstar):
         for a in (0, 1):
-            est = tmle_arm(gfit, ArmPolicy(a_value=a, z_spec=spec), top)
+            est = tmle_arm(gfit, ArmPolicy(a_value=a, z_spec=spec))
             assert abs(est.mean_eic) <= 1e-8
             assert all(abs(s) <= 1e-8 for s in est.diagnostics["step_scores"])
             assert est.diagnostics["fluct_converged"]
@@ -579,7 +604,7 @@ def test_eic_mean_zero_and_step_scores(scenario1_panel):
 
 def test_psi_equals_mean_of_final_projection(scenario1_panel):
     gfit = fit_g(scenario1_panel)
-    est = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), fit_top_step(scenario1_panel))
+    est = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)))
     assert 0.0 <= est.psi <= 1.0
     assert est.n == scenario1_panel.n
 
@@ -595,17 +620,17 @@ def test_empty_risk_set_raises():
 
 
 def test_horizon_validation(scenario1_panel):
+    gfit = fit_g(scenario1_panel)
     for horizon in (0, 9):
         with pytest.raises(ValueError, match="horizon"):
-            fit_top_step(scenario1_panel, horizon=horizon)
+            tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), horizon=horizon)
 
 
 @pytest.mark.parametrize("cap", [0.0, -1.0, float("nan"), float("inf")])
 def test_weight_cap_outside_positive_reals_raises(scenario1_panel, cap):
     gfit = fit_g(scenario1_panel)
     with pytest.raises(ValueError, match="weight cap"):
-        tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), fit_top_step(scenario1_panel),
-                 weight_cap=cap)
+        tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), weight_cap=cap)
 
 
 @pytest.mark.parametrize("g_floor", [-0.1, 0.5, 0.7, float("nan")])
@@ -616,8 +641,7 @@ def test_g_floor_outside_half_interval_raises(scenario1_panel, g_floor):
 
 def test_gcomp_has_no_variance(scenario1_panel):
     gfit = fit_g(scenario1_panel)
-    top = fit_top_step(scenario1_panel)
-    g1, g0 = (tmle_arm(gfit, p, top, targeted=False) for p in arm_pair(static_z(0)))
+    g1, g0 = (tmle_arm(gfit, p, targeted=False) for p in arm_pair(static_z(0)))
     assert g1.eic is None
     rep = contrast(g1, g0, "static0")
     assert rep.se is None and rep.ci_low is None
@@ -626,7 +650,7 @@ def test_gcomp_has_no_variance(scenario1_panel):
 
 def test_contrast_identical_arms(scenario1_panel):
     gfit = fit_g(scenario1_panel)
-    e = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), fit_top_step(scenario1_panel))
+    e = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)))
     rep = contrast(e, e, "self")
     assert rep.psi == 0.0
     assert rep.ci_low == pytest.approx(-rep.ci_high, abs=1e-15)
@@ -634,8 +658,7 @@ def test_contrast_identical_arms(scenario1_panel):
 
 def test_contrast_ci_formula(scenario1_panel):
     gfit = fit_g(scenario1_panel)
-    top = fit_top_step(scenario1_panel)
-    e1, e0 = (tmle_arm(gfit, p, top) for p in arm_pair(dynamic_z()))
+    e1, e0 = (tmle_arm(gfit, p) for p in arm_pair(dynamic_z()))
     rep = contrast(e1, e0, "dynamic")
     se = np.std(e1.eic - e0.eic, ddof=1) / np.sqrt(scenario1_panel.n)
     assert rep.se == pytest.approx(se, abs=1e-14)
@@ -668,8 +691,7 @@ def test_super_learner_selects_informative_map_across_seeds():
 def test_tmle_with_learner_library(scenario1_panel):
     library = ["running_avg", "intercept"]
     gfit = fit_g(scenario1_panel, library)
-    est = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)),
-                   fit_top_step(scenario1_panel, library))
+    est = tmle_arm(gfit, ArmPolicy(a_value=1, z_spec=static_z(0)), library)
     assert abs(est.mean_eic) <= 1e-8
     assert 0.0 <= est.psi <= 1.0
 
@@ -682,6 +704,5 @@ def test_tmle_close_to_truth_on_one_panel():
     panel = simulate_trial(cfg, 9340, 59)
     gfit = fit_g(panel)
     truth = oracle_risk_difference(cfg, static_z(0), 5, 400_000, 5).psi
-    top = fit_top_step(panel)
-    rep = contrast(*(tmle_arm(gfit, p, top) for p in arm_pair(static_z(0))), "static0")
+    rep = contrast(*(tmle_arm(gfit, p) for p in arm_pair(static_z(0))), "static0")
     assert rep.psi == pytest.approx(truth, abs=4 * rep.se)

@@ -75,7 +75,8 @@ def test_horizon_outside_scenario_rejected(horizon):
     ({"g_floor": 0.7}, "g floor"), ({"policies": []}, "no policies"),
     ({"workers": 0}, "workers must be at least 1, got 0"),
     ({"workers": -2}, "workers must be at least 1, got -2"),
-], ids=["cap-1", "capnan", "floor0.7", "no-policies", "workers0", "workers-2"])
+    ({"n": 0}, "need at least one subject"), ({"n": -3}, "need at least one subject"),
+], ids=["cap-1", "capnan", "floor0.7", "no-policies", "workers0", "workers-2", "n0", "n-3"])
 def test_bad_setting_rejected_before_truths(monkeypatch, kwargs, match):
     def no_truths(*args, **kw):
         raise AssertionError("truths computed before the settings were checked")

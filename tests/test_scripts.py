@@ -75,6 +75,10 @@ def test_output_comparison_reports_numeric_drift(tmp_path):
     assert drift('{"psi": 1}', '{"phi": 1}') is None                 # a key changed
     assert drift("1 2", "1 2 3") is None                             # a number added
     assert drift("h 3fa9c2", "h 3fa9c3") is None                     # digits of a digest
+    d1, d2 = "0a" * 32, "b9" * 32                                    # SHA-256 digests
+    assert drift(f"eic ('{d1}', '0.5', '2.25')", f"eic ('{d2}', '0.5', '2.5')") == 0.25
+    assert drift(f"eic {d1} 1", f"eic {d2} 1") == 0.0
+    assert drift(f"eic {d1} 1", f"eic {d1[:-1]} 1") is None           # not a digest
     (tmp_path / "base").mkdir()
     (tmp_path / "change").mkdir()
     for side, text in (("base", "v 1.0000000001e-3\n"), ("change", "v 1e-3\n")):
