@@ -54,30 +54,20 @@ import hashlib, json
 import numpy as np
 from dropintmle import (POLICY_NAMES, ArmPolicy, contrast, fit_g, fit_stochastic_gstar,
                         policy_specs, read_panel_csv, tmle_arm)
-try:  # a tree that fits the horizon step apart, once per panel
-    from dropintmle import fit_top_step
-except ImportError:
-    def estimator(panel, gfit, learner, horizon, folds):
-        return lambda policy, **kw: tmle_arm(gfit, policy, learner, horizon, seed=1,
-                                             n_folds=folds, **kw)
-else:
-    def estimator(panel, gfit, learner, horizon, folds):
-        top = fit_top_step(panel, learner, horizon, seed=1, n_folds=folds)
-        return lambda policy, **kw: tmle_arm(gfit, policy, top, **kw)
 PANELS = (("sc2.csv", "running_avg", 10, 8.0, 4),
           ("leader.csv", ["main", "running_avg"], 2, None, 8))
 with open("arms.txt", "w") as out:
     for path, learner, folds, cap, horizon in PANELS:
         panel = read_panel_csv(path)
         gfit = fit_g(panel, learner, seed=1, n_folds=folds)
-        estimate = estimator(panel, gfit, learner, horizon, folds)
         specs = policy_specs(POLICY_NAMES, lambda: fit_stochastic_gstar(panel, upto=horizon))
         for name, spec in specs.items():
             arms = {}
             for a in (1, 0):
                 for targeted in (True, False):
-                    est = arms[a, targeted] = estimate(ArmPolicy(a, spec), targeted=targeted,
-                                                       weight_cap=cap)
+                    est = arms[a, targeted] = tmle_arm(
+                        gfit, ArmPolicy(a, spec), learner, horizon, seed=1, n_folds=folds,
+                        targeted=targeted, weight_cap=cap)
                     eic = None if est.eic is None else (
                         hashlib.sha256(est.eic).hexdigest(), repr(float(np.sum(est.eic))),
                         repr(float(np.max(np.abs(est.eic)))))

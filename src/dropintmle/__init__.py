@@ -38,6 +38,7 @@ from .learners import (
 from .panel import (
     DataError,
     EventTable,
+    SettingError,
     TrialPanel,
     at_risk_mask,
     ingest_long_events,

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import history_design, mechanism_design
+from .features import check_learner, history_design, mechanism_design
 from .interventions import USE_OBSERVED_G, ArmPolicy, gstar_prob1, panel_history
 from .learners import (
     FittedModel,
@@ -58,7 +58,7 @@ from .learners import (
     logit,
     remember,
 )
-from .panel import TrialPanel, at_risk_mask, validate_panel
+from .panel import SettingError, TrialPanel, at_risk_mask, check_horizon, validate_panel
 
 
 class EstimationError(RuntimeError):
@@ -140,12 +140,12 @@ def _fit_mech(panel, node, k, mask, learner, seed, n_folds) -> _Mech:
 
 
 def check_options(g_floor: float = 1e-3, weight_cap: float | None = None) -> None:
-    """Raise ValueError unless the g floor lies in [0, 0.5) and the weight cap
-    is None or a finite number above 0."""
+    """Raise SettingError unless the g floor lies in [0, 0.5) and the weight
+    cap is None or a finite number above 0."""
     if not 0 <= g_floor < 0.5:
-        raise ValueError(f"g floor {g_floor} is outside [0, 0.5)")
+        raise SettingError(f"g floor {g_floor} is outside [0, 0.5)")
     if weight_cap is not None and not (np.isfinite(weight_cap) and weight_cap > 0):
-        raise ValueError(f"weight cap {weight_cap} is not a finite number above 0")
+        raise SettingError(f"weight cap {weight_cap} is not a finite number above 0")
 
 
 def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
@@ -160,9 +160,10 @@ def fit_g(panel: TrialPanel, learner: str | list[str] = "running_avg",
     adherence; constant responses (e.g. no censoring anywhere) fit to the
     empirical constant.  Everything else is a logistic fit on at-risk rows
     with ``learner``: a feature-map name, or a list of them for the discrete
-    super learner.
+    super learner (see ``check_learner``), checked before any fit.
     """
     check_options(g_floor=g_floor)
+    check_learner(learner)
     validate_panel(panel)
     K = panel.K
     a_mechs, z_mechs, c_mechs = [], [], []
@@ -527,8 +528,10 @@ def tmle_arm(gfit: GFit, policy: ArmPolicy | Sequence[ArmPolicy],
     the weight denominators once per pass, and each lower step's fit starts
     from the previous arm's fit on the same rows and columns.  One arm gives
     its ArmEstimate (or raises); a sequence gives a list holding each arm's
-    ArmEstimate or the exception that failed that arm alone.  An arm whose
-    ``a_value`` is not 0 or 1, or a horizon outside 1..K, raises ValueError.
+    ArmEstimate or the exception that failed that arm alone.  A bad setting
+    raises before the pass: an unknown learner, a horizon outside 1..K or a
+    bad weight cap (SettingError), or an arm whose ``a_value`` is not 0 or 1
+    (ValueError).
 
     With ``targeted`` False the fluctuation steps are skipped, giving the
     non-targeted g-computation estimator, without influence-curve values or
@@ -536,13 +539,13 @@ def tmle_arm(gfit: GFit, policy: ArmPolicy | Sequence[ArmPolicy],
     numbers are then those of a pass over the arms of its kind alone.
     """
     check_options(weight_cap=weight_cap)
+    check_learner(learner)
     single = isinstance(policy, ArmPolicy)
     policies = [policy] if single else list(policy)
     _check_arms(policies)
     panel = gfit.panel
     horizon = panel.K if horizon is None else horizon
-    if not 1 <= horizon <= panel.K:
-        raise ValueError(f"horizon must lie in 1..{panel.K}")
+    check_horizon(horizon, panel.K, "panel")
     flags = [targeted] * len(policies) if np.ndim(targeted) == 0 else list(targeted)
     if len(flags) != len(policies):
         raise ValueError(f"{len(flags)} targeted flags for {len(policies)} arms")

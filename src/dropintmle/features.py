@@ -22,9 +22,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .panel import DataError, TrialPanel
+from .panel import DataError, SettingError, TrialPanel
 
 FEATURE_NAMES = ("intercept", "main", "interactions", "running_avg", "saturated")
+
+
+def check_learner(learner) -> None:
+    """Refuse a learner that is not a feature-map name or a non-empty list
+    of them (a super-learner library)."""
+    names = [learner] if isinstance(learner, str) else list(learner)
+    bad = [nm for nm in names if nm not in FEATURE_NAMES]
+    if bad or not names:
+        problem = f"unknown learners {bad}" if bad else "no learner given"
+        raise SettingError(f"{problem}; choose from {list(FEATURE_NAMES)}")
 
 
 def _as_vec(value, n: int) -> np.ndarray:
@@ -101,8 +111,7 @@ def history_design(
     ``sub_a``/``sub_z`` replace the visit-``treat_upto`` treatments before
     the matrix is formed.
     """
-    if features not in FEATURE_NAMES:
-        raise ValueError(f"unknown feature map '{features}'")
+    check_learner(features)
     n = panel.n
     if cov_upto is None:
         cov_upto = treat_upto

@@ -13,8 +13,10 @@ so tables are byte-stable for a fixed seed regardless of worker count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -23,8 +25,10 @@ from functools import partial
 import numpy as np
 
 from .engine import EstimationError, arm_estimate, check_options, contrast, fit_g, tmle_arm
+from .features import check_learner
 from .interventions import (POLICY_NAMES, check_policy_names, fit_stochastic_gstar,
                             policy_arms, policy_pairs, policy_specs)
+from .panel import SettingError
 from .sim import (
     ScenarioConfig,
     _check_run,
@@ -48,7 +52,7 @@ def n_workers() -> int:
     except ValueError:
         workers = 0
     if workers < 1:
-        raise ValueError(f"LTMLE_THREADS={env!r} is not an integer of at least 1")
+        raise SettingError(f"LTMLE_THREADS={env!r} is not an integer of at least 1")
     return workers
 
 
@@ -182,18 +186,22 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
     ``q_learner`` fits the outcome regressions; the nuisance mechanisms use the
     default learner.  ``truths`` can be supplied to skip the oracle pass (e.g.
     reusing truths across runs); otherwise they are computed at ``n_mc`` draws.
+    The scenario, ``n``, horizon, ``reps``, g floor, weight cap, learner,
+    policies and worker count are checked first: a bad one raises
+    SettingError before the truths are computed.
     """
     cfg = resolve_scenario(scenario)
     name = scenario if isinstance(scenario, str) else "custom"
     horizon = cfg.n_visits if horizon is None else horizon
     _check_run(cfg, n, horizon)
     if reps < 1:
-        raise ValueError("reps must be >= 1")
+        raise SettingError("reps must be >= 1")
     check_options(g_floor, weight_cap)
+    check_learner(q_learner)
     policy_names = check_policy_names(policies)
     workers = n_workers() if workers is None else workers
     if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+        raise SettingError(f"workers must be at least 1, got {workers}")
 
     if truths is None:
         truths = compute_truths(cfg, policy_names, horizon, n_mc, seed)
@@ -241,34 +249,35 @@ def _fmt6(x) -> str:
     return str(x)
 
 
-def emit_report(obj, path, fmt: str = "csv") -> None:
-    """Write a table or report to disk with a stable schema.
+def emit_report(obj, path=None, fmt: str = "csv") -> None:
+    """Write a table or report with a stable schema to ``path``, or to
+    standard output when ``path`` is None.
 
     ReplicationTable -> CSV with the documented column order (or JSON, whose
     rows also count each policy's failures by reason, ``failure_reasons``);
-    dicts -> canonical JSON (see ``_write_json``); drop-in trajectories ->
-    per-visit CSV.
+    drop-in trajectories -> per-visit CSV; other dicts -> canonical JSON:
+    sorted keys, floats at 6 significant digits, non-finite floats as null.
     """
     if isinstance(obj, ReplicationTable) and fmt == "json":
         rows = [dict(row, failure_reasons=p.failure_reasons)
                 for row, p in zip(obj.rows(), obj.policies.values())]
         obj = {"scenario": obj.scenario, "n": obj.n, "reps": obj.reps,
                "horizon": obj.horizon, "seed": obj.seed, "rows": rows}
-    if isinstance(obj, ReplicationTable):
-        cols, rows = TABLE_COLUMNS, obj.rows()
-    elif isinstance(obj, dict) and "visit" in obj:
-        cols = ["visit", "arm0", "arm1", "n_at_risk0", "n_at_risk1"]
-        rows = [{c: float(obj[c][i]) if c in ("arm0", "arm1") else int(obj[c][i])
-                 for c in cols} for i in range(len(obj["visit"]))]
-    elif isinstance(obj, dict):
-        with open(path, "w") as fh:
-            _write_json(obj, fh)
-        return
+    if isinstance(obj, dict) and "visit" not in obj:
+        text = json.dumps(_round_floats(obj), indent=2, sort_keys=True)
     else:
-        raise TypeError(f"do not know how to emit {type(obj).__name__}")
-    lines = [",".join(cols)] + [",".join(_fmt6(row[c]) for c in cols) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if isinstance(obj, ReplicationTable):
+            cols, rows = TABLE_COLUMNS, obj.rows()
+        elif isinstance(obj, dict):
+            cols = ["visit", "arm0", "arm1", "n_at_risk0", "n_at_risk1"]
+            rows = [{c: float(obj[c][i]) if c in ("arm0", "arm1") else int(obj[c][i])
+                     for c in cols} for i in range(len(obj["visit"]))]
+        else:
+            raise TypeError(f"do not know how to emit {type(obj).__name__}")
+        text = "\n".join([",".join(cols)] + [",".join(_fmt6(row[c]) for c in cols)
+                                             for row in rows])
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def _round_floats(obj):
@@ -284,8 +293,3 @@ def _round_floats(obj):
         return int(obj)
     return obj
 
-
-def _write_json(payload, fh) -> None:
-    """The one JSON serializer, for files and stdout alike: sorted keys,
-    floats at 6 significant digits, non-finite floats as null."""
-    fh.write(json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .features import gstar_columns
 from .learners import FittedModel, clip_probs, fit_binary_glm, fit_constant
-from .panel import TrialPanel, at_risk_mask
+from .panel import SettingError, TrialPanel, at_risk_mask
 
 Z_FORMS = ("static", "dynamic", "stochastic", "observational")
 
@@ -149,13 +149,13 @@ def fit_stochastic_gstar(panel: TrialPanel, upto: int | None = None) -> Interven
 
 
 def check_policy_names(names) -> list[str]:
-    """``names`` as a list; ValueError if it is empty or names a policy
+    """``names`` as a list; SettingError if it is empty or names a policy
     outside POLICY_NAMES."""
     names = list(names)
     bad = [p for p in names if p not in POLICY_NAMES]
     if bad or not names:
         problem = f"unknown policies {bad}" if bad else "no policies given"
-        raise ValueError(f"{problem}; choose from {list(POLICY_NAMES)}")
+        raise SettingError(f"{problem}; choose from {list(POLICY_NAMES)}")
     return names
 
 

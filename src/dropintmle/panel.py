@@ -25,6 +25,17 @@ class DataError(ValueError):
     """Raised for malformed input data (files, grids, records)."""
 
 
+class SettingError(ValueError):
+    """Raised for a bad run setting (an option, a name, a count), before any fit."""
+
+
+def check_horizon(horizon: int, K: int, source: str) -> None:
+    """Refuse a horizon outside 1..K, where K is the visit count of ``source``
+    (say "panel" or "scenario")."""
+    if not 1 <= horizon <= K:
+        raise SettingError(f"horizon {horizon} is outside 1..K; the {source} has K = {K}")
+
+
 @dataclass(frozen=True)
 class TrialPanel:
     """Rectangular discrete-time panel, visit-major storage, immutable.

@@ -29,7 +29,7 @@ import numpy as np
 from .interventions import (USE_OBSERVED_G, ArmPolicy, InterventionSpec, fit_stochastic_gstar,
                             gstar_prob1, policy_arms, policy_pairs)
 from .learners import expit
-from .panel import TrialPanel, at_risk_mask
+from .panel import SettingError, TrialPanel, at_risk_mask, check_horizon
 
 _NODE_L0, _NODE_Z0, _NODE_A0 = 0, 1, 2
 _NODE_C, _NODE_D, _NODE_Y, _NODE_L, _NODE_Z = 3, 4, 5, 6, 7
@@ -95,8 +95,8 @@ def resolve_scenario(name_or_config) -> ScenarioConfig:
         return name_or_config
     presets = scenario_presets()
     if name_or_config not in presets:
-        raise KeyError(f"unknown scenario '{name_or_config}'; "
-                       f"choose from {sorted(presets)} or pass a config")
+        raise SettingError(f"unknown scenario '{name_or_config}'; "
+                           f"choose from {sorted(presets)} or pass a config")
     return presets[name_or_config]
 
 
@@ -152,10 +152,8 @@ def _sample_z(policy_spec, k, u, l_curr, z_prev, l0, z0, config):
 
 def _check_run(config: ScenarioConfig, n: int, horizon: int) -> None:
     if n < 1:
-        raise ValueError("need at least one subject")
-    K = config.n_visits
-    if not 1 <= horizon <= K:
-        raise ValueError(f"horizon {horizon} is outside 1..K; the scenario has K = {K}")
+        raise SettingError("need at least one subject")
+    check_horizon(horizon, config.n_visits, "scenario")
 
 
 def _simulate(config: ScenarioConfig, draw, rows: slice, horizon: int,
@@ -302,7 +300,7 @@ def oracle_risk_differences(config: ScenarioConfig, specs: dict[str, Interventio
     each difference reflects the paired design.  Its SE needs n_mc >= 2."""
     _check_run(config, n_mc, horizon)
     if n_mc < 2:
-        raise ValueError(f"n_mc = {n_mc}: a paired contrast needs at least 2 draws "
+        raise SettingError(f"n_mc = {n_mc}: a paired contrast needs at least 2 draws "
                          "for its Monte-Carlo SE")
     ys = policy_pairs(specs, _arm_outcomes(config, policy_arms(specs), horizon, n_mc, seed))
     out = {}

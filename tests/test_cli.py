@@ -21,6 +21,15 @@ def test_usage_errors():
     assert run(["oracle", "--scenario", "scenario1", "--policy", "nonsense"]) == 1
 
 
+def test_unknown_scenario_is_one_clean_error_line(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert run(["simulate", "--scenario", "bogus", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bogus" in err and "scenario1" in err and '"' not in err
+    assert not out.exists()
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

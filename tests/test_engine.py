@@ -573,6 +573,22 @@ def test_fit_g_rejects_invalid_panel():
         fit_g(panel)
 
 
+@pytest.mark.parametrize("learner,named", [("bogus", "bogus"), ([], "no learner"),
+                                           (["main", "bogus"], "bogus")],
+                         ids=["bogus", "empty", "library-bogus"])
+def test_fit_g_refuses_bad_learner_up_front(learner, named):
+    # K = 1, Z0 all 0 and no censoring: every mechanism's response is
+    # constant, so no learner is ever fitted, and the bad one is refused anyway
+    n = 6
+    panel = make_panel(np.zeros((n, 1)), np.zeros(n), [0, 1] * 3, np.zeros((1, n)),
+                       np.zeros((1, n)), np.zeros((1, n)))
+    gfit = fit_g(panel)
+    assert all(m.model.constant is not None for m in gfit.z_mechs + gfit.c_mechs)
+    with pytest.raises(ValueError, match=named) as info:
+        fit_g(panel, learner=learner)
+    assert "running_avg" in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # tmle_arm behavior
 
@@ -617,6 +633,17 @@ def test_empty_risk_set_raises():
     panel = simulate_trial(cfg, 200, 3)
     with pytest.raises(EstimationError):
         fit_g(panel)
+
+
+@pytest.mark.parametrize("learner,named", [("bogus", "bogus"), ([], "no learner")],
+                         ids=["bogus", "empty"])
+def test_tmle_arm_refuses_bad_learner_before_the_pass(toy_gfit, monkeypatch, learner, named):
+    def no_pass(*args, **kw):
+        raise AssertionError("the pass ran")
+
+    monkeypatch.setattr(engine, "_fit_arms", no_pass)
+    with pytest.raises(ValueError, match=named):
+        tmle_arm(toy_gfit, list(arm_pair(static_z(0))), learner=learner)
 
 
 def test_horizon_validation(scenario1_panel):

@@ -76,7 +76,10 @@ def test_horizon_outside_scenario_rejected(horizon):
     ({"workers": 0}, "workers must be at least 1, got 0"),
     ({"workers": -2}, "workers must be at least 1, got -2"),
     ({"n": 0}, "need at least one subject"), ({"n": -3}, "need at least one subject"),
-], ids=["cap-1", "capnan", "floor0.7", "no-policies", "workers0", "workers-2", "n0", "n-3"])
+    ({"q_learner": "bogus"}, r"bogus.*running_avg"),
+    ({"q_learner": []}, r"no learner.*running_avg"),
+], ids=["cap-1", "capnan", "floor0.7", "no-policies", "workers0", "workers-2", "n0", "n-3",
+        "learner-bogus", "learner-empty"])
 def test_bad_setting_rejected_before_truths(monkeypatch, kwargs, match):
     def no_truths(*args, **kw):
         raise AssertionError("truths computed before the settings were checked")
@@ -85,6 +88,15 @@ def test_bad_setting_rejected_before_truths(monkeypatch, kwargs, match):
     with pytest.raises(ValueError, match=match):
         run_replications("scenario1", **{"policies": ("ignore",), "n": 200, "reps": 1,
                                          "workers": 1, **kwargs})
+
+
+def test_unknown_scenario_names_the_presets(monkeypatch):
+    def no_truths(*args, **kw):
+        raise AssertionError("truths computed for an unknown scenario")
+
+    monkeypatch.setattr(harness, "compute_truths", no_truths)
+    with pytest.raises(ValueError, match="unknown scenario 'bogus'.*scenario1"):
+        run_replications("bogus", policies=("ignore",), n=200, reps=1, workers=1)
 
 
 def test_gcomp_collection():
@@ -127,6 +139,15 @@ def test_emit_estimate_report_round_trip(tmp_path):
     payload = json.loads(text1)
     emit_report(payload, path)
     assert path.read_text() == text1   # canonical serialization round-trips
+
+
+def test_emit_report_without_path_writes_stdout(tmp_path, capsys):
+    payload = {"psi": -0.0386419412, "se": float("nan"), "arm": 1}
+    path = tmp_path / "rep.json"
+    emit_report(payload, path)
+    capsys.readouterr()
+    emit_report(payload)
+    assert capsys.readouterr().out == path.read_text()
 
 
 def test_emit_trajectory(tmp_path):
