@@ -162,6 +162,8 @@ COMMANDS = [
                       "--nmc", "50000", "--nfit", "50000", "--out", "oracle.json"]),
     ("trajectory", CLI + ["trajectory", "--scenario", "scenario1", "--n", "2000", "--seed", "6",
                           "--out", "trajectory.csv"]),
+    ("trajectory_leader", CLI + ["trajectory", "--panel", "leader.csv",
+                                 "--out", "leader_trajectory.csv"]),
 ]
 
 

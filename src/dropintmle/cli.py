@@ -24,7 +24,7 @@ import json
 import math
 import sys
 
-from .engine import EstimationError, arm_estimate, check_options, contrast, fit_g, tmle_arm
+from .engine import EstimationError, check_options, contrast, fit_g, tmle_arm
 from .features import check_learner
 from .harness import emit_report, run_replications
 from .interventions import (POLICY_NAMES, ArmPolicy, check_policy_names, fit_stochastic_gstar,
@@ -64,7 +64,7 @@ REQUEST_TYPES = {"panel_path": str, "policies": (str, list), "learner": (str, li
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 payload = json.load(fh)
@@ -77,9 +77,7 @@ def _load_scenario(args) -> ScenarioConfig:
             return ScenarioConfig(**payload)
         except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise DataError(f"{args.config}: {exc}") from None
-    if getattr(args, "scenario", None):
-        return resolve_scenario(args.scenario)
-    raise SettingError("either --scenario or --config is required")
+    return resolve_scenario(args.scenario)
 
 
 def _names(given: str | list) -> list:
@@ -175,8 +173,7 @@ def cmd_estimate(args) -> int:
                                          weight_cap=args.weight_cap))
     out = {"panel": args.panel, "horizon": horizon, "n": panel.n, "policies": {}}
     for name in policies:
-        e1, e0 = (arm_estimate(r) for r in pairs[name])
-        out["policies"][name] = dataclasses.asdict(contrast(e1, e0, name))
+        out["policies"][name] = dataclasses.asdict(contrast(*pairs[name], name))
     emit_report(out, args.out)
     if args.out:
         print(f"wrote estimates to {args.out}")
@@ -184,9 +181,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    cfg = _load_scenario(args)
     table = run_replications(
-        args.scenario if args.scenario else cfg, policies=_names(args.policies), n=args.n,
+        args.scenario or _load_scenario(args), policies=_names(args.policies), n=args.n,
         reps=args.reps, horizon=args.horizon, seed=args.seed, n_mc=args.nmc,
         g_floor=args.g_floor, weight_cap=args.weight_cap,
         q_learner=_learner_from_args(args), workers=args.workers,
@@ -197,11 +193,8 @@ def cmd_replicate(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    if args.panel:
-        panel = read_panel_csv(args.panel)
-    else:
-        cfg = _load_scenario(args)
-        panel = simulate_trial(cfg, args.n, args.seed)
+    panel = (read_panel_csv(args.panel) if args.panel
+             else simulate_trial(_load_scenario(args), args.n, args.seed))
     emit_report(drop_in_trajectory(panel), args.out)
     print(f"wrote drop-in trajectory to {args.out}")
     return 0
@@ -226,8 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command")
 
     def add_scenario_opts(p):
-        p.add_argument("--scenario", help=f"preset name: {sorted(scenario_presets())}")
-        p.add_argument("--config", help="scenario JSON file")
+        """The one required source of the scenario (or, with --panel, its data)."""
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--scenario", help=f"preset name: {sorted(scenario_presets())}")
+        group.add_argument("--config", help="scenario JSON file")
+        return group
 
     def add_estimation_opts(p):
         p.add_argument("--policies", default=",".join(POLICY_NAMES))
@@ -273,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("trajectory", help="per-arm drop-in fractions by visit")
-    add_scenario_opts(p)
-    p.add_argument("--panel")
+    add_scenario_opts(p).add_argument("--panel")
     p.add_argument("--n", type=_at_least(1), default=9340)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)

@@ -560,15 +560,9 @@ def tmle_arm(gfit: GFit, policy: ArmPolicy | Sequence[ArmPolicy],
             den.release(l)
     results = [arm.failure if arm.failure is not None else _finish(arm, panel.n, horizon, den)
                for arm in arms]
-    return arm_estimate(results[0]) if single else results
-
-
-def arm_estimate(result) -> ArmEstimate:
-    """A result of ``tmle_arm``'s pass as an ArmEstimate, raising the
-    exception that failed the arm."""
-    if isinstance(result, Exception):
-        raise result
-    return result
+    if single and isinstance(results[0], Exception):
+        raise results[0]
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +586,15 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def contrast(active: ArmEstimate, control: ArmEstimate, policy: str = "") -> EstimateReport:
+def contrast(active: ArmEstimate | Exception, control: ArmEstimate | Exception,
+             policy: str = "") -> EstimateReport:
     """Risk difference between the hypothetical active and control arms, with
-    influence-curve variance when both arms are targeted."""
+    influence-curve variance when both arms are targeted.  Each arm is what
+    ``tmle_arm``'s pass returns for it: an ArmEstimate, or the exception that
+    failed the arm, which is raised (the active arm's first)."""
+    for arm in (active, control):
+        if isinstance(arm, Exception):
+            raise arm
     if active.horizon != control.horizon:
         raise ValueError("arms estimated at different horizons")
     psi = active.psi - control.psi

@@ -73,16 +73,9 @@ def _running_means(panel, treat_upto, a_last, z_last):
 
 
 def _running_avg_design(panel, treat_upto, cov_upto, a_last, z_last):
-    """Compact summary sufficient for running-average dynamics: the baseline
-    block at the first step, then recent values plus running means."""
+    """Compact summary sufficient for running-average dynamics after the
+    first step (treat_upto >= 1): recent values plus running means."""
     n = panel.n
-    if treat_upto == 0:
-        out = [np.ones(n)] + [panel.L0[:, j] for j in range(panel.d_baseline)]
-        out += [z_last, a_last]
-        if cov_upto >= 1:
-            lc = panel.l_at(cov_upto)
-            out += [lc[:, j] for j in range(lc.shape[1])]
-        return np.column_stack(out)
     abar, zbar, lbar = _running_means(panel, treat_upto, a_last, z_last)
     out = [np.ones(n), a_last, z_last, abar, zbar]
     lc = panel.l_at(cov_upto)
@@ -120,9 +113,10 @@ def history_design(
 
     a_last = _as_vec(sub_a, n) if sub_a is not None else panel.a_at(treat_upto).astype(float)
     z_last = _as_vec(sub_z, n) if sub_z is not None else panel.z_at(treat_upto).astype(float)
-    if features == "running_avg":
+    if features == "running_avg" and treat_upto >= 1:
         return _running_avg_design(panel, treat_upto, cov_upto, a_last, z_last)
 
+    # running_avg at the first step is ``main``: nothing is averaged yet
     cols = _history_columns(panel, treat_upto, cov_upto, a_last, z_last)
     if features == "saturated":
         vals = np.column_stack(cols)
@@ -135,7 +129,7 @@ def history_design(
         design[np.arange(n), codes] = 1.0
         return design
 
-    if features == "main":
+    if features in ("main", "running_avg"):
         return np.column_stack([np.ones(n)] + cols)
 
     # interactions

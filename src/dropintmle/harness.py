@@ -24,13 +24,14 @@ from functools import partial
 
 import numpy as np
 
-from .engine import EstimationError, arm_estimate, check_options, contrast, fit_g, tmle_arm
+from .engine import EstimationError, check_options, contrast, fit_g, tmle_arm
 from .features import check_learner
 from .interventions import (POLICY_NAMES, check_policy_names, fit_stochastic_gstar,
                             policy_arms, policy_pairs, policy_specs)
 from .panel import SettingError
 from .sim import (
     ScenarioConfig,
+    _check_paired_draws,
     _check_run,
     fit_reference_gstar,
     oracle_risk_differences,
@@ -144,22 +145,16 @@ def _replication_worker(cfg, policy_names, n, horizon, g_floor, weight_cap, q_le
     out = {}
     for name, pair in tmle.items():
         try:
-            e1, e0 = (arm_estimate(r) for r in pair)
-            if not (e1.diagnostics["fluct_converged"] and e0.diagnostics["fluct_converged"]):
+            rep = contrast(*pair, name)
+            arm1, arm0 = rep.diagnostics["arm1"], rep.diagnostics["arm0"]
+            if not (arm1["fluct_converged"] and arm0["fluct_converged"]):
                 raise EstimationError("fluctuation did not converge")
-            rep = contrast(e1, e0, name)
-            maxw = max(
-                max(r["max_weight"] for r in rep.diagnostics["weights1"]),
-                max(r["max_weight"] for r in rep.diagnostics["weights0"]),
-            )
-            mean_eic = max(abs(e1.mean_eic), abs(e0.mean_eic))
-            gpsi = None
-            if include_gcomp:
-                g1, g0 = (arm_estimate(r) for r in gcomp[name])
-                gpsi = g1.psi - g0.psi
-            out[name] = PolicyRun(psi=rep.psi, se=rep.se, ci_low=rep.ci_low,
-                                  ci_high=rep.ci_high, max_weight=maxw,
-                                  mean_eic=mean_eic, gcomp_psi=gpsi)
+            maxw = max(r["max_weight"]
+                       for r in rep.diagnostics["weights1"] + rep.diagnostics["weights0"])
+            out[name] = PolicyRun(
+                psi=rep.psi, se=rep.se, ci_low=rep.ci_low, ci_high=rep.ci_high,
+                max_weight=maxw, mean_eic=max(abs(arm1["mean_eic"]), abs(arm0["mean_eic"])),
+                gcomp_psi=contrast(*gcomp[name]).psi if include_gcomp else None)
         except Exception as exc:
             out[name] = PolicyRun(failure=f"{type(exc).__name__}: {exc}")
     return out
@@ -186,14 +181,15 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
     ``q_learner`` fits the outcome regressions; the nuisance mechanisms use the
     default learner.  ``truths`` can be supplied to skip the oracle pass (e.g.
     reusing truths across runs); otherwise they are computed at ``n_mc`` draws.
-    The scenario, ``n``, horizon, ``reps``, g floor, weight cap, learner,
-    policies and worker count are checked first: a bad one raises
+    The scenario, ``n``, horizon, ``n_mc``, ``reps``, g floor, weight cap,
+    learner, policies and worker count are checked first: a bad one raises
     SettingError before the truths are computed.
     """
     cfg = resolve_scenario(scenario)
     name = scenario if isinstance(scenario, str) else "custom"
     horizon = cfg.n_visits if horizon is None else horizon
     _check_run(cfg, n, horizon)
+    _check_paired_draws(n_mc)
     if reps < 1:
         raise SettingError("reps must be >= 1")
     check_options(g_floor, weight_cap)

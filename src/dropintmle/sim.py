@@ -156,6 +156,12 @@ def _check_run(config: ScenarioConfig, n: int, horizon: int) -> None:
     check_horizon(horizon, config.n_visits, "scenario")
 
 
+def _check_paired_draws(n_mc: int) -> None:
+    if n_mc < 2:
+        raise SettingError(f"n_mc = {n_mc}: a paired contrast needs at least 2 draws "
+                           "for its Monte-Carlo SE")
+
+
 def _simulate(config: ScenarioConfig, draw, rows: slice, horizon: int,
               a_value: int | None = None,
               z_spec: InterventionSpec | None = None,
@@ -299,9 +305,7 @@ def oracle_risk_differences(config: ScenarioConfig, specs: dict[str, Interventio
     hypothetical arms reuse the same randomness, so the Monte-Carlo error of
     each difference reflects the paired design.  Its SE needs n_mc >= 2."""
     _check_run(config, n_mc, horizon)
-    if n_mc < 2:
-        raise SettingError(f"n_mc = {n_mc}: a paired contrast needs at least 2 draws "
-                         "for its Monte-Carlo SE")
+    _check_paired_draws(n_mc)
     ys = policy_pairs(specs, _arm_outcomes(config, policy_arms(specs), horizon, n_mc, seed))
     out = {}
     for name, (y1, y0) in ys.items():
@@ -329,14 +333,17 @@ def drop_in_trajectory(panel: TrialPanel) -> dict:
     """Per-arm fraction of at-risk subjects on concomitant treatment, by visit.
 
     Covers visits 0..K-1 (the final visit carries no treatment decision).
-    Visits with an empty at-risk set yield NaN.
+    Visit k counts the subjects still under observation after its status
+    block (``at_risk_mask(panel, k + 1)``), the rows ``fit_g`` fits Z_k on:
+    one absorbed at visit k carries Z_k forward.  Visits with an empty
+    at-risk set yield NaN.
     """
-    K, n = panel.K, panel.n
+    K = panel.K
     out = {"visit": np.arange(K), "arm0": np.full(K, np.nan),
            "arm1": np.full(K, np.nan), "n_at_risk0": np.zeros(K, dtype=int),
            "n_at_risk1": np.zeros(K, dtype=int)}
     for k in range(K):
-        risk = np.ones(n, dtype=bool) if k == 0 else at_risk_mask(panel, k)
+        risk = at_risk_mask(panel, k + 1)
         z = panel.z_at(k)
         for arm in (0, 1):
             mask = risk & (panel.A0 == arm)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -253,6 +254,36 @@ def test_bad_scenario_config_is_data_error(tmp_path, capsys, text, named):
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {cfg}: ") and named in err
     assert not out.exists()
+
+
+SOURCE_COMMANDS = {
+    "simulate": ["simulate", "--n", "50"],
+    "oracle": ["oracle", "--policy", "static_a0_z0", "--nmc", "50"],
+    "replicate": ["replicate", "--policies", "static0", "--n", "50", "--reps", "1",
+                  "--nmc", "50", "--workers", "1"],
+    "trajectory": ["trajectory", "--n", "50"],
+}
+
+
+@pytest.mark.parametrize("command", SOURCE_COMMANDS)
+def test_one_scenario_source_per_command(tmp_path, capsys, command):
+    # a command reads its scenario (trajectory: or its panel) from exactly
+    # one source: two, or none, is a usage error before any work
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c_z0": -1.5, "c_z": -2.5, "p_z": 1.0, "p_zy": 1.0,
+                               "n_visits": 3}))
+    sources = [["--scenario", "scenario1"], ["--config", str(cfg)]]
+    if command == "trajectory":
+        panel = tmp_path / "panel.csv"
+        write_panel_csv(simulate_trial(scenario_presets()["scenario1"], 50, 1), panel)
+        sources.append(["--panel", str(panel)])
+    out = tmp_path / "out"
+    for given in [a + b for a, b in combinations(sources, 2)] + [[]]:
+        assert run(SOURCE_COMMANDS[command] + given + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert ("not allowed with argument" in err if given
+                else "one of the arguments" in err and "is required" in err)
+        assert not out.exists()
 
 
 def test_truncated_request_is_usage_error(tmp_path, capsys):

@@ -693,6 +693,21 @@ def test_contrast_ci_formula(scenario1_panel):
     assert rep.ci_high == pytest.approx(rep.psi + 1.96 * se, abs=1e-12)
 
 
+def test_contrast_raises_a_failed_arm_active_first(scenario1_panel):
+    # an arm is what the pass returns for it: an estimate, or the exception
+    # that failed it, which the contrast raises, the active arm's first
+    gfit = fit_g(scenario1_panel)
+    e1, e0 = tmle_arm(gfit, list(arm_pair(static_z(0))), horizon=2)
+    active, control = FloatingPointError("active failed"), ValueError("control failed")
+    with pytest.raises(FloatingPointError, match="active failed"):
+        contrast(active, e0, "static0")
+    with pytest.raises(ValueError, match="control failed"):
+        contrast(e1, control, "static0")
+    with pytest.raises(FloatingPointError, match="active failed"):
+        contrast(active, control, "static0")
+    assert contrast(e1, e0, "static0").psi == e1.psi - e0.psi
+
+
 def test_super_learner_selects_informative_map_across_seeds():
     # the outcome process is driven by running-average dynamics, so the
     # informative map beats intercept-only in nearly every replication when

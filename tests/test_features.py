@@ -29,6 +29,18 @@ def test_substitution_with_vector(scenario1_panel):
     assert np.allclose(X[:, 2], p.Z0)
 
 
+@pytest.mark.parametrize("cov_upto", [0, 1])
+@pytest.mark.parametrize("sub", [{}, {"sub_a": 1.0, "sub_z": 0.0}], ids=["observed", "substituted"])
+def test_running_avg_first_step_is_main(scenario1_panel, cov_upto, sub):
+    # nothing is averaged before the first step: the running-average design
+    # is the main design, column for column
+    p = scenario1_panel
+    X = history_design(p, "running_avg", treat_upto=0, cov_upto=cov_upto, **sub)
+    main = history_design(p, "main", treat_upto=0, cov_upto=cov_upto, **sub)
+    assert np.array_equal(X, main)
+    assert X.shape[1] == 1 + p.d_baseline + 2 + cov_upto * p.L.shape[2]
+
+
 def test_baseline_step_design_matches_raw_columns(scenario1_panel):
     p = scenario1_panel
     X = history_design(p, "running_avg", treat_upto=0)

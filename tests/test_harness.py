@@ -78,8 +78,9 @@ def test_horizon_outside_scenario_rejected(horizon):
     ({"n": 0}, "need at least one subject"), ({"n": -3}, "need at least one subject"),
     ({"q_learner": "bogus"}, r"bogus.*running_avg"),
     ({"q_learner": []}, r"no learner.*running_avg"),
+    ({"n_mc": 1}, "n_mc = 1"),
 ], ids=["cap-1", "capnan", "floor0.7", "no-policies", "workers0", "workers-2", "n0", "n-3",
-        "learner-bogus", "learner-empty"])
+        "learner-bogus", "learner-empty", "nmc1"])
 def test_bad_setting_rejected_before_truths(monkeypatch, kwargs, match):
     def no_truths(*args, **kw):
         raise AssertionError("truths computed before the settings were checked")

@@ -435,7 +435,7 @@ def test_stop_rule_stays_within_the_stated_bound_of_the_parent_loop(
 
 def _pass_outputs(panel, learner, n_folds):
     """``_policy_outputs`` from one pass over every arm, targeted and not."""
-    from dropintmle.engine import arm_estimate, contrast, fit_g, tmle_arm
+    from dropintmle.engine import contrast, fit_g, tmle_arm
     from dropintmle.interventions import (POLICY_NAMES, fit_stochastic_gstar, policy_arms,
                                           policy_specs)
 
@@ -446,9 +446,8 @@ def _pass_outputs(panel, learner, n_folds):
                    for t in (True, False))
     rows = []
     for name, pair, gpair in zip(specs, zip(tmle, tmle), zip(gcomp, gcomp)):
-        rep = contrast(*(arm_estimate(r) for r in pair), name)
-        g1, g0 = (arm_estimate(r) for r in gpair)
-        rows.append((rep.psi, rep.se, g1.psi - g0.psi))
+        rep = contrast(*pair, name)
+        rows.append((rep.psi, rep.se, contrast(*gpair).psi))
     return np.array(rows)
 
 

@@ -11,7 +11,7 @@ from dropintmle.interventions import (
     policy_specs,
     static_z,
 )
-from dropintmle.panel import at_risk_mask, validate_panel
+from dropintmle.panel import at_risk_mask, make_panel, validate_panel
 from dropintmle.sim import (
     OracleContrast,
     ScenarioConfig,
@@ -262,6 +262,24 @@ def test_dropin_trajectory_shape_and_ordering():
         assert np.all((tr[arm] >= 0) & (tr[arm] <= 1))
     # placebo arm accumulates more drop-in from the second visit on
     assert np.all(tr["arm0"][2:] > tr["arm1"][2:])
+
+
+def test_dropin_trajectory_skips_subjects_absorbed_at_the_visit():
+    # control subjects: 0 has its event at visit 1 and carries Z_1 = Z_2 = 1
+    # forward; 1 and 2 stay under observation; 3 dies at visit 2 and carries
+    # Z_2 = 1.  Subject 4 is treated.  At visit k only subjects still under
+    # observation after visit k's status block make a treatment decision.
+    Y = [[1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]
+    D = [[0, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 0]]
+    Z = [[1, 0, 1, 1, 0], [1, 0, 1, 1, 0]]
+    panel = make_panel(np.zeros((5, 1)), [1, 0, 0, 0, 0], [0, 0, 0, 0, 1], Y, D,
+                       np.zeros((3, 5)), L=np.zeros((2, 5)), A=[[0, 0, 0, 0, 1]] * 2, Z=Z)
+    validate_panel(panel)
+    tr = drop_in_trajectory(panel)
+    assert tr["n_at_risk0"].tolist() == [4, 3, 2]
+    assert tr["arm0"].tolist() == [0.25, 2 / 3, 0.5]
+    assert tr["n_at_risk1"].tolist() == [1, 1, 1]
+    assert tr["arm1"].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_dropin_trajectory_all_zero_panel():
