@@ -12,9 +12,10 @@ scratch directory; the standard output of command i is kept as
 script exits 1 naming every file that differs (or exists on one side only),
 or the command that failed and its side, and 0 with the file count when
 every output is byte-identical.  Each differing file is named with its
-largest absolute numeric drift when the two texts differ only in their
-numbers and SHA-256 digests (so rounding noise can be told from a real
-change), and with "structure differs" otherwise.
+largest absolute numeric drift, its line and the text just before the
+number, when the two texts differ only in their numbers and SHA-256 digests
+(so rounding noise can be told from a real change, and a drift in a solved
+score from one in an estimate), and with "structure differs" otherwise.
 """
 
 from __future__ import annotations
@@ -303,29 +304,51 @@ NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 DIGEST = re.compile(r"(?<!\w)[0-9a-f]{64}(?!\w)")
 
 
-def numeric_drift(base: str, change: str) -> float | None:
+def numeric_drift(base: str, change: str) -> tuple[float, int, str] | None:
     """The largest absolute difference between corresponding numbers of two
     texts whose other text is identical once SHA-256 digests are masked (0
-    for equal spellings, inf where a non-finite value changed); None when
-    the other text differs.  A digest is read through the numbers printed
-    beside it."""
+    for equal spellings, inf where a non-finite value changed), with where
+    it is first found: the line number and the line's text before the
+    number, in the change text (0 and "" when no number differs).  None
+    when the other text differs.  A digest is read through the numbers
+    printed beside it."""
     base, change = DIGEST.sub("<digest>", base), DIGEST.sub("<digest>", change)
     if NUMBER.sub("#", base) != NUMBER.sub("#", change):
         return None
-    drift = 0.0
-    for a, b in zip(NUMBER.findall(base), NUMBER.findall(change)):
-        if a != b:
-            d = abs(float(a) - float(b))
-            drift = max(drift, d if math.isfinite(d) else math.inf)
-    return drift
+    drift, at = 0.0, None
+    for a, b in zip(NUMBER.findall(base), NUMBER.finditer(change)):
+        if a != b.group():
+            d = abs(float(a) - float(b.group()))
+            d = d if math.isfinite(d) else math.inf
+            if at is None or d > drift:
+                drift, at = d, b.start()
+    if at is None:
+        return drift, 0, ""
+    start = change.rfind("\n", 0, at) + 1
+    return drift, change.count("\n", 0, at) + 1, change[start:at]
+
+
+#: characters of a line kept before the number that drifts most
+CONTEXT = 60
 
 
 def drift_note(base: Path, change: Path) -> str:
-    """How two versions of one output file differ, as printed by ``main``."""
+    """How two versions of one output file differ, as printed by ``main``:
+    the largest numeric drift with its line and the text just before it
+    on that line (its last CONTEXT characters), so that a drift in a solved
+    score can be told from one in an estimate."""
     if not (base.is_file() and change.is_file()):
         return "structure differs"
-    drift = numeric_drift(base.read_text(errors="replace"), change.read_text(errors="replace"))
-    return "structure differs" if drift is None else f"max numeric drift {drift:.3g}"
+    site = numeric_drift(base.read_text(errors="replace"), change.read_text(errors="replace"))
+    if site is None:
+        return "structure differs"
+    drift, line, before = site
+    note = f"max numeric drift {drift:.3g}"
+    if line:
+        note += f" at line {line}"
+    if before.strip():
+        note += f' after "{before[-CONTEXT:].lstrip()}"'
+    return note
 
 
 def main(argv=None) -> int:

@@ -51,6 +51,9 @@ from .sim import (
 )
 
 
+#: the default size (the 9340 subjects of LEADER) and seed of a command that simulates
+TRIAL_N, SEED = 9340, 1
+
 #: the oracle's ``--policy`` spellings: each names one arm, as (policy, a)
 ORACLE_ARMS = {**{f"static_a{a}_z{z}": (f"static{z}", a) for a in (0, 1) for z in (0, 1)},
                **{f"{name}_a{a}": (name, a) for name in ("dynamic", "stochastic", "ignore")
@@ -129,10 +132,11 @@ def cmd_simulate(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _load_scenario(args)
     zname, arm = ORACLE_ARMS[args.policy]
-    check_horizon(args.horizon, cfg.n_visits, "scenario")
+    horizon = cfg.n_visits if args.horizon is None else args.horizon
+    check_horizon(horizon, cfg.n_visits, "scenario")
     specs = policy_specs([zname], lambda: fit_reference_gstar(cfg, args.nfit, args.seed))
     policy = ArmPolicy(a_value=arm, z_spec=specs[zname])
-    res = simulate_counterfactual_mean(cfg, policy, args.horizon, args.nmc, args.seed)
+    res = simulate_counterfactual_mean(cfg, policy, horizon, args.nmc, args.seed)
     payload = {"arm": arm, "policy": zname, "horizon": res.horizon,
                "n_mc": res.n_mc, "risk": res.risk, "mc_se": res.mc_se}
     emit_report(payload, args.out)
@@ -193,8 +197,16 @@ def cmd_replicate(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    panel = (read_panel_csv(args.panel) if args.panel
-             else simulate_trial(_load_scenario(args), args.n, args.seed))
+    if args.panel:
+        given = [opt for opt, value in (("--n", args.n), ("--seed", args.seed))
+                 if value is not None]
+        if given:
+            raise SettingError(f"{' and '.join(given)}: only for a simulated panel, "
+                               "not with --panel")
+        panel = read_panel_csv(args.panel)
+    else:
+        panel = simulate_trial(_load_scenario(args), TRIAL_N if args.n is None else args.n,
+                               SEED if args.seed is None else args.seed)
     emit_report(drop_in_trajectory(panel), args.out)
     print(f"wrote drop-in trajectory to {args.out}")
     return 0
@@ -232,23 +244,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weight-cap", dest="weight_cap", type=float)
         p.add_argument("--learner", help="feature map, or comma list for the "
                                          "discrete super learner")
-        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--seed", type=int, default=SEED)
 
     p = sub.add_parser("simulate", help="simulate an observed-data panel")
     add_scenario_opts(p)
-    p.add_argument("--n", type=_at_least(1), default=9340)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--n", type=_at_least(1), default=TRIAL_N)
+    p.add_argument("--seed", type=int, default=SEED)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("oracle", help="ground-truth risk for one hypothetical arm")
     add_scenario_opts(p)
     p.add_argument("--policy", required=True, choices=ORACLE_ARMS, metavar="POLICY",
                    help=f"one arm: {', '.join(ORACLE_ARMS)}")
-    p.add_argument("--horizon", type=int, default=5)
+    p.add_argument("--horizon", type=int, help="visit of the risk (default: the scenario's K)")
     p.add_argument("--nmc", type=_at_least(1), default=1_000_000)
     p.add_argument("--nfit", type=_at_least(1), default=1_000_000,
                    help="panel size for fitting the stochastic reference law")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=SEED)
     p.add_argument("--out")
 
     p = sub.add_parser("estimate", help="estimate policies on a panel CSV")
@@ -261,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replicate", help="replication study for a scenario")
     add_scenario_opts(p)
     add_estimation_opts(p)
-    p.add_argument("--n", type=_at_least(1), default=9340)
+    p.add_argument("--n", type=_at_least(1), default=TRIAL_N)
     p.add_argument("--reps", type=_at_least(1), default=500)
     p.add_argument("--nmc", type=_at_least(2), default=1_000_000)
     p.add_argument("--workers", type=_at_least(1))
@@ -270,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectory", help="per-arm drop-in fractions by visit")
     add_scenario_opts(p).add_argument("--panel")
-    p.add_argument("--n", type=_at_least(1), default=9340)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--n", type=_at_least(1),
+                   help=f"subjects to simulate (default {TRIAL_N}; not with --panel)")
+    p.add_argument("--seed", type=int, help=f"simulation seed (default {SEED}; not with --panel)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ingest", help="discretize long event records onto a grid")

@@ -7,8 +7,9 @@ visits.  At step l the current pseudo-outcome (the marginalized continuation
 value from step l+1, or the observed horizon status at the top) is regressed
 on the history through visit l-1 among subjects still under observation; the
 fit is then fluctuated on the logit scale in a weighted intercept-only update
-whose weights are cumulative interventional-to-observed density ratios
-("clever weights"); finally the targeted fit is averaged over the visit-(l-1)
+of its linear predictor (logit Q + eps, the predictor clipped to the logit of
+[1e-6, 1 - 1e-6]) whose weights are cumulative interventional-to-observed
+density ratios ("clever weights"); finally the targeted fit is averaged over the visit-(l-1)
 treatment pair under the arm's interventional laws -- an exact 2x2 finite sum
 since both nodes are binary.  Event and death indicators splice the
 recursion: a prior event pins the value at 1, a prior death at 0, and dead
@@ -17,16 +18,20 @@ semantics).  The run ends with the plug-in mean over baseline covariates,
 per-subject influence-curve values, and the solved-score check.
 
 ``tmle_arm`` runs every arm it is given in one pass over the panel its
-``GFit`` was fitted on, step by step.  At each step the regression rows and
-design are built once and every arm fits its own pseudo-outcome on them,
-each fit starting from the previous arm's converged fit on the same rows and
-columns (arms are passed in policy order, active before control).  Arms
-that share one pseudo-outcome share its fit: at the horizon every arm's is
-the observed Y_K, so the horizon regression is fitted once per pass, cold.
-The design is then freed, and each distinct
+``GFit`` was fitted on, step by step.  At each step the regression rows are
+found and each library member's design is built and prepared for IRLS once
+(with its CV fold ids and each fold's column groups, under the super
+learner), and every arm fits its own pseudo-outcome on them, each fit
+starting from the previous arm's converged
+fit on the same rows and columns (arms are passed in policy order, active
+before control).  Arms that share one pseudo-outcome share its fit: at the
+horizon every arm's is the observed Y_K, so the horizon regression is fitted
+once per pass, cold.  The designs are then freed, and each distinct
 substituted (a, z) design is built once for the arms that marginalize over
-it.  The weight denominators are computed once per pass, and an arm's
-clever weight is formed at its step, so no arm holds its whole weight path.
+it.  The weight denominators are computed once per pass.  A policy's two
+arms form their clever weights together at their step, after the first
+arm's fit, so that the law's factors are formed once for both; no arm holds
+its whole weight path.
 The warm starts make an arm's numbers depend, below 1e-9, on the arms fitted
 before it; without them (or for one arm) each arm's numbers are those of a
 pass over that arm alone.
@@ -39,6 +44,7 @@ this coincides with the lagged product.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -48,14 +54,15 @@ import numpy as np
 from .features import check_learner, history_design, mechanism_design
 from .interventions import USE_OBSERVED_G, ArmPolicy, gstar_prob1, panel_history
 from .learners import (
+    LOGIT_CLIP,
     FittedModel,
-    clip_probs,
     expit,
     fit_binary_glm,
     fit_constant,
     fit_discrete_super_learner,
     fit_intercept_fluctuation,
-    logit,
+    fitted_prob,
+    prepare_design,
     remember,
 )
 from .panel import SettingError, TrialPanel, at_risk_mask, check_horizon, validate_panel
@@ -253,25 +260,41 @@ class _Denominators:
         return {key: self.floored[key] for key in keys if self.floored.get(key)}
 
 
-def _clever_weight(den: _Denominators, policy: ArmPolicy, l: int, weight_cap=None):
-    """One arm's clever weight at step l, for every subject:
+def _clever_weights(den: _Denominators, policies, l: int, weight_cap=None) -> list:
+    """The clever weights at step l, for every subject, of arms that share
+    one concomitant law (a policy's two arms), in the order of ``policies``:
 
     H_l = 1{at risk at l} * prod_{j<l} g*_{A_j,Z_j}(obs) / g_{A_j,Z_j}(obs)
         * prod_{m<=l} 1{C_m=0} / g_C_m(0|.),
 
     truncated at ``weight_cap``.  The visit-l at-risk rows are the ones the
     treatment node l-1 and the censoring node l are used on; absorbed rows
-    are cut off by the same mask."""
+    are cut off by the same mask.  The law's factor g*_{Z_j}(obs) is formed
+    once per visit for all the arms; each arm's product is multiplied in the
+    order of a weight formed alone."""
     panel = den.panel
-    cum_treat = 1.0
+    spec = policies[0].z_spec
+    cum_treat = [None] * len(policies)
     for j in range(l):
-        treat = (panel.a_at(j) == policy.a_value) / den.g("A", j)
-        p1 = gstar_prob1(policy.z_spec, j, *panel_history(panel, j))
-        if p1 is not USE_OBSERVED_G:
-            treat = treat * np.where(panel.z_at(j) == 1, p1, 1.0 - p1) / den.g("Z", j)
-        cum_treat = cum_treat * treat
-    h = den.used(l) * cum_treat * den.censoring(l)
-    return h if weight_cap is None else np.minimum(h, weight_cap)
+        p1 = gstar_prob1(spec, j, *panel_history(panel, j))
+        factor = None if p1 is USE_OBSERVED_G else np.where(panel.z_at(j) == 1, p1, 1.0 - p1)
+        del p1
+        for i, policy in enumerate(policies):
+            treat = np.divide(panel.a_at(j) == policy.a_value, den.g("A", j))
+            if factor is not None:
+                treat *= factor
+                treat /= den.g("Z", j)
+            if cum_treat[i] is None:   # 1.0 * treat, exactly
+                cum_treat[i] = treat
+            else:
+                cum_treat[i] *= treat
+        del factor, treat
+    for h in cum_treat:      # h = 1{at risk} * cum_treat * cens, in place
+        np.multiply(den.used(l), h, out=h)
+        h *= den.censoring(l)
+        if weight_cap is not None:
+            np.minimum(h, weight_cap, out=h)
+    return cum_treat
 
 
 def _check_arms(policies) -> None:
@@ -283,26 +306,35 @@ def _check_arms(policies) -> None:
 
 def clever_weight_path(gfit: GFit, policy: ArmPolicy, horizon: int, weight_cap=None):
     """Clever weights on ``gfit``'s panel for steps 1..horizon, shape (horizon, n)
-    (see ``_clever_weight``), and the number of used probabilities that hit
+    (see ``_clever_weights``), and the number of used probabilities that hit
     the g floor, per node (e.g. ``"Z1"``).  ``a_value`` must be 0 or 1."""
     _check_arms([policy])
     den = _Denominators(gfit)
-    H = np.array([_clever_weight(den, policy, l, weight_cap)
+    H = np.array([_clever_weights(den, [policy], l, weight_cap)[0]
                   for l in range(1, horizon + 1)])
     return H, den.floored_counts(policy, horizon)
 
 
 def _weight_row(l, h, threshold=50.0):
     """Visit l's weight-tail summary: max, 99th percentile, share above the
-    near-violation threshold among positive weights."""
-    pos = h[h > 0]
-    return {
-        "visit": l,
-        "max_weight": float(pos.max()) if pos.size else 0.0,
-        "p99_weight": float(np.percentile(pos, 99)) if pos.size else 0.0,
-        "frac_above": float(np.mean(pos > threshold)) if pos.size else 0.0,
-        "n_positive": int(pos.size),
-    }
+    near-violation threshold among positive weights.  The percentile is
+    ``np.percentile``'s (linear interpolation), bit for bit, from the one
+    partition that also places the max."""
+    pos = h.take(np.flatnonzero(h > 0))     # by index: zeros are scattered
+    m = pos.size
+    max_w = p99 = frac = 0.0
+    if m:
+        at = (m - 1) * 0.99                 # np.percentile's index of the 99th percentile
+        below = math.floor(at)
+        above = min(below + 1, m - 1)
+        part = np.partition(pos, sorted({below, above, m - 1}))
+        a, b, t = part[below], part[above], at - below
+        diff = b - a                        # np.percentile's interpolation
+        p99 = float(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
+        max_w = float(part[m - 1])
+        frac = float(np.count_nonzero(pos > threshold) / m)
+    return {"visit": l, "max_weight": max_w, "p99_weight": p99, "frac_above": frac,
+            "n_positive": int(m)}
 
 
 def support_diagnostics(gfit, policy, horizon=None, threshold=50.0, weight_cap=None):
@@ -364,24 +396,50 @@ class _Arm:
     weights: list = field(default_factory=list)
 
 
+def _policy_run(arms, i: int) -> list:
+    """Arm i and the targeted arms right after it that share its concomitant
+    law (a policy's control arm after its active one), not failed."""
+    run = [arms[i]]
+    for arm in arms[i + 1:]:
+        if arm.eic is None or arm.failure is not None or \
+                arm.policy.z_spec is not arms[i].policy.z_spec:
+            break
+        run.append(arm)
+    return run
+
+
+def _fitted(arm: _Arm, eta: np.ndarray) -> np.ndarray:
+    """The arm's step fit at linear predictor ``eta`` (overwritten): its
+    fluctuation expit(eta + eps) with eta within LOGIT_CLIP, else the fit's
+    prediction."""
+    if not arm.fluctuate:
+        return fitted_prob(eta)
+    np.clip(eta, *LOGIT_CLIP, out=eta)
+    eta += arm.eps
+    return expit(eta, out=eta)
+
+
 def _fit_arms(arms, panel, l, den, learner, seed, n_folds, weight_cap):
-    """Step l of every arm: its outcome regression on the step's shared design,
-    fitted once per pseudo-outcome (so once at the horizon) and warm-started
-    from the previous arm of its kind (targeted or not); a targeted arm's
-    fluctuation weighted by its clever weight, its influence-curve term and score."""
+    """Step l of every arm: its outcome regression on the step's shared
+    designs, each prepared once (see ``Design``), fitted once per
+    pseudo-outcome (so once at the horizon) and warm-started from the
+    previous arm of its kind (targeted or not); a targeted arm's fluctuation
+    of the fit's linear predictor, weighted by its clever weight, its
+    influence-curve term and score.  The clever weights of a policy's arms
+    are formed together, after the first one's fit."""
     n = panel.n
     rows = at_risk_mask(panel, l) & (panel.c_at(l) == 0)    # at risk and uncensored at l
     if not rows.any():
         raise EstimationError(f"empty at-risk set at step {l}")
     count = int(rows.sum())
-    designs, fits, starts = {}, {}, {}
+    designs, fits, starts, pending = {}, {}, {}, {}    # pending: id(arm) -> its weight
 
     def design(name):
         if name not in designs:
-            designs[name] = history_design(panel, name, treat_upto=l - 1)[rows]
+            designs[name] = prepare_design(history_design(panel, name, treat_upto=l - 1)[rows])
         return designs[name]
 
-    for arm in arms:
+    for i, arm in enumerate(arms):
         try:
             y, key = arm.pseudo[rows], id(arm.pseudo)
             if key not in fits:
@@ -393,27 +451,33 @@ def _fit_arms(arms, panel, l, den, learner, seed, n_folds, weight_cap):
             if isinstance(fits[key], Exception):
                 raise fits[key]
             arm.model, arm.features = fits[key]
-            # formed after the fit, so as not to be held during it
-            h = None if arm.eic is None else _clever_weight(den, arm.policy, l, weight_cap)
-            if arm.model.constant is not None:
-                preds = np.full(count, arm.model.constant)
-            else:
-                preds = arm.model.predict(design(arm.features))
-
+            h = None      # the clever weight on the step's rows
+            if arm.eic is not None:
+                # formed after the policy's first fit, so that only the
+                # second arm's weight is held during a fit
+                if id(arm) not in pending:
+                    run = _policy_run(arms, i)
+                    pending.update(zip(map(id, run), _clever_weights(
+                        den, [a.policy for a in run], l, weight_cap)))
+                h = pending.pop(id(arm))
+                row, h = _weight_row(l, h), h[rows]
             # a degenerate response is fitted exactly: its weighted score
             # already vanishes and the update is a no-op
             arm.fluctuate = h is not None and arm.model.constant is None
             arm.eps, ok, score = 0.0, True, 0.0
-            if arm.fluctuate:
-                offset = logit(clip_probs(preds))
-                arm.eps, ok = fit_intercept_fluctuation(y, offset, h[rows])
-                offset += arm.eps
-                preds = expit(offset, out=offset)
+            if arm.model.constant is not None:
+                preds = np.full(count, arm.model.constant)
+            else:
+                eta = arm.model.linear_predictor(design(arm.features))
+                if arm.fluctuate:
+                    np.clip(eta, *LOGIT_CLIP, out=eta)
+                    arm.eps, ok = fit_intercept_fluctuation(y, eta, h)
+                preds = _fitted(arm, eta)
             if h is not None:
-                term = (y - preds) * h[rows]
+                term = (y - preds) * h
                 score = float(np.sum(term) / n)
                 arm.eic[rows] += term
-                arm.weights.append(_weight_row(l, h))
+                arm.weights.append(row)
             arm.steps.append((arm.eps, ok, score, count))
         except Exception as exc:  # fails this arm alone
             arm.failure = exc
@@ -424,7 +488,7 @@ def _marginalize(arms, panel, l):
     averaged over the visit-(l-1) treatment pair under the arm's laws,
     splicing prior events (value 1) and prior deaths (value 0).  Each
     distinct substituted design is built once and read by every arm that
-    needs it."""
+    needs it, and each fit's linear predictor on it once."""
     n, j = panel.n, l - 1
     options, uses = {}, {}
     for arm in arms:
@@ -450,24 +514,22 @@ def _marginalize(arms, panel, l):
             for arm, _ in users:
                 arm.failure = exc
             continue
-        preds = {}       # per model: arms that share a fit (at the horizon) share it
+        etas = {}       # per model: arms that share a fit (at the horizon) share it
         for arm, z_w in users:
             if arm.failure is not None:
                 continue
             try:
                 model = arm.model
-                if id(model) not in preds:
-                    preds[id(model)] = (np.full(n, model.constant) if design is None
-                                        else model.predict(design))
-                p = preds[id(model)]
-                if arm.fluctuate:
-                    p = logit(clip_probs(p))
-                    p += arm.eps
-                    expit(p, out=p)
+                if design is None:
+                    p = np.full(n, model.constant)
+                else:
+                    if id(model) not in etas:
+                        etas[id(model)] = model.linear_predictor(design)
+                    p = _fitted(arm, etas[id(model)].copy())
                 arm.pseudo += z_w * p
             except Exception as exc:
                 arm.failure = exc
-        del design, preds
+        del design, etas
 
     if j >= 1:
         y_prev = panel.y_at(j).astype(bool)
@@ -523,10 +585,12 @@ def tmle_arm(gfit: GFit, policy: ArmPolicy | Sequence[ArmPolicy],
     discrete super learner) and fold seed ``seed + l``.
 
     Every arm runs in one pass backwards over the steps: each step's design
-    and each distinct substituted design are built once for all arms, the
-    horizon step (every arm's pseudo-outcome there is Y_K) is fitted once,
-    the weight denominators once per pass, and each lower step's fit starts
-    from the previous arm's fit on the same rows and columns.  One arm gives
+    (prepared for IRLS, with its CV folds' ids and column groups) and each
+    distinct substituted design are built once for all arms, the horizon
+    step (every arm's pseudo-outcome there is Y_K) is fitted once, the
+    weight denominators once per pass and a policy's interventional factors
+    once per step for both its arms, and each lower step's fit starts from
+    the previous arm's fit on the same rows and columns.  One arm gives
     its ArmEstimate (or raises); a sequence gives a list holding each arm's
     ArmEstimate or the exception that failed that arm alone.  A bad setting
     raises before the pass: an unknown learner, a horizon outside 1..K or a

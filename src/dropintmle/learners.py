@@ -9,13 +9,18 @@ fitted as one, with an equal share to each member; a small ridge jitter on
 the normal equations keeps late-follow-up fits stable when the remaining
 columns nearly collide.  A fit works on one transposed copy of the distinct
 columns and forms the weighted Gram over row blocks, so its only other
-design-sized scratch is one block.  The loop stops once the deviance has
-settled and the score vanishes, so a fit that runs to ``max_iter`` has not
-converged.  A fit may start from a nearby fit's coefficients (``start``),
+design-sized scratch is one block.  That copy and the column groups are a
+``Design``, prepared once and shared by every fit on the same rows (the
+arms of one estimation step); a matrix given to a fit is prepared on the
+spot.  The super learner prepares each member's design once, keeps on it
+its fold ids and each fold's column groups, and gathers each fold's rows
+from it when it fits.  The loop stops once the deviance has settled and the
+score vanishes, so a fit that runs to ``max_iter`` has not converged.  A fit may start from a nearby fit's coefficients (``start``),
 which is kept only when its deviance is no worse than the zero start's; a
 large fit without one starts from a fit on a subsample of its rows, under
 the same rule.  The targeting step, a weighted intercept-only fluctuation
-with an offset, has its own one-dimensional solver.  Both solvers refuse
+with an offset (a fit's linear predictor within LOGIT_CLIP), has its own
+one-dimensional solver.  Both solvers refuse
 non-finite input.  A discrete (selector) super learner picks among candidate
 design matrices by V-fold cross-validated quasi-binomial loss.  A learner is
 the name of its feature map (see features.py), and a library is a list of
@@ -36,6 +41,7 @@ DEV_TOL = 1e-10       # relative deviance change at which an IRLS fit has settle
 RIDGE = 1e-8          # jitter on the diagonal of the IRLS normal equations
 EPS_TOL = 1e-10       # step tolerance for the one-dimensional fluctuation
 FLUCT_MAX_ITER = 100  # Newton/bisection steps of the one-dimensional fluctuation
+SIGN_MARGIN = 1e-8    # relative bound margin that decides the sign of a fluctuation score
 _BLOCK = 1 << 14            # rows per block of the IRLS weighted Gram
 _SUBSAMPLE_FROM = 1 << 15   # rows from which a cold IRLS fit starts from a subsample fit
 _SUBSAMPLE = 1 << 13        # that subsample is every (n // _SUBSAMPLE)-th row
@@ -89,6 +95,10 @@ def logit(p, out=None):
     return out[()] if scalar else out
 
 
+#: the logit of [PROB_CLIP, 1 - PROB_CLIP]: a fluctuation's offset range
+LOGIT_CLIP = (float(logit(PROB_CLIP)), float(logit(1.0 - PROB_CLIP)))
+
+
 @dataclass
 class FittedModel:
     """A fitted logit-link model: predictions are expit(X @ coef).
@@ -103,14 +113,23 @@ class FittedModel:
     n_iter: int = 0
     constant: float | None = None
 
-    def predict(self, design: np.ndarray) -> np.ndarray:
+    def linear_predictor(self, design) -> np.ndarray:
+        """X @ coef, a new array; ``design`` is a matrix or a ``Design``."""
+        return np.asarray(design, dtype=float) @ self.coef
+
+    def predict(self, design) -> np.ndarray:
         design = np.asarray(design, dtype=float)
         if self.constant is not None:
             return np.full(design.shape[0], self.constant)
-        # keep the open interval even under separation-sized coefficients
-        p = design @ self.coef
-        expit(p, out=p)
-        return np.clip(p, 1e-12, 1.0 - 1e-12, out=p)
+        return fitted_prob(self.linear_predictor(design))
+
+
+def fitted_prob(eta: np.ndarray) -> np.ndarray:
+    """expit(eta) in place, kept in the open interval even under
+    separation-sized coefficients: a model's predictions at linear predictor
+    ``eta``."""
+    expit(eta, out=eta)
+    return np.clip(eta, 1e-12, 1.0 - 1e-12, out=eta)
 
 
 def clip_probs(p: np.ndarray | float) -> np.ndarray:
@@ -139,7 +158,74 @@ def _column_leaders(X: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return leaders
 
 
-def fit_binary_glm(design: np.ndarray, response: np.ndarray,
+def _groups(X: np.ndarray, sums: np.ndarray):
+    """The columns of X in groups of exactly equal columns: the first column
+    of each group (``keep``), each column's group and its group's size
+    (``sums`` are X's column sums, see ``_column_leaders``)."""
+    leaders = _column_leaders(X, sums)
+    keep = np.flatnonzero(leaders == np.arange(X.shape[1]))
+    group = np.searchsorted(keep, leaders)
+    return keep, group, np.bincount(group)[group].astype(float)
+
+
+@dataclass(eq=False)
+class Design:
+    """A design matrix prepared for any number of IRLS fits on its rows.
+
+    The columns fall into groups of exactly equal columns, each fitted
+    through its first column: ``group`` gives each column's group and
+    ``share`` its group's size, and ``XT`` holds the first columns
+    transposed, one per row, in C order whatever the matrix's layout (BLAS
+    sums in a layout-dependent order).  ``np.asarray(design)`` gives the
+    matrix: ``X`` when held, else one rebuilt from ``XT`` (equal columns are
+    equal).  ``splits`` keeps what ``rows`` finds, and the super learner's
+    fold ids.
+    """
+
+    XT: np.ndarray
+    group: np.ndarray
+    share: np.ndarray
+    X: np.ndarray | None = field(default=None, repr=False)
+    splits: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.XT.shape[1], self.group.size
+
+    def __array__(self, dtype=None, copy=None):
+        X = self.X if self.X is not None else np.ascontiguousarray(self.XT[self.group].T)
+        return np.array(X, dtype=dtype, copy=copy)
+
+    def rows(self, index: np.ndarray, key) -> Design:
+        """The design of the rows ``index`` (ascending), whose columns may
+        fall into coarser groups there.  Those groups are found on the first
+        call with ``key`` and kept in ``splits[key]``; the transposed columns
+        are gathered from ``XT`` at each call, so what is kept is a few
+        numbers per column, not a design."""
+        XT = self.XT.take(index, axis=1)
+        if key not in self.splits:
+            keep, group, _ = _groups(XT.T, XT.sum(axis=1))
+            group = group[self.group]        # each column's group on these rows
+            self.splits[key] = keep, group, np.bincount(group)[group].astype(float)
+        keep, group, share = self.splits[key]
+        return Design(XT=XT if keep.size == XT.shape[0] else XT[keep], group=group, share=share)
+
+
+def prepare_design(design) -> Design:
+    """``design`` (a matrix with rows) as a ``Design`` that holds it.  An
+    empty or non-finite design is a FitError."""
+    X = np.atleast_2d(np.asarray(design, dtype=float))
+    if X.shape[0] < 1:
+        raise FitError("design has no rows")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = X.sum(axis=0)  # finite unless a cell is not (or the sum overflows)
+    if not np.all(np.isfinite(sums)) and not np.all(np.isfinite(X)):
+        raise FitError("design contains non-finite values")
+    keep, group, share = _groups(X, sums)
+    return Design(XT=np.ascontiguousarray(X.T[keep]), group=group, share=share, X=X)
+
+
+def fit_binary_glm(design, response: np.ndarray,
                    max_iter: int = 50, start: np.ndarray | None = None) -> FittedModel:
     """Quasi-binomial regression via IRLS.
 
@@ -155,45 +241,32 @@ def fit_binary_glm(design: np.ndarray, response: np.ndarray,
     than that of the zero start, and from zero otherwise.  Without ``start``,
     a fit on at least 2^15 rows first fits every (n // 2^13)-th row and, if
     that fit converged, offers its coefficients as the start.  ``n_iter``
-    counts the iterations on all rows only.  A non-finite response or design
-    cell is a FitError.
+    counts the iterations on all rows only.  ``design`` is a ``Design``, or
+    a matrix prepared on the spot (see ``prepare_design``).  A non-finite
+    response or design cell is a FitError.
     """
-    X = np.atleast_2d(np.asarray(design, dtype=float))
+    d = design if isinstance(design, Design) else prepare_design(design)
     y = np.asarray(response, dtype=float)
-    n, p = X.shape
-    if n < 1:
-        raise FitError("design has no rows")
+    n, p = d.shape
     if y.shape[0] != n:
         raise FitError(f"response length {y.shape[0]} != design rows {n}")
     if not np.all(np.isfinite(y)):
         raise FitError("response contains non-finite values")
     if np.any(y < 0) or np.any(y > 1):
         raise FitError("response must lie in [0, 1]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = X.sum(axis=0)  # finite unless a cell is not (or the sum overflows)
-    if not np.all(np.isfinite(sums)) and not np.all(np.isfinite(X)):
-        raise FitError("design contains non-finite values")
-
-    leaders = _column_leaders(X, sums)
-    keep = np.flatnonzero(leaders == np.arange(p))
-    group = np.searchsorted(keep, leaders)         # each column's merged coefficient
-    share = np.bincount(group)[group].astype(float)
-    # the kept columns, one per row, in C order whatever the design's layout:
-    # BLAS sums in a layout-dependent order
-    XT = np.ascontiguousarray(X.T[keep])
     gamma = None
     if start is not None:
         start = np.array(start, dtype=float)
         if start.shape != (p,):
             raise ValueError(f"start has shape {start.shape}, not ({p},)")
-        gamma = np.bincount(group, weights=start, minlength=keep.size)  # same X beta
+        gamma = np.bincount(d.group, weights=start, minlength=d.XT.shape[0])  # same X beta
     elif n >= _SUBSAMPLE_FROM:
         rows = slice(None, None, n // _SUBSAMPLE)
-        sub, _, sub_converged, _ = _irls(np.ascontiguousarray(XT[:, rows]), y[rows],
+        sub, _, sub_converged, _ = _irls(np.ascontiguousarray(d.XT[:, rows]), y[rows],
                                          None, max_iter)
         gamma = sub if sub_converged else None
-    gamma, dev, converged, n_iter = _irls(XT, y, gamma, max_iter)
-    return FittedModel(coef=gamma[group] / share, converged=converged, deviance=dev,
+    gamma, dev, converged, n_iter = _irls(d.XT, y, gamma, max_iter)
+    return FittedModel(coef=gamma[d.group] / d.share, converged=converged, deviance=dev,
                        n_iter=n_iter)
 
 
@@ -286,10 +359,12 @@ def fit_intercept_fluctuation(
     """Solve sum_i w_i (y_i - expit(offset_i + eps)) = 0 for scalar eps.
 
     This is the targeting update: the returned eps shifts the offset so the
-    weighted residual score vanishes.  Newton steps with a bisection fallback;
-    if no weight is positive the update is vacuous and eps = 0 is returned
-    with a warning.  A non-finite pseudo-outcome, offset or weight is a
-    FitError.  Returns (eps, converged).
+    weighted residual score vanishes.  Newton steps with a bisection fallback
+    inside the bracket [-30, 30]; a root beyond it returns the bracket end,
+    unconverged.  An end's score is evaluated only when its sign is not
+    already clear from the offset's range.  If no weight is positive the
+    update is vacuous and eps = 0 is returned with a warning.  A non-finite
+    pseudo-outcome, offset or weight is a FitError.  Returns (eps, converged).
     """
     y = np.asarray(pseudo_outcome, dtype=float)
     o = np.asarray(offset_logit, dtype=float)
@@ -301,30 +376,42 @@ def fit_intercept_fluctuation(
     if not np.any(pos):
         warnings.warn("fluctuation has no positive weights; update is vacuous")
         return 0.0, True
-    y, o, w = y[pos], o[pos], w[pos]
+    if not pos.all():   # by index: a mask of scattered zeros gathers slowly
+        rows = np.flatnonzero(pos)
+        y, o, w = y.take(rows), o.take(rows), w.take(rows)
     wsum = float(np.sum(w))
+    mu, t = np.empty(y.size), np.empty(y.size)
 
     def score(eps):
-        return float(np.sum(w * (y - expit(o + eps))))
+        """sum w (y - mu) at eps, leaving mu = expit(o + eps) in ``mu``."""
+        expit(np.add(o, eps, out=mu), out=mu)
+        np.subtract(y, mu, out=t)
+        return float(np.sum(np.multiply(t, w, out=t)))
 
     # the score is strictly decreasing in eps; cap the root search so a
-    # one-sided pseudo-outcome cannot run off to +-inf
+    # one-sided pseudo-outcome cannot run off to +-inf.  Bounding each
+    # expit(o + eps) by its value at the offset's max (min) bounds the score
+    # at an end from below (above); a bound past SIGN_MARGIN * wsum, far
+    # beyond the score's rounding error, decides that end's sign unevaluated.
     lo, hi = -30.0, 30.0
-    s_lo, s_hi = score(lo), score(hi)
-    if s_lo <= 0:
+    wy, margin = float(np.sum(w * y)), SIGN_MARGIN * wsum
+    lo_positive = wy - wsum * float(expit(np.max(o) + lo)) > margin
+    if not lo_positive and score(lo) <= 0:
         return lo, False
-    if s_hi >= 0:
+    hi_negative = wy - wsum * float(expit(np.min(o) + hi)) < -margin
+    if not hi_negative and score(hi) >= 0:
         return hi, False
 
     eps = 0.0
     for _ in range(FLUCT_MAX_ITER):
-        mu = expit(o + eps)
-        s = float(np.sum(w * (y - mu)))
+        s = score(eps)
         if s > 0:
             lo = max(lo, eps)
         else:
             hi = min(hi, eps)
-        slope = float(np.sum(w * mu * (1.0 - mu)))
+        np.multiply(w, mu, out=t)
+        t *= np.subtract(1.0, mu, out=mu)
+        slope = float(np.sum(t))
         if slope <= 0:
             break
         step = s / slope
@@ -365,7 +452,7 @@ class SelectorFit:
 
 
 def fit_discrete_super_learner(
-    candidates: list[tuple[str, np.ndarray]],
+    candidates: list[tuple[str, object]],
     response: np.ndarray,
     n_folds: int = 10,
     seed: int = 0,
@@ -373,13 +460,18 @@ def fit_discrete_super_learner(
 ) -> SelectorFit:
     """Discrete super learner over candidate design matrices.
 
-    Each candidate is (name, design) sharing the same response.  The member
-    minimizing V-fold cross-validated quasi-binomial loss is refit on all data;
-    ties break toward the earliest member.  Members that error on every fold
-    get no CV risk; if all members fail, raises FitError.  With ``starts``,
-    the fit of member ``name`` on fold v (v None for all rows) starts from
-    ``starts[name, v]`` if present, and a converged fit is recorded there
-    (see ``remember``).
+    Each candidate is (name, design) sharing the same response; a design is a
+    matrix or a ``Design``.  The member minimizing V-fold cross-validated
+    quasi-binomial loss is refit on all data; ties break toward the earliest
+    member.  Members that error on every fold get no CV risk; if all members
+    fail, raises FitError.  With ``starts``, the fit of member ``name`` on
+    fold v (v None for all rows) starts from ``starts[name, v]`` if present,
+    and a converged fit is recorded there (see ``remember``).  A matrix is
+    prepared once (see ``prepare_design``), and a member whose design cannot
+    be prepared, or has not one row per response, fails every fold.  Each
+    fold's rows are gathered from the ``Design``, which keeps the fold ids
+    and each fold's column groups for the next fit on its rows (see
+    ``Design.rows``).
     """
     if not candidates:
         raise FitError("empty learner library")
@@ -391,23 +483,36 @@ def fit_discrete_super_learner(
         raise FitError(f"n={n} smaller than number of folds {n_folds}")
 
     starts = {} if starts is None else starts
-    folds = cv_fold_ids(n, n_folds, seed)
-    cv_risks: dict[str, float] = {}
+    designs: dict[str, Design | None] = {}   # None: every fold fails
     for name, design in candidates:
-        X = np.atleast_2d(np.asarray(design, dtype=float))
+        try:
+            d = design if isinstance(design, Design) else prepare_design(design)
+        except FitError:
+            d = None
+        designs[name] = d if d is not None and d.shape[0] == n else None
+    cv_risks: dict[str, float] = {}
+    for name, design in designs.items():
+        if design is None:
+            continue
+        # the fold ids, made once for all fits on the design's rows
+        fold_ids = design.splits.get((n_folds, seed))
+        if fold_ids is None:
+            fold_ids = design.splits[n_folds, seed] = cv_fold_ids(n, n_folds, seed)
+        X = np.asarray(design)
         total, n_scored, failed_folds = 0.0, 0.0, 0
         for v in range(n_folds):
-            val = folds == v        # n >= n_folds >= 2: both sides are nonempty
-            train = ~val
+            # n >= n_folds >= 2: both sides are nonempty
+            train, val = np.flatnonzero(fold_ids != v), np.flatnonzero(fold_ids == v)
             try:
                 m = remember(starts, (name, v),
-                             fit_binary_glm(X[train], y[train], start=starts.get((name, v))))
+                             fit_binary_glm(design.rows(train, (n_folds, seed, v)), y[train],
+                                            start=starts.get((name, v))))
                 p = m.predict(X[val])
             except (FitError, np.linalg.LinAlgError):
                 failed_folds += 1
                 continue
             total += -_log_likelihood(y[val], p)
-            n_scored += float(np.sum(val))
+            n_scored += float(val.size)
         if failed_folds < n_folds:
             cv_risks[name] = total / n_scored
 
@@ -418,8 +523,6 @@ def fit_discrete_super_learner(
     for name, _ in candidates:
         if name in cv_risks and cv_risks[name] < best_risk:
             best_name, best_risk = name, cv_risks[name]
-    design = dict(candidates)[best_name]
     key = (best_name, None)
-    model = remember(starts, key, fit_binary_glm(design, y, start=starts.get(key)))
+    model = remember(starts, key, fit_binary_glm(designs[best_name], y, start=starts.get(key)))
     return SelectorFit(name=best_name, model=model, cv_risks=cv_risks)
-

@@ -337,6 +337,35 @@ def test_horizon_outside_scenario_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_oracle_horizon_defaults_to_the_scenario_k(tmp_path, capsys):
+    # as for replicate: a K = 3 scenario's risk is read at visit 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c_z0": -1.5, "c_z": -2.5, "p_z": 1.0, "p_zy": 1.0,
+                               "n_visits": 3}))
+    outs = [tmp_path / "default.json", tmp_path / "k.json"]
+    for out, horizon in zip(outs, ([], ["--horizon", "3"])):
+        assert run(["oracle", "--config", str(cfg), "--policy", "static_a0_z0", "--nmc", "2000",
+                    "--out", str(out)] + horizon) == 0
+    capsys.readouterr()
+    assert json.loads(outs[0].read_text())["horizon"] == 3
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("given", [["--n", "50"], ["--seed", "2"], ["--seed", "2", "--n", "50"]],
+                         ids=["n", "seed", "both"])
+def test_trajectory_panel_refuses_simulation_options(tmp_path, capsys, given):
+    # --n and --seed size and seed a simulated panel: with --panel they are
+    # a usage error, not silently ignored
+    panel = tmp_path / "panel.csv"
+    write_panel_csv(simulate_trial(scenario_presets()["scenario1"], 50, 1), panel)
+    out = tmp_path / "traj.csv"
+    assert run(["trajectory", "--panel", str(panel), "--out", str(out)] + given) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(opt in err for opt in given[::2]) and "--panel" in err
+    assert not out.exists()
+
+
 def test_unknown_learner_is_usage_error(tmp_path, capsys):
     # an unknown name, and an empty learner given in any form, are refused
     # before any fit, on estimate and replicate alike

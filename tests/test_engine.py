@@ -391,7 +391,7 @@ def _cold_scipy_fits(monkeypatch):
     for module in (learners, engine):
         monkeypatch.setattr(module, "fit_binary_glm", cold)
         monkeypatch.setattr(module, "expit", special.expit)
-        monkeypatch.setattr(module, "logit", special.logit)
+    monkeypatch.setattr(learners, "logit", special.logit)
 
 
 def _same_estimate(a, b):
@@ -515,7 +515,8 @@ def test_replication_makes_no_duplicate_fit(monkeypatch):
     real = engine.fit_binary_glm
 
     def recording(design, response, *args, **kwargs):
-        fits.append((design.shape, design.tobytes(), response.tobytes()))
+        X = np.asarray(design)
+        fits.append((X.shape, X.tobytes(), response.tobytes()))
         return real(design, response, *args, **kwargs)
 
     monkeypatch.setattr(engine, "fit_binary_glm", recording)
@@ -525,6 +526,128 @@ def test_replication_makes_no_duplicate_fit(monkeypatch):
     assert all(p.failures == 0 for p in table.policies.values())
     duplicates = len(fits) - len(set(fits))
     assert fits and duplicates == 0
+
+
+# ---------------------------------------------------------------------------
+# Steps prepared once for every arm, against the pass that prepared per arm
+# (tests/parent_pass.py).  The bound, stated before the change: every arm's
+# psi and every contrast's psi, SE and step epsilons within 1e-9 of that
+# pass; clever weights, weight rows and g-computation arms bit-identical.
+
+BOUND = 1e-9
+
+
+def _bound_case(case, scenario1_panel):
+    """``_pass_case`` on the panels of the bound: scenario 1 at 4000 and at
+    40 000 subjects, scenario 2, and the K = 8 panel with the library."""
+    if case in ("scenario1", "k8_library"):
+        return _pass_case(case, scenario1_panel)
+    size, name = {"scenario1_40k": (40_000, "scenario1"), "scenario2": (4000, "scenario2")}[case]
+    panel = simulate_trial(scenario_presets()[name], size, 314)
+    gfit = fit_g(panel, "running_avg")
+    arms = policy_arms(policy_specs(POLICY_NAMES, lambda: fit_stochastic_gstar(panel)))
+    return gfit, arms, {"learner": "running_avg", "seed": 0, "n_folds": 10}
+
+
+@pytest.mark.parametrize("case", ["scenario1", "scenario1_40k", "scenario2", "k8_library"])
+def test_shared_steps_stay_within_the_stated_bound_of_the_parent_pass(
+        case, scenario1_panel, monkeypatch):
+    import parent_pass
+
+    gfit, arms, fit = _bound_case(case, scenario1_panel)
+    flags = [True] * len(arms) + [False] * len(arms)
+    new = tmle_arm(gfit, arms + arms, **fit, targeted=flags)
+    parent_pass.install(monkeypatch)
+    old = tmle_arm(gfit, arms + arms, **fit, targeted=flags)
+    for one, other in zip(new[len(arms):], old[len(arms):], strict=True):
+        _same_estimate(one, other)                        # g-computation: bit for bit
+    targeted = list(zip(new[:len(arms)], old[:len(arms)]))
+    for one, other in targeted:
+        assert abs(one.psi - other.psi) <= BOUND
+        assert one.diagnostics["weights"] == other.diagnostics["weights"]
+        assert one.diagnostics["fluct_converged"] == other.diagnostics["fluct_converged"]
+        assert np.max(np.abs(np.subtract(one.diagnostics["epsilons"],
+                                         other.diagnostics["epsilons"]))) <= BOUND
+    for (a1, b1), (a0, b0) in zip(targeted[::2], targeted[1::2]):
+        one, other = contrast(a1, a0), contrast(b1, b0)
+        assert abs(one.psi - other.psi) <= BOUND and abs(one.se - other.se) <= BOUND
+
+
+@pytest.mark.parametrize("cap", [None, 4.0])
+@pytest.mark.parametrize("case", ["scenario1", "k8_library"])
+def test_policy_weights_are_bit_identical_to_one_arm_at_a_time(case, cap, scenario1_panel):
+    # the law's factors formed once for both arms of a policy: each arm's
+    # weight is the one formed alone, factor by factor in the same order
+    import parent_pass
+
+    gfit, arms, _ = _pass_case(case, scenario1_panel)
+    den = engine._Denominators(gfit)
+    for l in range(1, gfit.panel.K + 1):
+        for pair in zip(arms[::2], arms[1::2]):
+            got = engine._clever_weights(den, list(pair), l, cap)
+            assert len(got) == 2
+            for policy, h in zip(pair, got):
+                assert h.tobytes() == parent_pass._clever_weight(den, policy, l, cap).tobytes()
+
+
+def _weight_samples():
+    rng = np.random.default_rng(41)
+    yield from (np.zeros(0), np.zeros(7), np.array([3.5]), np.array([0.0, 2.0]),
+                np.array([1.0, 7.0]), np.array([np.inf, 1.0, 0.0]))
+    for size in (1, 2, 3, 99, 100, 101, 10_000):
+        h = rng.lognormal(1.0, 2.0, size)
+        h[rng.random(size) < 0.3] = 0.0
+        yield h
+        yield np.round(h)                                  # ties
+        yield np.repeat(h[:max(1, size // 10)], 10)        # every value ten times
+    yield np.concatenate([np.full(500, 60.0), np.full(500, 2.0)])
+
+
+def test_weight_row_is_bit_identical_to_the_parent_summary():
+    import parent_pass
+
+    # a float's repr is its shortest round-trip spelling: equal reprs are
+    # equal bits (and nan reads as nan)
+    for threshold in (50.0, 3.0):
+        for l, h in enumerate(_weight_samples()):
+            with np.errstate(invalid="ignore"):        # inf weights: a nan percentile
+                row = engine._weight_row(l, h, threshold)
+                want = parent_pass._weight_row(l, h, threshold)
+                pos = h[h > 0]
+                p99 = float(np.percentile(pos, 99)) if pos.size else 0.0
+            assert repr(row) == repr(want)
+            assert repr(row["p99_weight"]) == repr(p99)
+
+
+@pytest.mark.parametrize("learner", ["running_avg", ["main", "running_avg"]],
+                         ids=["single", "library"])
+def test_each_design_is_prepared_once_per_step_member_and_fold(learner, monkeypatch):
+    # a pass groups the columns of each step's member designs, and of each
+    # of their CV folds, once for all its arms: as often for two arms as
+    # for ten, and every fit reads the step's one prepared design
+    counts, fits = [0], []
+
+    def counting(X, sums):
+        counts[-1] += 1
+        return groups(X, sums)
+
+    def recording(design, response, max_iter=50, start=None):
+        fits.append(type(design))
+        return fit(design, response, max_iter, start)
+
+    groups, fit = learners._groups, learners.fit_binary_glm
+    monkeypatch.setattr(learners, "_groups", counting)
+    panel, n_folds = build_k8_panel(), 2
+    gfit = fit_g(panel, learner, n_folds=n_folds)
+    arms = policy_arms(policy_specs(POLICY_NAMES, lambda: fit_stochastic_gstar(panel)))
+    for module in (learners, engine):
+        monkeypatch.setattr(module, "fit_binary_glm", recording)
+    for some in (arms, arms[:2]):
+        counts.append(0)
+        tmle_arm(gfit, some, learner, n_folds=n_folds)
+    members = 1 if isinstance(learner, str) else len(learner) * (1 + n_folds)
+    assert counts[1:] == [panel.K * members] * 2
+    assert fits and set(fits) == {learners.Design}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from scipy.special import expit, logit
 from dropintmle.learners import expit as kernel_expit
 from dropintmle.learners import (
     DEV_TOL,
+    LOGIT_CLIP,
     PROB_CLIP,
     RIDGE,
     SCORE_TOL,
@@ -464,7 +465,7 @@ def _with_parent_numerics(monkeypatch):
         monkeypatch.setattr(module, "fit_binary_glm", cold)
     for module in (learners, engine):
         monkeypatch.setattr(module, "expit", expit)
-        monkeypatch.setattr(module, "logit", logit)
+    monkeypatch.setattr(learners, "logit", logit)
 
 
 @pytest.mark.parametrize("case", ["scenario1", "k8_library"])
@@ -748,6 +749,70 @@ def test_fluctuation_solves_score(ys, seed):
         assert abs(np.sum(w * (y - expit(off + eps)))) <= 1e-8 * max(1.0, w.sum())
 
 
+def _fluctuation_cases():
+    """(pseudo-outcome, offset, weights) triples: offsets within LOGIT_CLIP,
+    as the pass gives them, and wide ones; roots beyond both ends of the
+    [-30, 30] bracket; zero weights, some and all."""
+    rng = np.random.default_rng(43)
+    for size in (1, 2, 40, 5000):
+        y = rng.uniform(0.0, 1.0, size)
+        w = rng.lognormal(0.0, 1.5, size)
+        w[rng.random(size) < 0.4] = 0.0
+        clipped = np.clip(rng.normal(-1.0, 3.0, size), *LOGIT_CLIP)
+        wide = rng.normal(0.0, 25.0, size)
+        for off in (clipped, wide, np.full(size, LOGIT_CLIP[0]), np.full(size, LOGIT_CLIP[1])):
+            yield y, off, w
+            yield (rng.random(size) < 0.2).astype(float), off, w
+            yield np.zeros(size), off, w + 1.0          # root below -30 unless far offsets
+            yield np.ones(size), off, w + 1.0           # root above +30
+            yield np.full(size, 1e-9), off, w + 1.0     # a bound too close to tell
+            yield y, off - 45.0, w + 1.0                # root beyond +30 of a far offset
+            yield y, off + 45.0, w + 1.0
+            yield y, off, np.zeros(size)                # vacuous
+
+
+def test_fluctuation_equals_the_parent_solver():
+    # the bracket ends are evaluated only when the offset's range cannot
+    # decide them: every eps and flag is the parent solver's, bit for bit
+    from parent_pass import fit_intercept_fluctuation as parent
+
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for y, off, w in _fluctuation_cases():
+            got, want = fit_intercept_fluctuation(y, off, w), parent(y, off, w)
+            assert repr(got) == repr(want)
+            seen.add("vacuous" if not np.any(w > 0) else
+                     got[0] if abs(got[0]) == 30.0 else got[1])
+    assert seen == {-30.0, 30.0, True, "vacuous"}
+
+
+def test_fluctuation_decides_the_bracket_ends_from_the_offset_range(monkeypatch):
+    # offsets within LOGIT_CLIP and a pseudo-outcome well inside (0, 1): both
+    # ends' signs follow from the bounds, so the solver evaluates two fewer
+    # logistic vectors than the parent, which evaluated both ends first
+    import parent_pass
+    from dropintmle import learners
+
+    calls = {}
+
+    def counting(module):
+        real = module.expit
+
+        def expit_counted(x, out=None):
+            calls[module] += np.ndim(x) > 0
+            return real(x, out=out)
+        calls[module] = 0
+        monkeypatch.setattr(module, "expit", expit_counted)
+
+    for module in (learners, parent_pass):
+        counting(module)
+    rng = np.random.default_rng(44)
+    y, off, w = rng.uniform(0.0, 0.5, 300), rng.uniform(-4.0, 2.0, 300), rng.uniform(0, 3, 300)
+    assert fit_intercept_fluctuation(y, off, w) == parent_pass.fit_intercept_fluctuation(y, off, w)
+    assert calls[learners] == calls[parent_pass] - 2 > 0
+
+
 def test_fit_constant_exact():
     m = fit_constant(np.array([0.0, 0.0, 0.0]))
     assert m.constant == 0.0
@@ -817,3 +882,62 @@ def test_super_learner_rejects_degenerate_inputs():
     with pytest.raises(FitError):
         fit_discrete_super_learner([("x", np.ones((3, 1)))], np.array([0.0, 1.0, 1.0]),
                                    n_folds=5)
+
+
+def test_super_learner_fold_fits_match_fits_on_fold_matrices():
+    # each member's design is prepared once and keeps its fold ids and each
+    # fold's column groups; a fold fit gathers its rows by index and gives
+    # the fit on that fold's matrix, also where two columns are equal on one
+    # fold's training rows only (they merge there, as on that fold's matrix)
+    from dropintmle.learners import prepare_design
+
+    rng = np.random.default_rng(47)
+    n, n_folds, seed = 400, 3, 9
+    x, z = rng.standard_normal(n), (rng.random(n) < 0.4).astype(float)
+    folds = cv_fold_ids(n, n_folds, seed)
+    z_off = z.copy()
+    val0 = np.flatnonzero(folds == 0)
+    z_off[val0[:5]] = 1.0 - z_off[val0[:5]]        # differs on fold 0's validation rows only
+    X = np.column_stack([np.ones(n), x, z, z_off])
+    y = (rng.random(n) < expit(-0.3 + 0.8 * x + 0.5 * z)).astype(float)
+    expected = {}
+    for name, M in (("a", X), ("b", X[:, :3])):     # fits on each fold's own matrix
+        risk = 0.0
+        for v in range(n_folds):
+            m = fit_binary_glm(M[folds != v], y[folds != v])
+            expected[name, v] = m.coef.tobytes()
+            p = np.clip(expit(M[folds == v] @ m.coef), 1e-12, 1.0 - 1e-12)
+            risk -= float(np.sum(y[folds == v] * np.log(p)
+                                 + (1.0 - y[folds == v]) * np.log(1.0 - p)))
+        expected[name] = risk / n
+    design = prepare_design(X)
+    assert design.XT.shape[0] == 4                  # distinct on all rows
+    fits = []
+    for candidate in (X, design, design):           # the Design twice: kept folds reread
+        starts = {}
+        sel = fit_discrete_super_learner([("a", candidate), ("b", X[:, :3])], y,
+                                         n_folds=n_folds, seed=seed, starts=starts)
+        fits.append((sel.name, sel.cv_risks, sel.model.coef.tobytes(),
+                     {k: v.tobytes() for k, v in starts.items()}))
+    assert fits[0] == fits[1] == fits[2]
+    assert {k: v for k, v in fits[0][3].items() if k[1] is not None} == {
+        k: v for k, v in expected.items() if isinstance(k, tuple)}
+    for name in ("a", "b"):
+        assert fits[0][1][name] == pytest.approx(expected[name], rel=1e-12)
+    merged = [value[0].size for key, value in design.splits.items() if len(key) == 3]
+    assert sorted(merged) == [3, 4, 4]              # fold 0's training rows merge z, z_off
+
+
+def test_super_learner_member_that_cannot_be_prepared_fails_every_fold():
+    # a non-finite or wrongly sized design is no member: it gets no CV risk
+    rng = np.random.default_rng(48)
+    n = 90
+    X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    y = (rng.random(n) < expit(X[:, 1])).astype(float)
+    bad = X.copy()
+    bad[7, 1] = np.nan
+    sel = fit_discrete_super_learner([("nan", bad), ("short", X[:-1]), ("long", np.vstack([X, X])),
+                                      ("ok", X)], y, n_folds=3, seed=2)
+    assert sel.name == "ok" and sel.cv_risks.keys() == {"ok"}
+    with pytest.raises(FitError):
+        fit_discrete_super_learner([("nan", bad)], y, n_folds=3)

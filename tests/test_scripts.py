@@ -59,15 +59,19 @@ def test_output_comparison_lists_every_differing_file(tmp_path, monkeypatch, cap
     monkeypatch.setattr(compare, "run_commands", run_commands)
     monkeypatch.setattr(compare, "ref_tree", ref_tree)
     assert compare.main(["--ref", "parent"]) == 1
-    assert capsys.readouterr().err.splitlines() == ["differs: b.json: max numeric drift 18",
-                                                    "differs: c.txt: max numeric drift 27"]
+    assert capsys.readouterr().err.splitlines() == [
+        "differs: b.json: max numeric drift 18 at line 1",
+        "differs: c.txt: max numeric drift 27 at line 1"]
     outputs["change"] = outputs["base"]
     assert compare.main(["--ref", "parent"]) == 0
     assert "3 files byte-identical between parent" in capsys.readouterr().out
 
 
 def test_output_comparison_reports_numeric_drift(tmp_path):
-    drift = compare.numeric_drift
+    def drift(base, change):
+        site = compare.numeric_drift(base, change)
+        return None if site is None else site[0]
+
     assert drift('{"psi": 0.125, "se": 2e-3}', '{"psi": 0.125, "se": 2.5e-3}') == 5e-4
     assert drift("a,-1.5,nan\r\n", "a,-1.25,nan\r\n") == 0.25
     assert drift("x 1", "x 1") == 0.0
@@ -79,12 +83,28 @@ def test_output_comparison_reports_numeric_drift(tmp_path):
     assert drift(f"eic ('{d1}', '0.5', '2.25')", f"eic ('{d2}', '0.5', '2.5')") == 0.25
     assert drift(f"eic {d1} 1", f"eic {d2} 1") == 0.0
     assert drift(f"eic {d1} 1", f"eic {d1[:-1]} 1") is None           # not a digest
+    assert compare.numeric_drift("a 1\nb 2 3", "a 1\nb 2 3.5") == (0.5, 2, "b 2 ")
+    assert compare.numeric_drift("a 1", "a 1") == (0.0, 0, "")
     (tmp_path / "base").mkdir()
     (tmp_path / "change").mkdir()
     for side, text in (("base", "v 1.0000000001e-3\n"), ("change", "v 1e-3\n")):
         (tmp_path / side / "a.txt").write_text(text)
-    assert compare.drift_note(tmp_path / "base" / "a.txt",
-                              tmp_path / "change" / "a.txt") == "max numeric drift 1e-13"
+    assert compare.drift_note(tmp_path / "base" / "a.txt", tmp_path / "change" / "a.txt") \
+        == 'max numeric drift 1e-13 at line 1 after "v "'
+    # the largest drift is named by its line and the text before it: here a
+    # solved score (an EIC sum) moved more than the estimate beside it
+    for side, (psi, digest, total) in (("base", ("0.125", d1, "1e-09")),
+                                       ("change", ("0.125000000001", d2, "1.7e-08"))):
+        (tmp_path / side / "arms.txt").write_text(
+            f"sc2 static0 1 True 0.5 None {{}}\n"
+            f"sc2 static0 1 True {psi} ('{digest}', '{total}', '2.5') {{}}\n")
+    before = "sc2 static0 1 True 0.125000000001 ('<digest>', '"
+    assert compare.drift_note(tmp_path / "base" / "arms.txt", tmp_path / "change" / "arms.txt") \
+        == f'max numeric drift 1.6e-08 at line 2 after "{before}"'
+    (tmp_path / "change" / "arms.txt").write_text("x " * 40 + "2\n")
+    (tmp_path / "base" / "arms.txt").write_text("x " * 40 + "1\n")
+    assert compare.drift_note(tmp_path / "base" / "arms.txt", tmp_path / "change" / "arms.txt") \
+        == f'max numeric drift 1 at line 1 after "{"x " * 30}"'
     assert compare.drift_note(tmp_path / "base" / "a.txt",
                               tmp_path / "change" / "b.txt") == "structure differs"
 
