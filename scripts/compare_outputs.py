@@ -136,6 +136,25 @@ with open("messy_warnings.txt", "w") as fh:
     fh.write(f"exit {{code}}\\n")
     fh.writelines(f"{{w.category.__name__}}: {{w.message}}\\n" for w in caught)
 """
+#: one replication table at full precision: the repr of every field of each
+#: policy's PolicyReplication (arrays as dtype and list) and of its table row,
+#: with g-computation estimates and a weight cap that binds on some
+#: replications; static1 fails one of the two (its fluctuation does not converge)
+REPLICATIONS = """
+import dataclasses
+import numpy as np
+from dropintmle.harness import run_replications
+table = run_replications("scenario1", n=600, reps=2, horizon=4, n_mc=20_000, seed=5,
+                         weight_cap=40.0, include_gcomp=True, workers=1)
+with open("replications.txt", "w") as out:
+    for name, pr in table.policies.items():
+        for f in dataclasses.fields(pr):
+            value = getattr(pr, f.name)
+            if isinstance(value, np.ndarray):
+                value = (value.dtype.str, value.tolist())
+            print(name, f.name, repr(value), file=out)
+        print(name, "row", repr(pr.row(table.scenario)), file=out)
+"""
 REPLICATE = CLI + ["replicate", "--scenario", "scenario1", "--n", "600", "--reps", "2",
                    "--horizon", "4", "--nmc", "20000", "--seed", "5", "--workers", "1"]
 
@@ -158,6 +177,7 @@ COMMANDS = [
                              "--out", "leader_spaced.csv"]),
     ("replicate_csv", REPLICATE + ["--out", "replicate.csv"]),
     ("replicate_json", REPLICATE + ["--format", "json", "--out", "replicate.json"]),
+    ("replications", ["-c", REPLICATIONS]),
     ("truths", ["-c", TRUTHS]),
     ("oracle", CLI + ["oracle", "--scenario", "scenario1", "--policy", "stochastic_a1",
                       "--nmc", "50000", "--nfit", "50000", "--out", "oracle.json"]),

@@ -4,11 +4,15 @@ One run covers a scenario and a set of balancing policies: oracle truths are
 computed once by counterfactual Monte Carlo (the stochastic policy's
 reference law is fitted on a large observational panel), then each
 replication simulates a panel with seed + r, fits the nuisance mechanisms and
-the panel's own stochastic law, estimates every policy on both hypothetical
-arms, and accumulates bias / coverage / interval-length summaries.
-Replication failures (non-convergence, empty risk sets) are recorded and
-excluded, never silently dropped.  Results are reduced in replication order,
-so tables are byte-stable for a fixed seed regardless of worker count.
+the panel's own stochastic law, and estimates every policy on both
+hypothetical arms in one pass.  Each policy's EstimateReport (the record
+``cli estimate`` writes) is tallied as it is: psi, SE and interval, the
+largest clever weight (``weights1``/``weights0``) and the worse arm's
+|mean EIC| (``arm1``/``arm0``) give the bias / coverage / interval-length
+summaries.  Replication failures (non-convergence, empty risk sets) are
+counted by reason and excluded, never silently dropped.  Results are reduced
+in replication order, so tables are byte-stable for a fixed seed regardless
+of worker count.
 """
 
 from __future__ import annotations
@@ -112,31 +116,18 @@ class ReplicationTable:
         return [self.policies[p].row(self.scenario) for p in self.policies]
 
 
-@dataclass(frozen=True)
-class PolicyRun:
-    """One policy in one replication: the contrast and its interval, the
-    largest clever weight, the worse arm's |mean EIC| and the g-computation
-    contrast if requested; or only the ``failure`` reason."""
-
-    psi: float | None = None
-    se: float | None = None
-    ci_low: float | None = None
-    ci_high: float | None = None
-    max_weight: float | None = None
-    mean_eic: float | None = None
-    gcomp_psi: float | None = None
-    failure: str | None = None
-
-
 def _replication_worker(cfg, policy_names, n, horizon, g_floor, weight_cap, q_learner,
                         include_gcomp, seed_r):
+    """One replication: per policy, the EstimateReport of its contrast and of
+    its g-computation contrast (None without ``include_gcomp``), or the reason
+    it failed: its active arm, control arm, an unconverged fluctuation, then
+    its g-computation arms, whichever fails first."""
     panel = simulate_trial(cfg, n, seed_r)
     try:
         gfit = fit_g(panel, g_floor=g_floor)
         specs = policy_specs(policy_names, lambda: fit_stochastic_gstar(panel, upto=horizon))
     except Exception as exc:  # a dead panel fails every policy
-        return {name: PolicyRun(failure=f"{type(exc).__name__}: {exc}")
-                for name in policy_names}
+        return dict.fromkeys(policy_names, f"{type(exc).__name__}: {exc}")
     # one pass: every arm targeted, then every arm by g-computation if asked
     arms, kinds = policy_arms(specs), [True] + [False] * include_gcomp
     results = tmle_arm(gfit, arms * len(kinds), q_learner, horizon, weight_cap=weight_cap,
@@ -149,14 +140,9 @@ def _replication_worker(cfg, policy_names, n, horizon, g_floor, weight_cap, q_le
             arm1, arm0 = rep.diagnostics["arm1"], rep.diagnostics["arm0"]
             if not (arm1["fluct_converged"] and arm0["fluct_converged"]):
                 raise EstimationError("fluctuation did not converge")
-            maxw = max(r["max_weight"]
-                       for r in rep.diagnostics["weights1"] + rep.diagnostics["weights0"])
-            out[name] = PolicyRun(
-                psi=rep.psi, se=rep.se, ci_low=rep.ci_low, ci_high=rep.ci_high,
-                max_weight=maxw, mean_eic=max(abs(arm1["mean_eic"]), abs(arm0["mean_eic"])),
-                gcomp_psi=contrast(*gcomp[name]).psi if include_gcomp else None)
+            out[name] = rep, contrast(*gcomp[name], name) if include_gcomp else None
         except Exception as exc:
-            out[name] = PolicyRun(failure=f"{type(exc).__name__}: {exc}")
+            out[name] = f"{type(exc).__name__}: {exc}"
     return out
 
 
@@ -182,8 +168,8 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
     default learner.  ``truths`` can be supplied to skip the oracle pass (e.g.
     reusing truths across runs); otherwise they are computed at ``n_mc`` draws.
     The scenario, ``n``, horizon, ``n_mc``, ``reps``, g floor, weight cap,
-    learner, policies and worker count are checked first: a bad one raises
-    SettingError before the truths are computed.
+    learner, policies, worker count and supplied truths (one per policy) are
+    checked first: a bad one raises SettingError before any truth or panel.
     """
     cfg = resolve_scenario(scenario)
     name = scenario if isinstance(scenario, str) else "custom"
@@ -198,6 +184,9 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
     workers = n_workers() if workers is None else workers
     if workers < 1:
         raise SettingError(f"workers must be at least 1, got {workers}")
+    missing = [p for p in policy_names if truths is not None and p not in truths]
+    if missing:
+        raise SettingError(f"truths give no value for {', '.join(missing)}")
 
     if truths is None:
         truths = compute_truths(cfg, policy_names, horizon, n_mc, seed)
@@ -216,11 +205,16 @@ def run_replications(scenario, policies=POLICY_NAMES, n: int = 9340,
     for pol in policy_names:
         truth, truth_se = truths[pol][0], truths[pol][1]
         runs = [res[pol] for res in results]
-        ok = [run for run in runs if run.failure is None]
-        psi, se, lo, hi, maxw, eics = (np.array([getattr(run, f) for run in ok]) for f in (
-            "psi", "se", "ci_low", "ci_high", "max_weight", "mean_eic"))
-        gests = [run.gcomp_psi for run in ok if run.gcomp_psi is not None]
-        reasons = dict(Counter(run.failure for run in runs if run.failure is not None))
+        reasons = dict(Counter(run for run in runs if isinstance(run, str)))
+        ok = [run for run in runs if not isinstance(run, str)]
+        psi, se, lo, hi = (np.array([getattr(rep, f) for rep, _ in ok])
+                           for f in ("psi", "se", "ci_low", "ci_high"))
+        diags = [rep.diagnostics for rep, _ in ok]
+        maxw = np.array([max(w["max_weight"] for w in d["weights1"] + d["weights0"])
+                         for d in diags])
+        eics = np.array([max(abs(d["arm1"]["mean_eic"]), abs(d["arm0"]["mean_eic"]))
+                         for d in diags])
+        gests = [g.psi for _, g in ok if g is not None]
         table.policies[pol] = PolicyReplication(
             policy=pol, truth=truth, truth_mc_se=truth_se, estimates=psi, ses=se,
             covers=(lo <= truth) & (truth <= hi), ci_lens=hi - lo,

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from dropintmle import harness
-from dropintmle.engine import EstimateReport
+from dropintmle.engine import ArmEstimate, EstimateReport, EstimationError
 from dropintmle.harness import (
+    POLICY_NAMES,
     TABLE_COLUMNS,
     compute_truths,
     emit_report,
     run_replications,
 )
+from dropintmle.panel import SettingError
 from dropintmle.sim import scenario_presets, simulate_trial
 from dropintmle.sim import drop_in_trajectory
 
 FAST = dict(n=1200, reps=4, seed=11, n_mc=60_000, workers=1)
+#: placeholder truths for runs that check failures, not bias or coverage
+ZERO_TRUTHS = {p: (0.0, 0.0, 0.0, 0.0) for p in POLICY_NAMES}
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +37,22 @@ def test_table_row_schema(small_table):
 
 
 def test_replication_determinism(tmp_path):
-    kw = dict(policies=("ignore",), n=800, reps=3, seed=5, n_mc=40_000)
+    kw = dict(policies=("ignore",), n=800, reps=3, seed=5, n_mc=40_000, include_gcomp=True)
     t1 = run_replications("scenario1", workers=1, **kw)
     t2 = run_replications("scenario1", workers=2, **kw)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_report(t1, p1)
     emit_report(t2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    # every tallied array, bit for bit, whether or not the results crossed a process pool
+    pr1, pr2 = t1.policies["ignore"], t2.policies["ignore"]
+    assert pr1.gcomp_estimates is not None and pr1.gcomp_estimates.size == pr1.n_ok
+    for f in dataclasses.fields(pr1):
+        a, b = getattr(pr1, f.name), getattr(pr2, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
 
 
 def test_single_rep_blank_sd(tmp_path):
@@ -98,6 +111,80 @@ def test_unknown_scenario_names_the_presets(monkeypatch):
     monkeypatch.setattr(harness, "compute_truths", no_truths)
     with pytest.raises(ValueError, match="unknown scenario 'bogus'.*scenario1"):
         run_replications("bogus", policies=("ignore",), n=200, reps=1, workers=1)
+
+
+def test_truths_missing_a_policy_rejected_before_any_panel(monkeypatch):
+    def no_panel(*args, **kw):
+        raise AssertionError("panel simulated before the truths were checked")
+
+    monkeypatch.setattr(harness, "simulate_trial", no_panel)
+    with pytest.raises(SettingError, match="truths give no value for dynamic, static0"):
+        run_replications("scenario1", policies=("dynamic", "ignore", "static0"),
+                         truths={"ignore": ZERO_TRUTHS["ignore"]}, n=300, reps=2, workers=1)
+
+
+@pytest.mark.parametrize("include_gcomp", [False, True], ids=["tmle", "with-gcomp"])
+@pytest.mark.parametrize("failing,reason", [
+    ("fit_g", "EstimationError: no subject at risk"),
+    # scenario 1's covariates are continuous, so no outcome step can be fitted
+    ("q_learner", "DataError: saturated features require binary history columns"),
+], ids=["dead-panel", "saturated-learner"])
+def test_a_failure_of_every_arm_fails_every_policy(monkeypatch, failing, reason,
+                                                   include_gcomp):
+    def dead_panel(*args, **kw):
+        raise EstimationError("no subject at risk")
+
+    kw = {"q_learner": "saturated"} if failing == "q_learner" else {}
+    if failing == "fit_g":
+        monkeypatch.setattr(harness, "fit_g", dead_panel)
+    t = run_replications("scenario1", policies=("static0", "ignore"), truths=ZERO_TRUTHS,
+                         n=300, reps=2, seed=3, workers=1, include_gcomp=include_gcomp, **kw)
+    for pr in t.policies.values():
+        assert pr.failures == 2 and pr.n_ok == 0 and pr.gcomp_estimates is None
+        assert pr.failure_reasons == {reason: 2}
+
+
+#: (policy, arm, targeted) -> what the pass gives that arm instead of its estimate
+INJECTED = {("static0", 1, True): ValueError("active arm"),
+            ("static0", 0, True): ValueError("control arm"),
+            ("static0", 1, False): ValueError("gcomp arm"),
+            ("static1", 0, True): ValueError("control arm"),
+            ("static1", 1, False): ValueError("gcomp arm"),
+            ("dynamic", 1, True): "unconverged",
+            ("dynamic", 0, False): ValueError("gcomp arm"),
+            ("ignore", 0, False): ValueError("gcomp arm")}
+
+
+@pytest.mark.parametrize("include_gcomp", [False, True], ids=["tmle", "with-gcomp"])
+def test_a_policy_fails_on_its_first_failure_in_a_fixed_order(monkeypatch, include_gcomp):
+    """Active arm, then control arm, then an unconverged fluctuation, then the
+    g-computation arms: a policy's failure reason is the first one met."""
+    policies = ("static0", "static1", "dynamic", "ignore")
+    real = harness.tmle_arm
+
+    def injected(gfit, arms, *args, targeted, **kw):
+        results = real(gfit, arms, *args, targeted=targeted, **kw)
+        for i, (est, kind) in enumerate(zip(results, targeted)):
+            j = i % (2 * len(policies))
+            what = INJECTED.get((policies[j // 2], 1 - j % 2, kind))
+            assert isinstance(est, ArmEstimate)
+            if what == "unconverged":
+                results[i] = dataclasses.replace(
+                    est, diagnostics={**est.diagnostics, "fluct_converged": False})
+            elif what is not None:
+                results[i] = what
+        return results
+
+    monkeypatch.setattr(harness, "tmle_arm", injected)
+    t = run_replications("scenario1", policies=policies, truths=ZERO_TRUTHS, n=300, reps=2,
+                         seed=3, workers=1, include_gcomp=include_gcomp)
+    assert {p: pr.failure_reasons for p, pr in t.policies.items()} == {
+        "static0": {"ValueError: active arm": 2},
+        "static1": {"ValueError: control arm": 2},
+        "dynamic": {"EstimationError: fluctuation did not converge": 2},
+        "ignore": {"ValueError: gcomp arm": 2} if include_gcomp else {}}
+    assert [pr.failures for pr in t.policies.values()] == [2, 2, 2, 2 * include_gcomp]
+    assert t.policies["ignore"].n_ok == 2 * (not include_gcomp)
 
 
 def test_gcomp_collection():
