@@ -12,7 +12,8 @@ The CLI only parses: the library checks each setting before its first fit
 and raises SettingError for a bad one.
 
 Exit codes: 0 success, 1 usage error (a bad option or SettingError),
-2 data/estimation error.
+2 data/estimation error or a path that cannot be opened (any OSError: a
+missing file, a directory, no permission).
 Worker count for `replicate` comes from --workers or the LTMLE_THREADS variable.
 """
 
@@ -320,7 +321,7 @@ def cli_main(argv=None) -> int:
     except SettingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, EstimationError, FitError, FileNotFoundError) as exc:
+    except (DataError, EstimationError, FitError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -124,6 +124,17 @@ def test_estimate_missing_file_is_data_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "scenario1", "--n", "50", "--out", "{dir}"],
+    ["estimate", "--panel", "{dir}"],
+], ids=["simulate-out", "estimate-panel"])
+def test_directory_path_is_data_error(tmp_path, capsys, argv):
+    assert run([a.format(dir=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"Is a directory: '{tmp_path}'" in err
+    assert err.count("\n") == 1
+
+
 def test_oracle_json(tmp_path, capsys):
     out = tmp_path / "oracle.json"
     assert run(["oracle", "--scenario", "scenario1", "--policy", "static_a0_z0",

@@ -251,6 +251,22 @@ def test_panel_csv_round_trip(tmp_path, scenario1_panel):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=f.name)
 
 
+def test_refused_panel_writes_no_file(tmp_path, scenario1_panel):
+    # a float indicator array is refused before the path is opened
+    p = scenario1_panel
+    fields = {f.name: getattr(p, f.name)[..., :5] for f in dataclasses.fields(TrialPanel)}
+    fields["L0"], fields["L"] = p.L0[:5], p.L[:, :5]
+    panel = TrialPanel(**fields | {"Y": fields["Y"].astype(float)})
+    path = tmp_path / "panel.csv"
+    with pytest.raises(ValueError, match="indicator Y has dtype float64"):
+        write_panel_csv(panel, path)
+    assert not path.exists()
+    path.write_bytes(b"kept\r\n")
+    with pytest.raises(ValueError, match="indicator Y has dtype float64"):
+        write_panel_csv(panel, path)
+    assert path.read_bytes() == b"kept\r\n"
+
+
 def test_panel_csv_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,L0_1,Z0,A0,Y1,D1\n0,0.1,0,1,0,0\n")
@@ -699,8 +715,11 @@ def wire_panel(n, K, d, d_time, seed):
                       ints((K, n)), L, ints((K - 1, n)), ints((K - 1, n)))
 
 
+# (n, K, d, d_time); at K = 1 a row is the id, L0 and one indicator run, and
+# at d_time = 0 every indicator after L0 falls in one run
 WIRE_CASES = [(1, 2, 1, 0), (1, 8, 2, 2), (7, 2, 2, 2), (40, 8, 1, 0), (40, 5, 0, 1),
-              (panel_mod._ROW_BLOCK + 3, 3, 2, 2)]
+              (panel_mod._ROW_BLOCK + 3, 3, 2, 2), (6, 1, 0, 0), (6, 1, 2, 0), (40, 8, 0, 0),
+              (panel_mod._ROW_BLOCK + 3, 8, 1, 0)]
 
 
 @pytest.mark.parametrize("n, K, d, d_time", WIRE_CASES)
@@ -713,9 +732,22 @@ def test_writer_and_reader_match_row_loops(tmp_path, n, K, d, d_time):
     assert_same_panel(read_panel_csv(ref), ref_read_panel_csv(ref))
 
 
-def test_writer_matches_row_loop_on_bool_indicators(tmp_path):
-    p = wire_panel(9, 3, 1, 1, seed=2)
-    flags = {f: getattr(p, f) != 0 for f in ("Z0", "A0", "Y", "D", "C", "A", "Z")}
+@pytest.mark.parametrize("dtype, wide", [
+    (bool, [True]), (np.int16, [300, -1000, 44, 24]), (np.int64, [300, -1000, 2**40]),
+    (np.uint8, [255]),
+], ids=["bool", "int16", "int64", "uint8"])
+def test_writer_matches_row_loop_on_indicator_dtypes(tmp_path, dtype, wide):
+    # the indicators as 0/1 in ``dtype``, with a third of the cells set to
+    # values from ``wide``, most outside the int8 range the reader accepts.
+    # Some agree modulo 256 with others present (2**40 with 0, 300 with 44,
+    # -1000 with 24), and at 200 rows some tuples differ only there.
+    p = wire_panel(200, 3, 1, 1, seed=2)
+    rng = np.random.default_rng(4)
+    flags = {}
+    for f in ("Z0", "A0", "Y", "D", "C", "A", "Z"):
+        flags[f] = (getattr(p, f) != 0).astype(dtype)
+        pick = rng.random(flags[f].shape) < 1 / 3
+        flags[f][pick] = rng.choice(np.array(wide, dtype=dtype), size=int(pick.sum()))
     panel = TrialPanel(**{f: getattr(p, f) for f in FIELDS} | flags)
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     write_panel_csv(panel, new)
